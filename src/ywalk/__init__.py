@@ -17,6 +17,7 @@ from .exact import (
     series_from_poly_ratio,
     series_log,
     series_rescale,
+    shift_log_series,
 )
 from .rootsystem import (
     BUILTIN_ALGEBRAS,

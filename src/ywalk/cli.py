@@ -72,9 +72,12 @@ def parse_gaussian(text: str) -> GaussianRational:
     if not match:
         raise CliInputError(f"malformed rational parameter {text!r}")
     re_part, im_part = match.groups()
-    return GaussianRational(
-        Fraction(re_part), Fraction(im_part) if im_part else Fraction(0)
-    )
+    try:
+        return GaussianRational(
+            Fraction(re_part), Fraction(im_part) if im_part else Fraction(0)
+        )
+    except ZeroDivisionError:
+        raise CliInputError(f"zero denominator in parameter {text!r}") from None
 
 
 def parse_factors(spec: str, rank: int) -> list[TensorFactor]:
@@ -195,7 +198,10 @@ def _fund_dims(args, cartan: CartanData) -> tuple[int, ...] | None:
         config = _load_config(args)
         if "fund_dims" not in config:
             return None
-        dims = tuple(int(x) for x in config["fund_dims"])
+        try:
+            dims = tuple(int(x) for x in config["fund_dims"])
+        except (TypeError, ValueError):
+            raise CliInputError("config fund_dims must be a list of integers") from None
     if len(dims) != cartan.rank or any(d <= 0 for d in dims):
         raise CliInputError("fund_dims must list one positive integer per node")
     return dims

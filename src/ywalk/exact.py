@@ -31,6 +31,7 @@ __all__ = [
     "series_rescale",
     "power_sums_to_monic",
     "extend_power_sums",
+    "shift_log_series",
     "roots_affine_in_param",
 ]
 
@@ -392,10 +393,6 @@ class ParamSeries:
                     out[i + j] = out[i + j] + ci * cj
         return ParamSeries(out, order=n)
 
-    def scale(self, scalar) -> "ParamSeries":
-        s = _frac(scalar)
-        return ParamSeries((c * s for c in self.coeffs), order=self.order)
-
     def __str__(self) -> str:
         parts = []
         for k, c in enumerate(self.coeffs):
@@ -443,33 +440,44 @@ def series_from_poly_ratio(num: UniPoly, den: UniPoly, order: int) -> ParamSerie
 
 
 def series_log(s: ParamSeries) -> ParamSeries:
-    """Formal logarithm of a series with constant term 1."""
+    """Formal logarithm of a series with constant term 1.
+
+    Uses L' = S'/S, i.e. k l_k = k s_k - sum_{1<=j<k} j l_j s_{k-j}, which
+    is quadratic in the order.
+    """
     if s.coeffs[0] != ParamPoly.const(1):
         raise ValueError("series_log requires constant term 1")
     n = s.order
-    x = s - ParamSeries.one(n)
-    out = ParamSeries.zero(n)
-    power = ParamSeries.one(n)
+    kl = [ParamPoly()]  # kl[k] = k * l_k
     for k in range(1, n + 1):
-        power = power * x
-        term = power.scale(Fraction((-1) ** (k + 1), k))
-        out = out + term
-    return out
+        acc = k * s.coeffs[k]
+        for j in range(1, k):
+            if kl[j] and s.coeffs[k - j]:
+                acc = acc - kl[j] * s.coeffs[k - j]
+        kl.append(acc)
+    return ParamSeries(
+        [ParamPoly()] + [kl[k] / k for k in range(1, n + 1)], order=n
+    )
 
 
 def series_exp(s: ParamSeries) -> ParamSeries:
-    """Formal exponential of a series with constant term 0."""
+    """Formal exponential of a series with constant term 0.
+
+    Uses E' = L'E, i.e. k e_k = sum_{1<=j<=k} j l_j e_{k-j}, which is
+    quadratic in the order.
+    """
     if s.coeffs[0] != ParamPoly():
         raise ValueError("series_exp requires constant term 0")
     n = s.order
-    out = ParamSeries.one(n)
-    power = ParamSeries.one(n)
-    fact = 1
+    jl = [j * c for j, c in enumerate(s.coeffs)]
+    out = [ParamPoly.const(1)]
     for k in range(1, n + 1):
-        power = power * s
-        fact *= k
-        out = out + power.scale(Fraction(1, fact))
-    return out
+        acc = ParamPoly()
+        for j in range(1, k + 1):
+            if jl[j] and out[k - j]:
+                acc = acc + jl[j] * out[k - j]
+        out.append(acc / k)
+    return ParamSeries(out, order=n)
 
 
 def series_rescale(s: ParamSeries, d) -> ParamSeries:
@@ -584,6 +592,27 @@ def extend_power_sums(p: PowerSums, top_index: int) -> PowerSums:
     if top_index <= p.top_index:
         return PowerSums(p.degree, p.values[: max(top_index, p.degree)])
     return PowerSums(p.degree, tuple(_newton_extend(p.degree, p.values, top_index)))
+
+
+def shift_log_series(p: PowerSums, shift, order: int) -> ParamSeries:
+    """log(pi(u+shift)/pi(u)) through ``order``, for the monic pi whose
+    roots have the power sums p.
+
+    The u^{-k} coefficient is -(1/k) sum_{j<k} C(k,j) (-shift)^{k-j} p_j
+    with p_0 the root count, so p must carry p_1..p_{order-1}.
+    """
+    shift = _frac(shift)
+    if p.top_index < order - 1:
+        raise ValueError(
+            f"series order {order} needs p_1..p_{order - 1}, have p_1..p_{p.top_index}"
+        )
+    out = [ParamPoly()]
+    for k in range(1, order + 1):
+        acc = ParamPoly()
+        for j in range(k):
+            acc = acc + (math.comb(k, j) * (-shift) ** (k - j)) * p.p(j)
+        out.append(acc / -k)
+    return ParamSeries(out, order=order)
 
 
 def _divisors(n: int) -> list[int]:

@@ -29,14 +29,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
+    A,
     ParamPoly,
     ParamSeries,
     PowerSums,
     UniPoly,
     extend_power_sums,
     power_sums_to_monic,
-    series_from_poly_ratio,
-    series_log,
+    shift_log_series,
 )
 from .rootsystem import CartanData, path_exponents, weyl_apply, weyl_longest
 
@@ -116,15 +116,10 @@ def init_walk(cartan: CartanData, fundamental: int, order: int = DEFAULT_ORDER) 
         raise ValueError(f"fundamental index {fundamental} out of range")
     if order < 2:
         raise ValueError("series order must be at least 2")
-    a = ParamPoly((0, 1))
-    d = cartan.di(fundamental)
-    ratio = series_from_poly_ratio(
-        UniPoly.from_roots([a - d]), UniPoly.from_roots([a]), order
+    series = [ParamSeries.zero(order) for _ in range(cartan.rank)]
+    series[fundamental - 1] = shift_log_series(
+        PowerSums.of_roots([A], order), cartan.di(fundamental), order
     )
-    series = [
-        series_log(ratio) if i == fundamental else ParamSeries.zero(order)
-        for i in range(1, cartan.rank + 1)
-    ]
     return WalkState(
         cartan=cartan,
         fundamental=fundamental,
@@ -171,9 +166,9 @@ def extract_step_poly(state: WalkState, node: int, m: int) -> tuple[UniPoly, Pow
     Solves (k+1) H_k = -sum_{s=0}^{k} C(k+1,s) (-d)^{k+1-s} p_s for the
     unscaled root power sums p_1..p_m (p_0 = m), forms the monic polynomial
     in the rescaled variable from p_k / d^k, and extends the unscaled sums
-    through the truncation order.  The full series is then reconstructed
-    from the roots and compared against the state as a highest-weight
-    consistency check.
+    through the truncation order.  The full series is then rebuilt from
+    the extended power sums and compared against the state as a
+    highest-weight consistency check.
     """
     if m < 0:
         raise ValueError("step exponent must be non-negative")
@@ -189,9 +184,7 @@ def extract_step_poly(state: WalkState, node: int, m: int) -> tuple[UniPoly, Pow
     poly = power_sums_to_monic(rescaled)
     unscaled = extend_power_sums(PowerSums(m, tuple(p[1:])), state.order)
     # highest-weight consistency: the node series must match the roots.
-    pi = power_sums_to_monic(PowerSums(m, tuple(p[1:])))
-    expected = series_log(series_from_poly_ratio(pi.shift(d), pi, state.order))
-    if state.series[node - 1] != expected:
+    if state.series[node - 1] != shift_log_series(unscaled, d, state.order):
         raise CrosscheckError(
             f"node {node} series is not a degree-{m} highest-weight series"
         )
@@ -240,12 +233,6 @@ def apply_step(state: WalkState, node: int, m: int, p: PowerSums) -> WalkState:
     return state
 
 
-def _lowest_vector_series(p: PowerSums, d: int, order: int) -> ParamSeries:
-    """log(pi(u-d)/pi(u)) for the unscaled monic pi with the given sums."""
-    pi = power_sums_to_monic(PowerSums(p.degree, p.values[: p.degree]))
-    return series_log(series_from_poly_ratio(pi.shift(-d), pi, order))
-
-
 def run_walk(
     cartan: CartanData,
     word,
@@ -276,7 +263,7 @@ def run_walk(
         apply_step(state, node, m, sums)
         crosscheck: bool | None = None
         if m > 0:
-            expected = _lowest_vector_series(sums, cartan.di(node), order)
+            expected = shift_log_series(sums, -cartan.di(node), order)
             crosscheck = state.series[node - 1] == expected
             if not crosscheck:
                 raise CrosscheckError(

@@ -159,6 +159,23 @@ def test_input_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+def test_zero_denominator_factor_exits_two(capsys):
+    assert main(["cyclicity", "--factors", "1:1/0"]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
+def test_zero_denominator_root_exits_two(capsys):
+    assert main(["weyl-module", "--pi1", "1/0"]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
+def test_non_list_config_fund_dims_exits_two(capsys, tmp_path):
+    config = tmp_path / "dims.json"
+    config.write_text(json.dumps({"fund_dims": 5}))
+    assert main(["dim", "--weights", "2,0", "--config", str(config)]) == 2
+    assert "fund_dims" in capsys.readouterr().err
+
+
 def test_argparse_usage_error_exits_two(capsys):
     assert main(["walk"]) == 2  # missing required --weight
     capsys.readouterr()

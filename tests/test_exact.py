@@ -23,10 +23,40 @@ from ywalk.exact import (
     series_from_poly_ratio,
     series_log,
     series_rescale,
+    shift_log_series,
 )
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 param_polys = st.lists(rationals, min_size=0, max_size=3).map(ParamPoly)
+
+
+def scaled(s: ParamSeries, c: F) -> ParamSeries:
+    return ParamSeries((x * c for x in s.coeffs), order=s.order)
+
+
+def log_by_powers(s: ParamSeries) -> ParamSeries:
+    """Reference log: sum_k (-1)^{k+1} (s-1)^k / k, cubic in the order."""
+    n = s.order
+    x = s - ParamSeries.one(n)
+    out = ParamSeries.zero(n)
+    power = ParamSeries.one(n)
+    for k in range(1, n + 1):
+        power = power * x
+        out = out + scaled(power, F((-1) ** (k + 1), k))
+    return out
+
+
+def exp_by_powers(s: ParamSeries) -> ParamSeries:
+    """Reference exp: sum_k s^k / k!, cubic in the order."""
+    n = s.order
+    out = ParamSeries.one(n)
+    power = ParamSeries.one(n)
+    fact = 1
+    for k in range(1, n + 1):
+        power = power * s
+        fact *= k
+        out = out + scaled(power, F(1, fact))
+    return out
 
 
 def poly_tail(p: UniPoly, order: int) -> ParamSeries:
@@ -193,6 +223,51 @@ def test_exp_log_roundtrip(tail):
 def test_log_exp_roundtrip(tail):
     s = ParamSeries([ParamPoly()] + tail, order=len(tail))
     assert series_log(series_exp(s)) == s
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(param_polys, min_size=1, max_size=8))
+def test_log_recurrence_matches_power_expansion(tail):
+    s = ParamSeries([ParamPoly.const(1)] + tail, order=len(tail))
+    assert series_log(s) == log_by_powers(s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(param_polys, min_size=1, max_size=8))
+def test_exp_recurrence_matches_power_expansion(tail):
+    s = ParamSeries([ParamPoly()] + tail, order=len(tail))
+    assert series_exp(s) == exp_by_powers(s)
+
+
+affine_roots = st.lists(
+    st.builds(
+        lambda slope, intercept: slope * A + intercept,
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    ),
+    min_size=0,
+    max_size=4,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    affine_roots,
+    st.sampled_from([1, -1, 2, -2, 3, -3]),
+    st.integers(min_value=1, max_value=12),
+)
+def test_shift_log_series_matches_ratio_log(roots, shift, order):
+    pi = UniPoly.from_roots(roots)
+    expected = series_log(series_from_poly_ratio(pi.shift(shift), pi, order))
+    sums = PowerSums.of_roots(roots, max(order, len(roots)))
+    assert shift_log_series(sums, shift, order) == expected
+
+
+def test_shift_log_series_needs_enough_power_sums():
+    sums = PowerSums.of_roots([A, A + 1], 3)
+    assert shift_log_series(sums, 1, 4).order == 4  # p_1..p_3 suffice
+    with pytest.raises(ValueError):
+        shift_log_series(sums, 1, 5)
 
 
 def test_shifted_ratio_log_coefficients_match_power_sum_oracle():

@@ -6,6 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from ywalk import walk
+from ywalk.cli import main
 from ywalk.exact import (
     A,
     ParamPoly,
@@ -19,6 +21,7 @@ from ywalk.exact import (
 )
 from ywalk.sl2 import EvalModule, GeneratorLabel
 from ywalk.walk import (
+    CrosscheckError,
     apply_step,
     extract_step_poly,
     init_walk,
@@ -199,3 +202,51 @@ def test_apply_step_requires_extended_sums(g2):
     state = init_walk(g2, 1, 8)
     with pytest.raises(ValueError):
         apply_step(state, 1, 1, PowerSums(1, (A,)))  # not extended to order
+
+
+# ------------------------------------------------------- crosscheck mutations
+
+
+def _off_by_one_transport(k):
+    """apply_step whose delta at the acting node is off by one at u^{-k}."""
+    original = walk.apply_step
+
+    def corrupted(state, node, m, p):
+        original(state, node, m, p)
+        if m:
+            coeffs = list(state.series[node - 1].coeffs)
+            coeffs[k] = coeffs[k] + 1
+            state.series[node - 1] = ParamSeries(coeffs, order=state.order)
+        return state
+
+    return "apply_step", corrupted
+
+
+def _flipped_shift_solve():
+    """solve_power_sums reading a highest-weight series with shift -d."""
+    original = walk.solve_power_sums
+    return "solve_power_sums", lambda lam, shift, m: original(lam, -shift, m)
+
+
+MUTATIONS = {
+    "transport u^-2": lambda: _off_by_one_transport(2),
+    "transport u^-8": lambda: _off_by_one_transport(8),
+    "solve shift sign": _flipped_shift_solve,
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+@pytest.mark.parametrize("fundamental", (1, 2))
+def test_crosschecks_catch_mutations(g2, monkeypatch, mutation, fundamental):
+    monkeypatch.setattr(walk, *MUTATIONS[mutation]())
+    with pytest.raises(CrosscheckError):
+        run_walk(g2, G2_WORD, fundamental, 8)
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_cli_reports_crosscheck_failure_as_exit_three(monkeypatch, capsys, mutation):
+    monkeypatch.setattr(walk, *MUTATIONS[mutation]())
+    assert main(["walk", "--weight", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal invariant violation" in captured.err
