@@ -25,11 +25,13 @@ from .rootsystem import (
     InvalidCartanError,
     PathExponents,
     builtin_cartan,
+    lowest_weight,
     path_exponents,
     positive_roots,
     validate_cartan,
     weyl_dim,
     weyl_longest,
+    weyl_order,
 )
 from .sl2 import (
     EvalModule,

@@ -41,7 +41,7 @@ from .rootsystem import (
     validate_cartan,
     weyl_longest,
 )
-from .verify import run_suite
+from .verify import G2_WORD, run_suite
 from .walk import DEFAULT_ORDER, CrosscheckError, run_walk
 
 __all__ = ["main", "parse_factors", "parse_gaussian"]
@@ -55,7 +55,7 @@ _RATIONAL = r"-?\d+(?:/\d+)?"
 _GAUSSIAN_RE = re.compile(rf"^({_RATIONAL})(?:([+-]\d+(?:/\d+)?)i)?$")
 
 # the flagship table word; outputs for anything else are experimental
-_CERTIFIED = {("g2", (1, 2, 1, 2, 1, 2)), ("a1", (1,))}
+_CERTIFIED = {("g2", G2_WORD), ("a1", (1,))}
 
 
 class CliInputError(Exception):
@@ -170,7 +170,7 @@ def _load_algebra(args) -> tuple[str, CartanData, tuple[int, ...], bool]:
     elif file_word is not None:
         word = file_word
     else:
-        _, _, word = weyl_longest(cartan)
+        word = weyl_longest(cartan)
     if not is_reduced_word_of_longest(cartan, word):
         raise CliInputError(
             f"word {word} is not a reduced word of the longest element"

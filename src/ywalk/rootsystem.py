@@ -1,4 +1,4 @@
-"""Cartan data, Weyl groups, longest-element reduced words, and path exponents.
+"""Cartan data, Weyl-group data from rho-descent, and path exponents.
 
 Weights live in fundamental-weight coordinates throughout: the simple root
 ``alpha_j`` has coordinate vector equal to column j of the Cartan matrix,
@@ -21,17 +21,16 @@ __all__ = [
     "BUILTIN_ALGEBRAS",
     "validate_cartan",
     "builtin_cartan",
-    "simple_reflection",
-    "weyl_apply",
+    "reflect",
+    "weyl_order",
     "weyl_longest",
     "is_reduced_word_of_longest",
-    "reduced_words_of_longest",
+    "lowest_weight",
     "path_exponents",
     "positive_roots",
     "weyl_dim",
 ]
 
-WeylElement = tuple[tuple[int, ...], ...]
 Weight = tuple[int, ...]
 ReducedWord = tuple[int, ...]
 
@@ -62,18 +61,6 @@ class CartanData:
         if not 1 <= i <= self.rank:
             raise ValueError(f"fundamental index {i} out of range 1..{self.rank}")
         return tuple(1 if k == i - 1 else 0 for k in range(self.rank))
-
-
-def _det(m: list[list[int]]) -> int:
-    if len(m) == 1:
-        return m[0][0]
-    total = 0
-    for j, head in enumerate(m[0]):
-        if head == 0:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        total += (-1) ** j * head * _det(minor)
-    return total
 
 
 def validate_cartan(a: Sequence[Sequence[int]], d: Sequence[int]) -> CartanData:
@@ -108,10 +95,16 @@ def validate_cartan(a: Sequence[Sequence[int]], d: Sequence[int]) -> CartanData:
         for j in range(l):
             if sym[i][j] != sym[j][i]:
                 raise InvalidCartanError("D*A must be symmetric")
-    for k in range(1, l + 1):
-        minor = [row[:k] for row in sym[:k]]
-        if _det(minor) <= 0:
+    # Sylvester: the symmetric D*A is positive definite iff every pivot of
+    # its elimination without row exchanges is positive
+    m = [[Fraction(x) for x in row] for row in sym]
+    for k in range(l):
+        if m[k][k] <= 0:
             raise InvalidCartanError("D*A must be positive definite (finite type)")
+        for r in range(k + 1, l):
+            f = m[r][k] / m[k][k]
+            for c in range(k + 1, l):
+                m[r][c] -= f * m[k][c]
     return CartanData(rank=l, a=rows, d=ds)
 
 
@@ -130,108 +123,64 @@ def builtin_cartan(name: str) -> CartanData:
     return validate_cartan(a, d)
 
 
-def _identity(l: int) -> WeylElement:
-    return tuple(tuple(1 if i == j else 0 for j in range(l)) for i in range(l))
+def reflect(cartan: CartanData, i: int, w: Sequence[int]) -> Weight:
+    """s_i(w) = w - w[i] * alpha_i."""
+    c = w[i - 1]
+    return tuple(x - c * row[i - 1] for x, row in zip(w, cartan.a))
 
 
-def _matmul(x: WeylElement, y: WeylElement) -> WeylElement:
-    l = len(x)
-    return tuple(
-        tuple(sum(x[r][k] * y[k][c] for k in range(l)) for c in range(l))
-        for r in range(l)
-    )
+def weyl_order(cartan: CartanData) -> int:
+    """|W| = prod over positive roots of (ht + 1)/ht (Kostant)."""
+    total = Fraction(1)
+    for root in positive_roots(cartan):
+        total *= Fraction(sum(root) + 1, sum(root))
+    assert total.denominator == 1
+    return int(total)
 
 
-def simple_reflection(cartan: CartanData, i: int) -> WeylElement:
-    """Matrix of s_i on fundamental-weight coordinates."""
-    l = cartan.rank
-    return tuple(
-        tuple(
-            (1 if r == c else 0) - (cartan.a[r][i - 1] if c == i - 1 else 0)
-            for c in range(l)
-        )
-        for r in range(l)
-    )
+def weyl_longest(cartan: CartanData) -> ReducedWord:
+    """Lexicographically least reduced word of the longest element w0.
 
-
-def weyl_apply(m: WeylElement, w: Weight) -> Weight:
-    return tuple(sum(row[c] * w[c] for c in range(len(w))) for row in m)
-
-
-def _enumerate_group(cartan: CartanData) -> dict[WeylElement, ReducedWord]:
-    """Map each group element to its lexicographically least reduced word."""
-    gens = [simple_reflection(cartan, i) for i in range(1, cartan.rank + 1)]
-    words: dict[WeylElement, ReducedWord] = {_identity(cartan.rank): ()}
-    frontier: list[WeylElement] = [_identity(cartan.rank)]
-    while frontier:
-        candidates: list[tuple[ReducedWord, WeylElement]] = []
-        for m in frontier:
-            base = words[m]
-            for i, s in enumerate(gens, start=1):
-                candidates.append((base + (i,), _matmul(m, s)))
-        candidates.sort(key=lambda t: t[0])
-        frontier = []
-        for word, m in candidates:
-            if m not in words:
-                words[m] = word
-                frontier.append(m)
-        if len(words) > _GROUP_GUARD:
-            raise InvalidCartanError("Weyl group enumeration exceeded the guard size")
-    return words
-
-
-def weyl_longest(cartan: CartanData) -> tuple[int, WeylElement, ReducedWord]:
-    """Group order, longest element, and its lex-least reduced word.
-
-    The longest element is recognized as the unique element sending every
-    fundamental weight into the antidominant cone.
+    Coordinate i of w(rho) is negative exactly when s_i is a left descent
+    of w.  Starting from w0(rho) = -rho and always reflecting the smallest
+    negative coordinate therefore strips w0 letter by letter in lex-least
+    order, reaching rho after l(w0) = |positive roots| steps.
     """
-    words = _enumerate_group(cartan)
-    antidominant = [
-        m for m in words if all(entry <= 0 for row in m for entry in row)
-    ]
-    if len(antidominant) != 1:
-        raise InvalidCartanError("longest element is not unique; invalid input data")
-    w0 = antidominant[0]
-    word = words[w0]
-    if len(word) != len(positive_roots(cartan)):
+    length = len(positive_roots(cartan))
+    rho = (1,) * cartan.rank
+    v = tuple(-x for x in rho)
+    word: list[int] = []
+    while v != rho and len(word) < length:
+        i = next(k for k, x in enumerate(v, start=1) if x < 0)
+        word.append(i)
+        v = reflect(cartan, i, v)
+    if v != rho or len(word) != length:
         raise InvalidCartanError("longest-word length does not match the root count")
-    return len(words), w0, word
+    return tuple(word)
 
 
 def is_reduced_word_of_longest(cartan: CartanData, word: Sequence[int]) -> bool:
-    order, w0, w0_word = weyl_longest(cartan)
-    if len(word) != len(w0_word):
+    """A word of length |positive roots| is a reduced word of w0 exactly
+    when it sends rho to -rho, since rho has trivial stabilizer."""
+    if len(word) != len(positive_roots(cartan)):
         return False
     if any(not 1 <= r <= cartan.rank for r in word):
         return False
-    m = _identity(cartan.rank)
-    for r in word:
-        m = _matmul(m, simple_reflection(cartan, r))
-    return m == w0
+    v = (1,) * cartan.rank
+    for r in reversed(word):
+        v = reflect(cartan, r, v)
+    return v == (-1,) * cartan.rank
 
 
-def reduced_words_of_longest(cartan: CartanData) -> list[ReducedWord]:
-    """All reduced words of the longest element (exhaustive DFS)."""
-    words = _enumerate_group(cartan)
-    lengths = {m: len(w) for m, w in words.items()}
-    _, w0, w0_word = weyl_longest(cartan)
-    target = len(w0_word)
-    gens = [simple_reflection(cartan, i) for i in range(1, cartan.rank + 1)]
-    out: list[ReducedWord] = []
-
-    def grow(m: WeylElement, word: ReducedWord):
-        if len(word) == target:
-            if m == w0:
-                out.append(word)
-            return
-        for i, s in enumerate(gens, start=1):
-            nxt = _matmul(m, s)
-            if lengths[nxt] == len(word) + 1:
-                grow(nxt, word + (i,))
-
-    grow(_identity(cartan.rank), ())
-    return out
+def lowest_weight(cartan: CartanData, weight: Sequence[int]) -> Weight:
+    """The antidominant weight of the Weyl orbit of ``weight``, i.e.
+    w0(weight) for dominant input, found by reflecting away positive
+    coordinates (no reduced word involved)."""
+    v = tuple(weight)
+    while any(x > 0 for x in v):
+        i = next(k for k, x in enumerate(v, start=1) if x > 0)
+        v = reflect(cartan, i, v)
+    return v
 
 
 @dataclass(frozen=True)
@@ -257,7 +206,7 @@ def path_exponents(
     for j in range(len(word), 0, -1):
         r = word[j - 1]
         exps[j - 1] = current[r - 1]
-        current = weyl_apply(simple_reflection(cartan, r), current)
+        current = reflect(cartan, r, current)
     return PathExponents(fundamental, tuple(word), tuple(exps))
 
 
@@ -265,7 +214,7 @@ def positive_roots(cartan: CartanData) -> list[tuple[int, ...]]:
     """All positive roots, in simple-root coordinates."""
     l = cartan.rank
 
-    def reflect(v: tuple[int, ...], i: int) -> tuple[int, ...]:
+    def reflect_root(v: tuple[int, ...], i: int) -> tuple[int, ...]:
         pairing = sum(cartan.a[i][j] * v[j] for j in range(l))
         return tuple(v[j] - (pairing if j == i else 0) for j in range(l))
 
@@ -275,7 +224,7 @@ def positive_roots(cartan: CartanData) -> list[tuple[int, ...]]:
         nxt = []
         for v in frontier:
             for i in range(l):
-                w = reflect(v, i)
+                w = reflect_root(v, i)
                 if w not in roots:
                     roots.add(w)
                     nxt.append(w)

@@ -14,7 +14,13 @@ from fractions import Fraction
 
 from .cyclicity import compute_s_sets, compute_t_sets, q_exponent_image
 from .exact import ParamPoly, ParamSeries, series_exp, series_log, series_rescale
-from .rootsystem import builtin_cartan, path_exponents, weyl_dim, weyl_longest
+from .rootsystem import (
+    builtin_cartan,
+    path_exponents,
+    weyl_dim,
+    weyl_longest,
+    weyl_order,
+)
 from .sl2 import (
     EvalModule,
     GeneratorLabel,
@@ -24,8 +30,19 @@ from .sl2 import (
 )
 from .walk import apply_step, extract_step_poly, init_walk, run_walk
 
-__all__ = ["CheckResult", "SUITES", "run_suite"]
+__all__ = [
+    "CheckResult",
+    "SUITES",
+    "run_suite",
+    "SAMPLE_A",
+    "G2_WORD",
+    "EXPECTED_T",
+    "EXPECTED_S",
+    "EXPECTED_Q_DIAGONAL",
+]
 
+# The pinned G2 data: sample evaluation points, the flagship reduced word and
+# its tables.  Tests and the CLI read them from here.
 SAMPLE_A = (Fraction(0), Fraction(1), Fraction(-2), Fraction(5, 3))
 
 G2_WORD = (1, 2, 1, 2, 1, 2)
@@ -182,8 +199,9 @@ def _suite_tables() -> list[CheckResult]:
     _check(results, "flagship T/S tables and q-images", tables)
 
     def root_data():
-        order, _, word = weyl_longest(g2)
-        assert order == 12 and word == G2_WORD, "longest-element data changed"
+        assert weyl_order(g2) == 12 and weyl_longest(g2) == G2_WORD, (
+            "longest-element data changed"
+        )
         assert path_exponents(g2, G2_WORD, 1).exponents == (1, 3, 2, 3, 1, 0)
         assert path_exponents(g2, G2_WORD, 2).exponents == (0, 1, 1, 2, 1, 1)
         assert weyl_dim(g2, (1, 0)) == 14 and weyl_dim(g2, (0, 1)) == 7

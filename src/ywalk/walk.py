@@ -38,7 +38,7 @@ from .exact import (
     power_sums_to_monic,
     shift_log_series,
 )
-from .rootsystem import CartanData, path_exponents, weyl_apply, weyl_longest
+from .rootsystem import CartanData, lowest_weight, path_exponents
 
 __all__ = [
     "CrosscheckError",
@@ -178,6 +178,10 @@ def extract_step_poly(state: WalkState, node: int, m: int) -> tuple[UniPoly, Pow
         )
     d = state.cartan.di(node)
     if m == 0:
+        # a zero weight coordinate at an extremal vector: the node
+        # restriction is trivial, so its series must vanish
+        if state.series[node - 1] != ParamSeries.zero(state.order):
+            raise CrosscheckError(f"node {node} series is nonzero at a zero exponent")
         return UniPoly.one(), PowerSums(0, tuple(ParamPoly() for _ in range(state.order)))
     p = solve_power_sums(state.series[node - 1], d, m)
     rescaled = PowerSums(m, tuple(p[k] / Fraction(d) ** k for k in range(1, m + 1)))
@@ -244,8 +248,9 @@ def run_walk(
     Steps are processed from the right end of the reduced word (the order
     in which the lowering operators act on the top vector).  After every
     positive step the transported node series is compared with the
-    lowest-vector form rebuilt from the step's roots; a mismatch raises
-    CrosscheckError.
+    lowest-vector form rebuilt from the step's roots.  At the end the
+    weight must be the lowest weight and every node series a lowest-vector
+    series for that weight.  A mismatch raises CrosscheckError.
     """
     exps = path_exponents(cartan, word, fundamental)
     max_m = max(exps.exponents) if exps.exponents else 0
@@ -256,6 +261,7 @@ def run_walk(
     state = init_walk(cartan, fundamental, order)
     _check_weight_bookkeeping(state)
     records: list[StepRecord] = []
+    checked: dict[int, ParamSeries] = {}  # {node: series} of the latest crosscheck
     for j in range(len(exps.word), 0, -1):
         node = exps.word[j - 1]
         m = exps.exponents[j - 1]
@@ -264,6 +270,7 @@ def run_walk(
         crosscheck: bool | None = None
         if m > 0:
             expected = shift_log_series(sums, -cartan.di(node), order)
+            checked = {node: expected}
             crosscheck = state.series[node - 1] == expected
             if not crosscheck:
                 raise CrosscheckError(
@@ -280,11 +287,16 @@ def run_walk(
                 crosscheck_ok=crosscheck,
             )
         )
-    _, w0, _ = weyl_longest(cartan)
-    if state.weight != weyl_apply(w0, cartan.fundamental(fundamental)):
+    if state.weight != lowest_weight(cartan, cartan.fundamental(fundamental)):
         raise CrosscheckError(
             f"walk did not land on the lowest weight: ended at {state.weight}"
         )
+    # the lowest weight w0(omega_i) = -omega_i* is nonzero only at the node
+    # of the last positive step, whose series must be the one crosschecked
+    # there; at every other node the lowest-vector series is zero
+    for i in range(1, cartan.rank + 1):
+        if state.series[i - 1] != checked.get(i, ParamSeries.zero(order)):
+            raise CrosscheckError(f"node {i} series is not a lowest-vector series")
     return WalkReport(
         cartan=cartan,
         fundamental=fundamental,

@@ -2,9 +2,24 @@ from __future__ import annotations
 
 import pytest
 
-from ywalk import builtin_cartan, compute_s_sets, compute_t_sets, run_walk
+from ywalk import (
+    builtin_cartan,
+    compute_s_sets,
+    compute_t_sets,
+    run_walk,
+    validate_cartan,
+)
+from ywalk.verify import G2_WORD
 
-G2_WORD = (1, 2, 1, 2, 1, 2)
+# Bourbaki labelling of E_n: the chain 1-3-4-5-...-n with node 2 on node 4
+E_EDGES = ((1, 3), (3, 4), (2, 4), (4, 5), (5, 6), (6, 7), (7, 8))
+
+
+def simply_laced(rank, edges):
+    a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for i, j in edges:
+        a[i - 1][j - 1] = a[j - 1][i - 1] = -1
+    return validate_cartan(a, [1] * rank)
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +35,28 @@ def a1():
 @pytest.fixture(scope="session")
 def a2():
     return builtin_cartan("a2")
+
+
+@pytest.fixture(scope="session")
+def b3():
+    return validate_cartan(((2, -1, 0), (-1, 2, -1), (0, -2, 2)), (2, 2, 1))
+
+
+@pytest.fixture(scope="session")
+def f4():
+    return validate_cartan(
+        ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -2, 2, -1), (0, 0, -1, 2)), (2, 2, 1, 1)
+    )
+
+
+@pytest.fixture(scope="session")
+def e6():
+    return simply_laced(6, E_EDGES[:5])
+
+
+@pytest.fixture(scope="session")
+def e8():
+    return simply_laced(8, E_EDGES)
 
 
 @pytest.fixture(scope="session")

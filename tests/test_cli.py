@@ -238,6 +238,29 @@ def test_custom_algebra_rejects_bad_file(capsys, tmp_path):
     capsys.readouterr()
 
 
+def _write_algebra(path, cartan):
+    rows = "".join("row " + " ".join(map(str, row)) + "\n" for row in cartan.a)
+    path.write_text(rows + "diag " + " ".join(map(str, cartan.d)) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("name, length", [("e6", 36), ("e8", 120)])
+def test_exceptional_algebra_files_path(capsys, tmp_path, request, name, length):
+    algebra = _write_algebra(tmp_path / f"{name}.alg", request.getfixturevalue(name))
+    code, env = run_json(capsys, "path", "--algebra", algebra, "--weight", "1")
+    assert code == 0
+    assert len(env["results"]["word"]) == length
+    assert len(env["results"]["paths"][0]["exponents"]) == length
+
+
+def test_e6_walk_crosschecks(capsys, tmp_path, e6):
+    algebra = _write_algebra(tmp_path / "e6.alg", e6)
+    code, env = run_json(capsys, "walk", "--algebra", algebra, "--weight", "1")
+    assert code == 0
+    rows = env["results"]["rows"]
+    assert rows and all(row["crosscheck"] is True for row in rows)
+
+
 def test_a1_tables(capsys):
     code, env = run_json(capsys, "tables", "--algebra", "a1")
     assert code == 0

@@ -1,23 +1,26 @@
-"""Cartan validation, Weyl enumeration, path exponents, dimension formula."""
+"""Cartan validation, rho-descent Weyl data, path exponents, dimension formula."""
 
 from __future__ import annotations
+
+from itertools import product
 
 import pytest
 
 from ywalk.rootsystem import (
     InvalidCartanError,
     is_reduced_word_of_longest,
+    lowest_weight,
     path_exponents,
     positive_roots,
-    reduced_words_of_longest,
-    simple_reflection,
+    reflect,
     validate_cartan,
-    weyl_apply,
     weyl_dim,
     weyl_longest,
+    weyl_order,
 )
+from ywalk.verify import G2_WORD
 
-G2_WORD = (1, 2, 1, 2, 1, 2)
+G2_REDUCED_WORDS = ((1, 2, 1, 2, 1, 2), (2, 1, 2, 1, 2, 1))
 
 
 def test_validate_g2():
@@ -48,23 +51,25 @@ def test_validate_rejects(a, d):
 
 
 def test_weyl_longest_g2(g2):
-    order, w0, word = weyl_longest(g2)
-    assert order == 12
+    word = weyl_longest(g2)
+    assert weyl_order(g2) == 12
     assert len(word) == 6
     assert word == G2_WORD
     # w0 = -identity for this root system
-    assert w0 == ((-1, 0), (0, -1))
+    for i in (1, 2):
+        assert lowest_weight(g2, g2.fundamental(i)) == tuple(
+            -x for x in g2.fundamental(i)
+        )
 
 
 def test_weyl_longest_a1(a1):
-    order, _, word = weyl_longest(a1)
-    assert order == 2
-    assert word == (1,)
+    assert weyl_order(a1) == 2
+    assert weyl_longest(a1) == (1,)
 
 
 def test_weyl_longest_a2(a2):
-    order, _, word = weyl_longest(a2)
-    assert order == 6  # symmetric group on 3 letters
+    word = weyl_longest(a2)
+    assert weyl_order(a2) == 6  # symmetric group on 3 letters
     assert len(word) == 3
     assert word == (1, 2, 1)  # lexicographically least reduced word
 
@@ -72,18 +77,22 @@ def test_weyl_longest_a2(a2):
 def test_simple_reflections_are_involutions(g2, a2):
     for cartan in (g2, a2):
         for i in (1, 2):
-            s = simple_reflection(cartan, i)
             for j in (1, 2):
                 fund = cartan.fundamental(j)
-                assert weyl_apply(s, weyl_apply(s, fund)) == fund
+                assert reflect(cartan, i, reflect(cartan, i, fund)) == fund
 
 
 def test_w0_is_antidominant(g2, a2):
     for cartan in (g2, a2):
-        _, w0, _ = weyl_longest(cartan)
+        word = weyl_longest(cartan)
         for i in range(1, cartan.rank + 1):
-            image = weyl_apply(w0, cartan.fundamental(i))
+            image = lowest_weight(cartan, cartan.fundamental(i))
             assert all(x <= 0 for x in image)
+            # the same weight as w0(omega_i) read off the longest word
+            applied = cartan.fundamental(i)
+            for r in reversed(word):
+                applied = reflect(cartan, r, applied)
+            assert image == applied
 
 
 def test_path_exponents_g2(g2):
@@ -104,8 +113,7 @@ def test_path_exponents_rejects_non_reduced_word(g2):
 
 def test_exponent_drops_close_the_orbit(g2):
     # sum_j m_j alpha_{r_j} must equal omega_i - w0(omega_i)
-    _, w0, _ = weyl_longest(g2)
-    for word in reduced_words_of_longest(g2):
+    for word in G2_REDUCED_WORDS:
         for i in (1, 2):
             exps = path_exponents(g2, word, i).exponents
             assert all(m >= 0 for m in exps)
@@ -114,14 +122,16 @@ def test_exponent_drops_close_the_orbit(g2):
                 for row in range(2):
                     drop[row] += m * g2.aij(row + 1, r)
             fund = g2.fundamental(i)
-            image = weyl_apply(w0, fund)
+            image = lowest_weight(g2, fund)
             assert tuple(drop) == tuple(f - w for f, w in zip(fund, image))
 
 
 def test_reduced_words_of_g2_longest(g2):
-    words = reduced_words_of_longest(g2)
-    assert set(words) == {(1, 2, 1, 2, 1, 2), (2, 1, 2, 1, 2, 1)}
-    assert all(is_reduced_word_of_longest(g2, w) for w in words)
+    # exhaustive over words of the right length, letters 0 and 3 out of range
+    words = [
+        w for w in product(range(4), repeat=6) if is_reduced_word_of_longest(g2, w)
+    ]
+    assert set(words) == set(G2_REDUCED_WORDS)
 
 
 def test_positive_root_count(g2, a1, a2):
@@ -152,3 +162,49 @@ def test_weyl_dim_a2(a2):
 def test_weyl_dim_rejects_non_dominant(g2):
     with pytest.raises(ValueError):
         weyl_dim(g2, (-1, 0))
+
+
+# ---------------------------------------------------- rho-descent, pinned data
+
+
+def test_weyl_longest_f4_lex_least(f4):
+    assert weyl_longest(f4) == (
+        1, 2, 1, 3, 2, 1, 3, 2, 3, 4, 3, 2, 1, 3, 2, 3, 4, 3, 2, 1, 3, 2, 3, 4
+    )
+
+
+def test_weyl_order_literals(b3, f4, e6, e8):
+    assert weyl_order(b3) == 48
+    assert weyl_order(f4) == 1152
+    assert weyl_order(e6) == 51_840
+    assert weyl_order(e8) == 696_729_600
+
+
+def test_e6_lowest_weight_is_not_minus_the_weight(e6):
+    # w0 != -1 on E6: it swaps omega_1 and omega_6
+    assert lowest_weight(e6, e6.fundamental(1)) == (0, 0, 0, 0, 0, -1)
+
+
+def test_e8_longest_word_is_reduced(e8):
+    word = weyl_longest(e8)
+    assert len(word) == 120
+    assert is_reduced_word_of_longest(e8, word)
+    # the same prefix with any other last letter is a different element
+    assert not is_reduced_word_of_longest(e8, word[:-1] + (word[-1] % 8 + 1,))
+
+
+def _chain(rank):
+    return [
+        [2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(rank)]
+        for i in range(rank)
+    ]
+
+
+def test_validate_large_rank():
+    assert validate_cartan(_chain(40), [1] * 40).rank == 40
+    # A_38 followed by the affine block of A_1^(1): only the last pivot fails
+    a = _chain(40)
+    a[37][38] = a[38][37] = 0
+    a[38][39] = a[39][38] = -2
+    with pytest.raises(InvalidCartanError, match="positive definite"):
+        validate_cartan(a, [1] * 40)

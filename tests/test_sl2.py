@@ -15,8 +15,7 @@ from ywalk.sl2 import (
     extremal_series_check,
     symmetrized_insertion_check,
 )
-
-SAMPLE_A = (F(0), F(1), F(-2), F(5, 3))
+from ywalk.verify import SAMPLE_A
 
 
 def test_act_raising_example():

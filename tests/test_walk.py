@@ -28,8 +28,7 @@ from ywalk.walk import (
     run_walk,
     solve_power_sums,
 )
-
-G2_WORD = (1, 2, 1, 2, 1, 2)
+from ywalk.verify import G2_WORD, SAMPLE_A
 
 # application order of (node, exponent) for the two flagship walks
 STEPS_W1 = ((2, 0), (1, 1), (2, 3), (1, 2), (2, 3), (1, 1))
@@ -71,6 +70,13 @@ def test_second_walk_reaches_half_shifted_root(g2):
     apply_step(state, 2, 1, sums)
     poly, _ = extract_step_poly(state, 1, 1)
     assert poly == UniPoly.from_roots([A / 3 + F(1, 2)])
+
+
+def test_zero_exponent_step_needs_a_zero_series(g2):
+    state = init_walk(g2, 1, 8)
+    _bump(state, 2, 3)
+    with pytest.raises(CrosscheckError):
+        extract_step_poly(state, 2, 0)
 
 
 def test_zero_exponent_step_is_inert(g2):
@@ -158,7 +164,7 @@ def test_run_walk_rank_one(a1):
 
 
 def test_rank_one_series_agree_with_matrix_module(a1):
-    for a_val in (F(0), F(1), F(-2), F(5, 3)):
+    for a_val in SAMPLE_A:
         state = init_walk(a1, 1, 8)
         mod = EvalModule(1, a_val, max_level=8)
 
@@ -207,6 +213,12 @@ def test_apply_step_requires_extended_sums(g2):
 # ------------------------------------------------------- crosscheck mutations
 
 
+def _bump(state, node, k):
+    coeffs = list(state.series[node - 1].coeffs)
+    coeffs[k] = coeffs[k] + 1
+    state.series[node - 1] = ParamSeries(coeffs, order=state.order)
+
+
 def _off_by_one_transport(k):
     """apply_step whose delta at the acting node is off by one at u^{-k}."""
     original = walk.apply_step
@@ -214,9 +226,21 @@ def _off_by_one_transport(k):
     def corrupted(state, node, m, p):
         original(state, node, m, p)
         if m:
-            coeffs = list(state.series[node - 1].coeffs)
-            coeffs[k] = coeffs[k] + 1
-            state.series[node - 1] = ParamSeries(coeffs, order=state.order)
+            _bump(state, node, k)
+        return state
+
+    return "apply_step", corrupted
+
+
+def _corrupt_after_last_step():
+    """apply_step that adds 1 at u^-5 of node 2 once the last step is done,
+    after every per-step crosscheck that could see it."""
+    original = walk.apply_step
+
+    def corrupted(state, node, m, p):
+        original(state, node, m, p)
+        if state.cursor == len(G2_WORD):
+            _bump(state, 2, 5)
         return state
 
     return "apply_step", corrupted
@@ -232,6 +256,7 @@ MUTATIONS = {
     "transport u^-2": lambda: _off_by_one_transport(2),
     "transport u^-8": lambda: _off_by_one_transport(8),
     "solve shift sign": _flipped_shift_solve,
+    "node 2 after the last step": _corrupt_after_last_step,
 }
 
 
