@@ -4,7 +4,7 @@ Every subcommand shares the same option set (algebra, reduced word,
 truncation order, output format) and emits one envelope with stable field
 names; ``--format json`` prints it verbatim, ``--format text`` renders the
 same data for reading.  Exit codes: 0 success, 1 condition not certified,
-2 input error, 3 internal invariant violation.
+2 input error, 3 internal invariant violation or any other internal fault.
 """
 
 from __future__ import annotations
@@ -50,6 +50,11 @@ EXIT_OK = 0
 EXIT_NOT_CERTIFIED = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+
+# accepted --order range: the walk cost grows steeply with the order, so
+# the ceiling keeps every query bounded
+MIN_ORDER = 2
+MAX_ORDER = 64
 
 _RATIONAL = r"-?\d+(?:/\d+)?"
 _GAUSSIAN_RE = re.compile(rf"^({_RATIONAL})(?:([+-]\d+(?:/\d+)?)i)?$")
@@ -528,7 +533,7 @@ def _add_common(parser: argparse.ArgumentParser):
         "--order",
         type=int,
         default=DEFAULT_ORDER,
-        help="series truncation order (default 8)",
+        help=f"series truncation order, {MIN_ORDER}..{MAX_ORDER} (default 8)",
     )
     parser.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
@@ -585,13 +590,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def _dispatch(args) -> int:
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        if not MIN_ORDER <= args.order <= MAX_ORDER:
+            raise CliInputError(
+                f"--order {args.order} outside {MIN_ORDER}..{MAX_ORDER}"
+            )
         code, env = _HANDLERS[args.command](args)
     except (CliInputError, InvalidCartanError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -607,3 +611,17 @@ def main(argv=None) -> int:
     else:
         print(_render_text(env))
     return code
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    try:
+        return _dispatch(args)
+    except Exception as exc:
+        # anything unforeseen is an internal fault, never "not certified"
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL

@@ -17,13 +17,14 @@ means "not certified", nothing stronger.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .exact import GaussianRational, roots_affine_in_param
 from .rootsystem import CartanData, weyl_dim
-from .walk import WalkReport
+from .walk import CrosscheckError, WalkReport
 
 __all__ = [
     "TSet",
@@ -120,7 +121,8 @@ def compute_t_sets(reports: Iterable[WalkReport]) -> list[TSet]:
     """Collect, for every (source fundamental, acting node) pair, the union
     of step-polynomial roots across the walk, deduplicated.
 
-    Every root must have slope 1/d_c; SymbolicRootsUnavailable propagates
+    Every root must have slope 1/d_c, else CrosscheckError (an internal
+    invariant, not an input error); SymbolicRootsUnavailable propagates
     from the root extraction.
     """
     reports = list(reports)
@@ -136,7 +138,7 @@ def compute_t_sets(reports: Iterable[WalkReport]) -> list[TSet]:
                     continue
                 for slope, intercept in roots_affine_in_param(rec.poly):
                     if slope != Fraction(1, cartan.di(c)):
-                        raise ValueError(
+                        raise CrosscheckError(
                             f"root slope {slope} at node {c} differs from "
                             f"1/d_{c} = 1/{cartan.di(c)}"
                         )
@@ -153,7 +155,7 @@ def compute_s_sets(t_sets: Iterable[TSet], cartan: CartanData) -> list[SSet]:
         values = set()
         for slope, intercept in t.roots:
             if slope != Fraction(1, d):
-                raise ValueError(
+                raise CrosscheckError(
                     f"root slope {slope} at node {t.c} differs from 1/{d}"
                 )
             values.add(d * (1 + intercept))
@@ -175,31 +177,58 @@ def check_cyclicity(
     Highest-weight mode checks ordered pairs i < j; irreducible mode checks
     all ordered pairs i != j.  A difference with nonzero imaginary part
     never matches (the sets are rational).
+
+    The factors are indexed by (node, parameter): for each factor i, each
+    node c present and each s in S(b_i, c), one lookup of a_i + s at node c
+    finds every j with a_j - a_i = s.  The cost is n * rank * |S| lookups
+    plus the violations reported, and the violations come out ordered by
+    (i, j).  A checked pair whose node pair has no S set raises ValueError,
+    naming the first such pair in (i, j) order.
     """
     canonical = _MODE_ALIASES.get(mode)
     if canonical is None:
         raise ValueError(f"unknown mode {mode!r}")
+    highest_weight = canonical == MODE_HIGHEST_WEIGHT
     smap = _as_sset_map(s_sets)
+    at_param: dict[tuple[int, Fraction, Fraction], list[int]] = {}
+    at_node: dict[int, list[int]] = {}
+    for j, f in enumerate(factors, start=1):
+        at_param.setdefault((f.node, f.param.re, f.param.im), []).append(j)
+        at_node.setdefault(f.node, []).append(j)
     violations: list[Violation] = []
-    n = len(factors)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
+    for i, fi in enumerate(factors, start=1):
+        re_i, im_i = fi.param.re, fi.param.im
+        hits: dict[int, Fraction] = {}
+        unset: list[tuple[int, int]] = []  # (first checked j, node c)
+        for c, positions in at_node.items():
+            sset = smap.get((fi.node, c))
+            if sset is None:
+                j = _first_checked(positions, i, highest_weight)
+                if j is not None:
+                    unset.append((j, c))
                 continue
-            if canonical == MODE_HIGHEST_WEIGHT and not i < j:
-                continue
-            fi, fj = factors[i - 1], factors[j - 1]
-            key = (fi.node, fj.node)
-            if key not in smap:
-                raise ValueError(f"no S set for node pair {key}")
-            diff = fj.param - fi.param
-            if diff.is_real and diff.re in smap[key].values:
-                violations.append(
-                    Violation(i=i, j=j, difference=diff, s_value=diff.re)
-                )
+            for s in sset.values:
+                for j in at_param.get((c, re_i + s, im_i), ()):
+                    if j > i or (j != i and not highest_weight):
+                        hits[j] = s
+        if unset:
+            raise ValueError(f"no S set for node pair {(fi.node, min(unset)[1])}")
+        for j in sorted(hits):
+            diff = GaussianRational(hits[j])
+            violations.append(Violation(i=i, j=j, difference=diff, s_value=diff.re))
     return CyclicityReport(
         mode=canonical, certified=not violations, violations=tuple(violations)
     )
+
+
+def _first_checked(positions: list[int], i: int, highest_weight: bool) -> int | None:
+    """Smallest position in the ascending list that is paired with i."""
+    if highest_weight:
+        k = bisect_right(positions, i)
+        return positions[k] if k < len(positions) else None
+    if positions[0] != i:
+        return positions[0]
+    return positions[1] if len(positions) > 1 else None
 
 
 def build_ordered_product(

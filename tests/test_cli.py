@@ -9,6 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from ywalk import cli, cyclicity
 from ywalk.cli import CliInputError, main, parse_factors, parse_gaussian
 from ywalk.exact import GaussianRational
 
@@ -179,6 +180,64 @@ def test_non_list_config_fund_dims_exits_two(capsys, tmp_path):
 def test_argparse_usage_error_exits_two(capsys):
     assert main(["walk"]) == 2  # missing required --weight
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("order", ["200000000", "1", "65"])
+def test_order_outside_range_exits_two(capsys, monkeypatch, order):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a walk started")
+
+    monkeypatch.setattr(cli, "run_walk", no_walk)
+    assert main(["walk", "--weight", "1", "--order", order]) == 2
+    assert "outside 2..64" in capsys.readouterr().err
+
+
+def test_order_ceiling_is_accepted(capsys):
+    code, env = run_json(
+        capsys, "walk", "--algebra", "a1", "--weight", "1", "--order", "64"
+    )
+    assert code == 0
+    assert env["order"] == 64
+
+
+def test_wrong_root_slope_exits_three(capsys, monkeypatch):
+    real = cyclicity.roots_affine_in_param
+
+    def doubled_slopes(poly):
+        return [(2 * slope, intercept) for slope, intercept in real(poly)]
+
+    monkeypatch.setattr(cyclicity, "roots_affine_in_param", doubled_slopes)
+    assert main(["tables"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal invariant violation: root slope" in captured.err
+
+
+def test_unexpected_exception_exits_three(capsys, monkeypatch):
+    def broken_walk(*args, **kwargs):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "run_walk", broken_walk)
+    assert main(["walk", "--weight", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.splitlines() == [
+        "internal error: ZeroDivisionError('division by zero')"
+    ]
+
+
+def test_long_factor_list(capsys):
+    # 2000 factors, about 4M ordered pairs for a pairwise check
+    spec = ",".join(f"{1 + k % 2}:{100 * k}" for k in range(2000))
+    code, env = run_json(capsys, "cyclicity", "--factors", spec, "--mode", "irr")
+    assert code == 0 and env["results"]["violations"] == []
+    spec += ",1:3"
+    code, env = run_json(capsys, "cyclicity", "--factors", spec, "--mode", "irr")
+    assert code == 1
+    assert env["results"]["violations"] == [
+        {"i": 1, "j": 2001, "difference": "3", "s_value": "3"}
+    ]
 
 
 # ------------------------------------------------- formats and determinism

@@ -21,7 +21,7 @@ from ywalk.cyclicity import (
     q_exponent_image,
 )
 from ywalk.exact import A, GaussianRational, SymbolicRootsUnavailable, UniPoly
-from ywalk.walk import StepRecord, WalkReport, run_walk
+from ywalk.walk import CrosscheckError, StepRecord, WalkReport, run_walk
 
 EXPECTED_T = {
     (1, 1): ((F(1, 3), F(0)), (F(1, 3), F(1, 3)), (F(1, 3), F(2, 3)), (F(1, 3), F(1))),
@@ -102,7 +102,7 @@ def test_t_sets_reject_wrong_slope(g2, g2_reports):
         order=base.order,
         records=(bad,),
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(CrosscheckError):
         compute_t_sets([fake])
 
 
@@ -183,6 +183,112 @@ def test_common_shift_invariance(g2_s_sets, raw_factors, shift):
         assert [(v.i, v.j, v.s_value) for v in base.violations] == [
             (v.i, v.j, v.s_value) for v in moved.violations
         ]
+
+
+# ------------------------------------- indexed check vs the pair loop
+
+_CHECKS_ALL_PAIRS = {
+    "hw": False,
+    "highest-weight": False,
+    "irr": True,
+    "irreducible": True,
+}
+
+
+def _pairwise_reference(factors, s_sets, mode):
+    """The O(n^2) pair loop: difference every checked (i, j) in order."""
+    smap = {(s.b, s.c): s for s in s_sets}
+    all_pairs = _CHECKS_ALL_PAIRS[mode]
+    out = []
+    n = len(factors)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i == j or (not all_pairs and not i < j):
+                continue
+            fi, fj = factors[i - 1], factors[j - 1]
+            key = (fi.node, fj.node)
+            if key not in smap:
+                raise ValueError(f"no S set for node pair {key}")
+            diff = fj.param - fi.param
+            if diff.is_real and diff.re in smap[key].values:
+                out.append((i, j, diff, diff.re))
+    return out
+
+
+def _violation_tuples(report):
+    return [(v.i, v.j, v.difference, v.s_value) for v in report.violations]
+
+
+def _outcome(check, factors, s_sets, mode):
+    try:
+        return "ok", check(factors, s_sets, mode)
+    except ValueError as exc:
+        return "raised", str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=2),
+            st.integers(min_value=-12, max_value=12),
+            st.sampled_from((0, 1, -1)),
+        ),
+        max_size=12,
+    ),
+    st.sampled_from(sorted(_CHECKS_ALL_PAIRS)),
+)
+def test_indexed_check_matches_pairwise_reference(g2_s_sets, raw_factors, mode):
+    factors = [TensorFactor(n, gauss(F(re, 2), im)) for n, re, im in raw_factors]
+    report = check_cyclicity(factors, g2_s_sets, mode)
+    expected = _pairwise_reference(factors, g2_s_sets, mode)
+    assert _violation_tuples(report) == expected
+    assert report.certified == (not expected)
+    assert all(isinstance(v.s_value, F) for v in report.violations)
+
+
+def test_partial_s_sets_raise_like_the_reference(g2_s_sets):
+    # a node-3 factor has no S set on G2; a map without (2, 1) is partial
+    # between nodes 1 and 2 as well
+    partial = [s for s in g2_s_sets if (s.b, s.c) != (2, 1)]
+    rng = random.Random(4242)
+    raised = 0
+    for _ in range(400):
+        n = rng.randint(0, 7)
+        factors = [
+            TensorFactor(
+                rng.choice((1, 1, 2, 2, 3)),
+                gauss(F(rng.randint(-6, 6), 2), rng.choice((0, 0, 1))),
+            )
+            for _ in range(n)
+        ]
+        for s_sets in (g2_s_sets, partial):
+            for mode in ("hw", "irr"):
+                got = _outcome(check_cyclicity, factors, s_sets, mode)
+                want = _outcome(_pairwise_reference, factors, s_sets, mode)
+                if got[0] == "ok":
+                    got = ("ok", _violation_tuples(got[1]))
+                assert got == want, (factors, mode)
+                raised += got[0] == "raised"
+    assert raised > 100
+    with pytest.raises(ValueError, match=r"no S set for node pair \(2, 3\)"):
+        check_cyclicity(
+            [TensorFactor(2, gauss(0)), TensorFactor(3, gauss(0)), TensorFactor(1, gauss(0))],
+            g2_s_sets,
+            "hw",
+        )
+
+
+def test_long_structured_list(g2_s_sets):
+    # parameters 100k sit far apart from every S value (all below 7)
+    factors = [TensorFactor(1 + k % 2, gauss(100 * k)) for k in range(5000)]
+    for mode in ("hw", "irr"):
+        assert check_cyclicity(factors, g2_s_sets, mode).certified
+    # factor 3001 (node 1) now sits 3 in S(1,1) above factor 1001 (node 1)
+    factors[3000] = TensorFactor(1, gauss(100 * 1000 + 3))
+    for mode in ("hw", "irr"):
+        report = check_cyclicity(factors, g2_s_sets, mode)
+        assert _violation_tuples(report) == [(1001, 3001, gauss(3), F(3))]
 
 
 def test_ordered_product_example(g2_s_sets):
