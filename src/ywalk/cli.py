@@ -83,6 +83,8 @@ def parse_gaussian(text: str) -> GaussianRational:
         )
     except ZeroDivisionError:
         raise CliInputError(f"zero denominator in parameter {text!r}") from None
+    except ValueError as exc:  # an integer past the str-conversion digit limit
+        raise CliInputError(f"bad parameter: {exc}") from None
 
 
 def parse_factors(spec: str, rank: int) -> list[TensorFactor]:
@@ -127,7 +129,7 @@ def _load_custom_algebra(path: Path) -> tuple[CartanData, tuple[int, ...] | None
     word: tuple[int, ...] | None = None
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliInputError(f"cannot read algebra file: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -189,7 +191,9 @@ def _load_config(args) -> dict:
         return {}
     try:
         data = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: undecodable bytes, malformed JSON, or an integer past
+        # the str-conversion digit limit; RecursionError: nesting too deep
         raise CliInputError(f"cannot read config: {exc}") from None
     if not isinstance(data, dict):
         raise CliInputError("config must be a JSON object")
@@ -205,7 +209,7 @@ def _fund_dims(args, cartan: CartanData) -> tuple[int, ...] | None:
             return None
         try:
             dims = tuple(int(x) for x in config["fund_dims"])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise CliInputError("config fund_dims must be a list of integers") from None
     if len(dims) != cartan.rank or any(d <= 0 for d in dims):
         raise CliInputError("fund_dims must list one positive integer per node")
@@ -252,13 +256,23 @@ def _walk_rows(report, cartan: CartanData) -> list[dict]:
     return rows
 
 
+def _walk(cartan: CartanData, word, weight: int, order: int):
+    exponents = path_exponents(cartan, word, weight).exponents
+    need = max(exponents, default=0) + 2
+    if order < need:
+        raise CliInputError(f"series order {order} too small; need at least {need}")
+    return run_walk(cartan, word, weight, order)
+
+
 def _sset_tables(cartan: CartanData, word, order: int):
-    reports = [
-        run_walk(cartan, word, i, order) for i in range(1, cartan.rank + 1)
-    ]
-    t_sets = compute_t_sets(reports)
-    s_sets = compute_s_sets(t_sets, cartan)
-    return reports, t_sets, s_sets
+    """T and S sets from the walks of every fundamental; roots that do not
+    split affinely make the tables not certified (exit 1)."""
+    reports = [_walk(cartan, word, i, order) for i in range(1, cartan.rank + 1)]
+    try:
+        t_sets = compute_t_sets(reports)
+    except SymbolicRootsUnavailable as exc:
+        raise _NotCertified(f"symbolic roots unavailable: {exc}") from None
+    return t_sets, compute_s_sets(t_sets, cartan)
 
 
 def _cmd_path(args) -> tuple[int, dict]:
@@ -286,7 +300,7 @@ def _cmd_walk(args) -> tuple[int, dict]:
     label, cartan, word, experimental = _load_algebra(args)
     if not 1 <= args.weight <= cartan.rank:
         raise CliInputError(f"weight {args.weight} out of range 1..{cartan.rank}")
-    report = run_walk(cartan, word, args.weight, args.order)
+    report = _walk(cartan, word, args.weight, args.order)
     results = {
         "word": list(word),
         "weight": args.weight,
@@ -299,10 +313,7 @@ def _cmd_walk(args) -> tuple[int, dict]:
 
 def _cmd_tables(args) -> tuple[int, dict]:
     label, cartan, word, experimental = _load_algebra(args)
-    try:
-        _, t_sets, s_sets = _sset_tables(cartan, word, args.order)
-    except SymbolicRootsUnavailable as exc:
-        raise _NotCertified(f"symbolic roots unavailable: {exc}") from None
+    t_sets, s_sets = _sset_tables(cartan, word, args.order)
     results = {
         "word": list(word),
         "t_sets": [
@@ -324,10 +335,7 @@ def _cmd_tables(args) -> tuple[int, dict]:
 def _cmd_cyclicity(args) -> tuple[int, dict]:
     label, cartan, word, experimental = _load_algebra(args)
     factors = parse_factors(args.factors, cartan.rank)
-    try:
-        _, _, s_sets = _sset_tables(cartan, word, args.order)
-    except SymbolicRootsUnavailable as exc:
-        raise _NotCertified(f"symbolic roots unavailable: {exc}") from None
+    _, s_sets = _sset_tables(cartan, word, args.order)
     report = check_cyclicity(factors, s_sets, args.mode)
     results = {
         "mode": report.mode,
@@ -358,10 +366,7 @@ def _cmd_weyl_module(args) -> tuple[int, dict]:
         raise CliInputError("weyl-module expects a rank-2 algebra")
     roots1 = _parse_root_list(args.pi1)
     roots2 = _parse_root_list(args.pi2)
-    try:
-        _, _, s_sets = _sset_tables(cartan, word, args.order)
-    except SymbolicRootsUnavailable as exc:
-        raise _NotCertified(f"symbolic roots unavailable: {exc}") from None
+    _, s_sets = _sset_tables(cartan, word, args.order)
     spec = build_ordered_product(roots1, roots2, s_sets)
     dims = _fund_dims(args, cartan)
     dim_report = (
@@ -597,7 +602,7 @@ def _dispatch(args) -> int:
                 f"--order {args.order} outside {MIN_ORDER}..{MAX_ORDER}"
             )
         code, env = _HANDLERS[args.command](args)
-    except (CliInputError, InvalidCartanError, ValueError) as exc:
+    except (CliInputError, InvalidCartanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except _NotCertified as exc:

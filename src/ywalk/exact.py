@@ -48,10 +48,6 @@ def _frac(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {value!r}")
 
 
-def _frac_str(value: Fraction) -> str:
-    return str(value)
-
-
 @dataclass(frozen=True)
 class GaussianRational:
     """Complex number with exact rational real and imaginary parts."""
@@ -84,9 +80,9 @@ class GaussianRational:
 
     def __str__(self) -> str:
         if self.im == 0:
-            return _frac_str(self.re)
+            return str(self.re)
         sign = "+" if self.im >= 0 else "-"
-        return f"{_frac_str(self.re)}{sign}{_frac_str(abs(self.im))}i"
+        return f"{self.re}{sign}{abs(self.im)}i"
 
 
 class ParamPoly:
@@ -186,11 +182,11 @@ class ParamPoly:
                 continue
             mag = abs(c)
             if k == 0:
-                body = _frac_str(mag)
+                body = str(mag)
             elif k == 1:
-                body = "a" if mag == 1 else f"{_frac_str(mag)}*a"
+                body = "a" if mag == 1 else f"{mag}*a"
             else:
-                body = f"a^{k}" if mag == 1 else f"{_frac_str(mag)}*a^{k}"
+                body = f"a^{k}" if mag == 1 else f"{mag}*a^{k}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -350,9 +346,6 @@ class ParamSeries:
         if not 0 <= k <= self.order:
             raise IndexError(f"series truncated at order {self.order}, asked for {k}")
         return self.coeffs[k]
-
-    def truncate(self, order: int) -> "ParamSeries":
-        return ParamSeries(self.coeffs, order=order)
 
     def evaluate_param(self, value) -> "ParamSeries":
         return ParamSeries(
@@ -632,74 +625,68 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction] | None:
     """All roots of a monic polynomial over the rationals, with multiplicity.
 
     Returns None when the polynomial does not split over the rationals.
+    Every rational root of the zero-stripped polynomial is among the
+    rational-root-theorem candidates of that polynomial, so they are
+    enumerated once and each is divided out for as long as it is a root.
     """
     cs = [Fraction(c) for c in coeffs]
-    roots: list[Fraction] = []
-    while len(cs) > 1:
-        if cs[0] == 0:
-            roots.append(Fraction(0))
-            cs = cs[1:]
-            continue
-        scale = math.lcm(*(c.denominator for c in cs))
-        ints = [int(c * scale) for c in cs]
-        candidates: set[Fraction] = set()
-        for num in _divisors(ints[0]):
-            for den in _divisors(ints[-1]):
-                candidates.add(Fraction(num, den))
-                candidates.add(Fraction(-num, den))
-        found = None
-        for cand in sorted(candidates):
-            acc = Fraction(0)
-            for c in reversed(cs):
-                acc = acc * cand + c
-            if acc == 0:
-                found = cand
+    zeros = 0
+    while zeros < len(cs) - 1 and cs[zeros] == 0:
+        zeros += 1
+    cs = cs[zeros:]
+    roots = [Fraction(0)] * zeros
+    scale = math.lcm(*(c.denominator for c in cs))
+    ints = [int(c * scale) for c in cs]
+    candidates: set[Fraction] = set()
+    for num in _divisors(ints[0]):
+        for den in _divisors(ints[-1]):
+            candidates.add(Fraction(num, den))
+            candidates.add(Fraction(-num, den))
+    for cand in sorted(candidates):
+        while len(cs) > 1:
+            # synthetic division by (u - cand); the final carry is the value
+            quot = [Fraction(0)] * (len(cs) - 1)
+            carry = Fraction(0)
+            for k in range(len(cs) - 1, 0, -1):
+                quot[k - 1] = cs[k] + carry
+                carry = quot[k - 1] * cand
+            if cs[0] + carry != 0:
                 break
-        if found is None:
-            return None
-        roots.append(found)
-        # synthetic division by (u - found)
-        quot = [Fraction(0)] * (len(cs) - 1)
-        carry = Fraction(0)
-        for k in range(len(cs) - 1, 0, -1):
-            quot[k - 1] = cs[k] + carry
-            carry = quot[k - 1] * found
-        cs = quot
+            roots.append(cand)
+            cs = quot
+    if len(cs) > 1:
+        return None
     return sorted(roots)
 
 
 def roots_affine_in_param(q: UniPoly) -> list[tuple[Fraction, Fraction]]:
     """Split a monic polynomial into roots affine in the parameter.
 
-    Specializes the parameter at deg(q)+1 integers, splits each
-    specialization over the rationals, pairs roots across specializations
-    by ascending order, interpolates an affine expression per root, and
-    verifies by symbolic re-expansion.  Returns (slope, intercept) pairs
-    sorted by (slope, intercept).
+    Specializes the parameter at a = 0 and a = 1, splits both
+    specializations over the rationals, pairs their roots by ascending
+    order, interpolates an affine expression per root, and verifies by
+    symbolic re-expansion.  Returns (slope, intercept) pairs sorted by
+    (slope, intercept).
 
-    Raises SymbolicRootsUnavailable when any specialization fails to split
-    or the re-expansion does not reproduce the input.
+    Raises SymbolicRootsUnavailable when either specialization fails to
+    split or the re-expansion does not reproduce the input.
     """
     if not q.monic:
         raise ValueError("roots_affine_in_param requires a monic polynomial")
     n = q.degree
     if n == 0:
         return []
-    samples = [Fraction(t) for t in range(n + 1)]
+    # if q splits into affine factors, so does every specialization; the
+    # roots at a = 0 and a = 1, paired in ascending order, fix each factor
     root_table: list[list[Fraction]] = []
-    for a0 in samples:
+    for a0 in (Fraction(0), Fraction(1)):
         rs = _rational_roots(q.specialize(a0))
         if rs is None:
             raise SymbolicRootsUnavailable(
                 f"specialization a={a0} does not split over the rationals"
             )
         root_table.append(rs)
-    candidates: list[tuple[Fraction, Fraction]] = []
-    for t in range(n):
-        r0, r1 = root_table[0][t], root_table[1][t]
-        slope = (r1 - r0) / (samples[1] - samples[0])
-        intercept = r0 - slope * samples[0]
-        candidates.append((slope, intercept))
+    candidates = [(r1 - r0, r0) for r0, r1 in zip(*root_table)]
     rebuilt = UniPoly.from_roots(
         ParamPoly((beta, alpha)) for alpha, beta in candidates
     )

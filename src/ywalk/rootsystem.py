@@ -144,30 +144,31 @@ def weyl_longest(cartan: CartanData) -> ReducedWord:
     Coordinate i of w(rho) is negative exactly when s_i is a left descent
     of w.  Starting from w0(rho) = -rho and always reflecting the smallest
     negative coordinate therefore strips w0 letter by letter in lex-least
-    order, reaching rho after l(w0) = |positive roots| steps.
+    order, until no coordinate is negative.  The descent is capped at
+    2*rank^2 steps, at least |positive roots| for every finite type (E8:
+    120 <= 128); data that is not of finite type never stops descending.
     """
-    length = len(positive_roots(cartan))
-    rho = (1,) * cartan.rank
-    v = tuple(-x for x in rho)
+    cap = 2 * cartan.rank**2
+    v = (-1,) * cartan.rank
     word: list[int] = []
-    while v != rho and len(word) < length:
+    while any(x < 0 for x in v):
+        if len(word) == cap:
+            raise InvalidCartanError("rho-descent does not end: not of finite type")
         i = next(k for k, x in enumerate(v, start=1) if x < 0)
         word.append(i)
         v = reflect(cartan, i, v)
-    if v != rho or len(word) != length:
-        raise InvalidCartanError("longest-word length does not match the root count")
     return tuple(word)
 
 
 def is_reduced_word_of_longest(cartan: CartanData, word: Sequence[int]) -> bool:
-    """A word of length |positive roots| is a reduced word of w0 exactly
-    when it sends rho to -rho, since rho has trivial stabilizer."""
-    if len(word) != len(positive_roots(cartan)):
-        return False
-    if any(not 1 <= r <= cartan.rank for r in word):
-        return False
+    """A word is reduced exactly when every letter, applied from the right,
+    raises the length: l(s_r w) > l(w) iff coordinate r of w(rho) is
+    positive.  A reduced word is one of w0 exactly when it sends rho to
+    -rho, since rho has trivial stabilizer."""
     v = (1,) * cartan.rank
     for r in reversed(word):
+        if not 1 <= r <= cartan.rank or v[r - 1] <= 0:
+            return False
         v = reflect(cartan, r, v)
     return v == (-1,) * cartan.rank
 

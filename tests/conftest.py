@@ -38,6 +38,11 @@ def a2():
 
 
 @pytest.fixture(scope="session")
+def b2():
+    return validate_cartan(((2, -1), (-2, 2)), (2, 1))
+
+
+@pytest.fixture(scope="session")
 def b3():
     return validate_cartan(((2, -1, 0), (-1, 2, -1), (0, -2, 2)), (2, 2, 1))
 
@@ -65,5 +70,10 @@ def g2_reports(g2):
 
 
 @pytest.fixture(scope="session")
-def g2_s_sets(g2, g2_reports):
-    return compute_s_sets(compute_t_sets(g2_reports), g2)
+def g2_t_sets(g2_reports):
+    return compute_t_sets(g2_reports)
+
+
+@pytest.fixture(scope="session")
+def g2_s_sets(g2, g2_t_sets):
+    return compute_s_sets(g2_t_sets, g2)

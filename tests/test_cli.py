@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ywalk import cli, cyclicity
+from ywalk import cli, cyclicity, validate_cartan, walk
 from ywalk.cli import CliInputError, main, parse_factors, parse_gaussian
 from ywalk.exact import GaussianRational
 
@@ -225,6 +229,156 @@ def test_unexpected_exception_exits_three(capsys, monkeypatch):
     assert captured.err.splitlines() == [
         "internal error: ZeroDivisionError('division by zero')"
     ]
+
+
+# inputs that used to reach exit 2 only through a blanket ValueError mapping
+def _order_below_max_exponent(tmp_path):
+    return ["walk", "--weight", "1", "--order", "4"], "need at least 5"
+
+
+def _integer_past_digit_limit(tmp_path):
+    return ["cyclicity", "--factors", "1:" + "7" * 5000], "bad parameter"
+
+
+def _undecodable_algebra_file(tmp_path):
+    algebra = tmp_path / "bad.alg"
+    algebra.write_bytes(b"row 2 \xff\xfe\n")
+    return ["path", "--algebra", str(algebra)], "cannot read algebra file"
+
+
+def _config_case(data, message):
+    def case(tmp_path):
+        config = tmp_path / "dims.json"
+        config.write_bytes(data)
+        return ["dim", "--weights", "1,0", "--config", str(config)], message
+
+    return case
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _order_below_max_exponent,
+        _integer_past_digit_limit,
+        _undecodable_algebra_file,
+        pytest.param(
+            _config_case(b'{"fund_dims": [14, 7]} \xff\xfe', "cannot read config"),
+            id="config-undecodable",
+        ),
+        pytest.param(
+            _config_case(b'{"fund_dims": [' + b"1" * 5000 + b", 7]}", "cannot read config"),
+            id="config-integer-past-digit-limit",
+        ),
+        pytest.param(
+            _config_case(b"[" * 100_000, "cannot read config"), id="config-deep-nesting"
+        ),
+        pytest.param(
+            _config_case(b'{"fund_dims": [Infinity, 7]}', "list of integers"),
+            id="config-infinity",
+        ),
+    ],
+)
+def test_input_cases_exit_two_with_one_line(capsys, tmp_path, case):
+    argv, message = case(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and message in line
+
+
+def test_unextended_power_sums_exit_three(capsys, monkeypatch):
+    monkeypatch.setattr(walk, "extend_power_sums", lambda p, order: p)
+    assert main(["walk", "--weight", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.splitlines() == [
+        "internal error: ValueError('series order 8 needs p_1..p_7, have p_1..p_1')"
+    ]
+
+
+def test_dropped_s_set_exits_three(capsys, monkeypatch):
+    real = cli.compute_s_sets
+
+    def without_2_2(t_sets, cartan):
+        return [s for s in real(t_sets, cartan) if (s.b, s.c) != (2, 2)]
+
+    monkeypatch.setattr(cli, "compute_s_sets", without_2_2)
+    assert main(["cyclicity", "--factors", "2:0,2:1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.splitlines() == [
+        "internal error: ValueError('no S set for node pair (2, 2)')"
+    ]
+
+
+# ----------------------------------------------------- exit-code contract
+
+_PARAMS = st.one_of(
+    st.fractions(min_value=-20, max_value=20, max_denominator=4).map(str),
+    st.builds(
+        lambda re, im: str(GaussianRational(re, im)),
+        st.fractions(min_value=-9, max_value=9, max_denominator=2),
+        st.fractions(min_value=-2, max_value=2, max_denominator=2),
+    ),
+    st.text(alphabet="0123456789/+-i ", max_size=8),
+    st.text(max_size=6),
+)
+_FACTORS = st.one_of(
+    st.lists(
+        st.tuples(st.integers(min_value=-1, max_value=4), _PARAMS).map(
+            lambda t: f"{t[0]}:{t[1]}"
+        ),
+        min_size=1,
+        max_size=8,
+    ).map(",".join),
+    st.text(alphabet="0123456789/+-i:, x", max_size=24),
+)
+_ROOTS = st.one_of(st.lists(_PARAMS, max_size=6).map(",".join), st.text(max_size=12))
+_ORDERS = st.one_of(
+    st.integers(min_value=-100, max_value=100),
+    st.integers(min_value=-(10**30), max_value=10**30),
+).map(str)
+_ARGV = st.one_of(
+    st.builds(
+        lambda f, mode: ["cyclicity", f"--factors={f}", "--mode", mode],
+        _FACTORS,
+        st.sampled_from(("hw", "irr")),
+    ),
+    st.builds(lambda p1, p2: ["weyl-module", f"--pi1={p1}", f"--pi2={p2}"], _ROOTS, _ROOTS),
+    st.builds(lambda order: ["path", f"--order={order}"], _ORDERS),
+)
+
+
+@pytest.fixture(scope="session")
+def g2_tables(g2_t_sets, g2_s_sets):
+    return g2_t_sets, g2_s_sets
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ARGV, st.sampled_from(("text", "json")))
+def test_exit_code_contract_holds_under_fuzzing(g2_tables, argv, fmt):
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_sset_tables", lambda cartan, word, order: g2_tables)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv + ["--format", fmt])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().splitlines()) <= 1
+    if code == 2:
+        assert out.getvalue() == ""
+
+
+def test_a40_path_through_main(capsys, tmp_path):
+    rows = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(40)] for i in range(40)]
+    algebra = _write_algebra(tmp_path / "a40.alg", validate_cartan(rows, [1] * 40))
+    code, env = run_json(capsys, "path", "--algebra", algebra, "--weight", "1")
+    assert code == 0
+    assert len(env["results"]["word"]) == 40 * 41 // 2
+    assert len(env["results"]["paths"][0]["exponents"]) == 820
 
 
 def test_long_factor_list(capsys):

@@ -159,22 +159,34 @@ def test_unknown_node_rejected(g2_s_sets):
         )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
-    st.lists(
-        st.tuples(
-            st.integers(min_value=1, max_value=2),
-            st.fractions(min_value=-6, max_value=6, max_denominator=4),
-            st.fractions(min_value=-2, max_value=2, max_denominator=2),
+    st.one_of(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=2),
+                st.fractions(min_value=-6, max_value=6, max_denominator=4),
+                st.fractions(min_value=-2, max_value=2, max_denominator=2),
+            ),
+            max_size=5,
         ),
-        max_size=5,
+        # half-integer parameters hit the S sets often
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=2),
+                st.integers(min_value=-12, max_value=12).map(lambda k: F(k, 2)),
+                st.sampled_from((F(0), F(1))),
+            ),
+            max_size=10,
+        ),
     ),
     st.fractions(min_value=-8, max_value=8, max_denominator=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=2),
 )
-def test_common_shift_invariance(g2_s_sets, raw_factors, shift):
+def test_common_shift_invariance(g2_s_sets, raw_factors, shift, shift_im):
     factors = [TensorFactor(n, gauss(re, im)) for n, re, im in raw_factors]
     shifted = [
-        TensorFactor(f.node, f.param + gauss(shift)) for f in factors
+        TensorFactor(f.node, f.param + gauss(shift, shift_im)) for f in factors
     ]
     for mode in ("hw", "irr"):
         base = check_cyclicity(factors, g2_s_sets, mode)

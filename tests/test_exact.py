@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,8 @@ from ywalk.exact import (
     PowerSums,
     SymbolicRootsUnavailable,
     UniPoly,
+    _divisors,
+    _rational_roots,
     extend_power_sums,
     power_sums_to_monic,
     roots_affine_in_param,
@@ -405,6 +409,119 @@ def test_roots_affine_reexpansion_matches_input(pairs):
         return  # crossing affine families may defeat sorted pairing
     rebuilt = UniPoly.from_roots(ParamPoly((beta, alpha)) for alpha, beta in found)
     assert rebuilt == poly
+
+
+def _rational_roots_reference(coeffs):
+    """Strip zero roots, then find the least rational root and deflate,
+    re-enumerating the candidates after every root found."""
+    cs = [F(c) for c in coeffs]
+    roots = []
+    while len(cs) > 1:
+        if cs[0] == 0:
+            roots.append(F(0))
+            cs = cs[1:]
+            continue
+        scale = math.lcm(*(c.denominator for c in cs))
+        ints = [int(c * scale) for c in cs]
+        candidates = set()
+        for num in _divisors(ints[0]):
+            for den in _divisors(ints[-1]):
+                candidates.add(F(num, den))
+                candidates.add(F(-num, den))
+        found = None
+        for cand in sorted(candidates):
+            acc = F(0)
+            for c in reversed(cs):
+                acc = acc * cand + c
+            if acc == 0:
+                found = cand
+                break
+        if found is None:
+            return None
+        roots.append(found)
+        quot = [F(0)] * (len(cs) - 1)
+        carry = F(0)
+        for k in range(len(cs) - 1, 0, -1):
+            quot[k - 1] = cs[k] + carry
+            carry = quot[k - 1] * found
+        cs = quot
+    return sorted(roots)
+
+
+def _split_reference(q):
+    """Split every specialization at a = 0..deg(q), interpolate from the
+    first two, verify by re-expansion."""
+    if not q.monic:
+        raise ValueError("roots_affine_in_param requires a monic polynomial")
+    n = q.degree
+    if n == 0:
+        return []
+    table = []
+    for a0 in range(n + 1):
+        rs = _rational_roots_reference(q.specialize(F(a0)))
+        if rs is None:
+            raise SymbolicRootsUnavailable(f"specialization a={a0} does not split")
+        table.append(rs)
+    candidates = [(r1 - r0, r0) for r0, r1 in zip(table[0], table[1])]
+    rebuilt = UniPoly.from_roots(ParamPoly((beta, alpha)) for alpha, beta in candidates)
+    if rebuilt != q:
+        raise SymbolicRootsUnavailable("affine interpolation failed verification")
+    return sorted(candidates)
+
+
+def _split_outcome(split, q):
+    try:
+        return split(q)
+    except SymbolicRootsUnavailable:
+        return SymbolicRootsUnavailable
+
+
+# extra factors: none, irreducible, split at a = 0 and 1 but not at a = 2,
+# split at every integer a but not affinely, not split at a = 1
+EXTRA_FACTORS = (
+    UniPoly.one(),
+    UniPoly([1, 0, 1]),
+    UniPoly([-4 * A, 0, 1]),
+    UniPoly([-A * A, 1]),
+    UniPoly([-A - 1, 0, 1]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from((F(0), F(1), F(1, 3), F(1, 2), F(-1))),
+            st.fractions(min_value=-3, max_value=3, max_denominator=3),
+        ),
+        max_size=4,
+    ),
+    st.sampled_from(range(len(EXTRA_FACTORS))),
+)
+def test_two_point_split_matches_reference(pairs, extra):
+    poly = UniPoly.from_roots(ParamPoly((beta, alpha)) for alpha, beta in pairs)
+    poly = poly * EXTRA_FACTORS[extra]
+    assert _split_outcome(roots_affine_in_param, poly) == _split_outcome(
+        _split_reference, poly
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=4), max_size=5),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from(((), (F(1), F(0), F(1)), (F(-2), F(0), F(1)))),
+)
+def test_rational_roots_match_reference(roots, zeros, quadratic):
+    # repeats come from the list itself; zero roots are added explicitly
+    poly = UniPoly.from_roots(ParamPoly.const(r) for r in roots + [F(0)] * zeros)
+    if quadratic:
+        poly = poly * UniPoly(quadratic)
+    coeffs = poly.specialize(F(0))
+    found = _rational_roots(coeffs)
+    assert found == _rational_roots_reference(coeffs)
+    if not quadratic:
+        assert found == sorted(roots + [F(0)] * zeros)
 
 
 def test_series_min_order_rule():

@@ -6,7 +6,9 @@ from itertools import product
 
 import pytest
 
+from ywalk import rootsystem
 from ywalk.rootsystem import (
+    CartanData,
     InvalidCartanError,
     is_reduced_word_of_longest,
     lowest_weight,
@@ -19,6 +21,7 @@ from ywalk.rootsystem import (
     weyl_order,
 )
 from ywalk.verify import G2_WORD
+from ywalk.walk import run_walk
 
 G2_REDUCED_WORDS = ((1, 2, 1, 2, 1, 2), (2, 1, 2, 1, 2, 1))
 
@@ -208,3 +211,56 @@ def test_validate_large_rank():
     a[38][39] = a[39][38] = -2
     with pytest.raises(InvalidCartanError, match="positive definite"):
         validate_cartan(a, [1] * 40)
+
+
+# ------------------------------------------------ descent-sign reduced words
+
+
+def _reduced_reference(cartan, word, n_positive):
+    """The length-plus-image rule: n_positive = |positive roots| letters in
+    range that send rho to -rho."""
+    if len(word) != n_positive:
+        return False
+    if any(not 1 <= r <= cartan.rank for r in word):
+        return False
+    v = (1,) * cartan.rank
+    for r in reversed(word):
+        v = reflect(cartan, r, v)
+    return v == (-1,) * cartan.rank
+
+
+@pytest.mark.parametrize("name, reduced", [("a1", 1), ("a2", 2), ("b2", 2), ("g2", 2)])
+def test_descent_signs_match_the_length_and_image_rule(request, name, reduced):
+    # every word over {0..rank+1} (letters 0 and rank+1 out of range) at
+    # lengths |positive roots| - 1 .. |positive roots| + 2; only the sign
+    # test rejects a word of length + 2 that still sends rho to -rho
+    cartan = request.getfixturevalue(name)
+    n = len(positive_roots(cartan))
+    accepted = 0
+    for length in range(n - 1, n + 3):
+        for word in product(range(cartan.rank + 2), repeat=length):
+            expected = _reduced_reference(cartan, word, n)
+            assert is_reduced_word_of_longest(cartan, word) == expected, word
+            accepted += expected
+    assert accepted == reduced
+
+
+def test_words_and_walks_enumerate_no_roots(monkeypatch, g2, f4):
+    def no_enumeration(cartan):
+        raise AssertionError("positive_roots was called")
+
+    monkeypatch.setattr(rootsystem, "positive_roots", no_enumeration)
+    for cartan in (g2, f4):
+        word = weyl_longest(cartan)
+        assert is_reduced_word_of_longest(cartan, word)
+        for i in range(1, cartan.rank + 1):
+            exps = path_exponents(cartan, word, i)
+            report = run_walk(cartan, word, i, 8)
+            assert report.exponents == exps.exponents
+
+
+def test_weyl_longest_rejects_affine_data():
+    # A_1^(1), built without validation: rho-descent never ends
+    affine = CartanData(2, ((2, -2), (-2, 2)), (1, 1))
+    with pytest.raises(InvalidCartanError):
+        weyl_longest(affine)
