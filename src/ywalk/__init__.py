@@ -10,9 +10,7 @@ from .exact import (
     Rational,
     SymbolicRootsUnavailable,
     UniPoly,
-    extend_power_sums,
     power_sums_to_monic,
-    roots_affine_in_param,
     series_exp,
     series_from_poly_ratio,
     series_log,
@@ -64,6 +62,7 @@ from .cyclicity import (
     compute_t_sets,
     dimension_bound,
     q_exponent_image,
+    row_roots,
 )
 
 __version__ = "0.1.0"

@@ -24,13 +24,9 @@ from .cyclicity import (
     compute_s_sets,
     compute_t_sets,
     dimension_bound,
+    row_roots,
 )
-from .exact import (
-    GaussianRational,
-    ParamPoly,
-    SymbolicRootsUnavailable,
-    roots_affine_in_param,
-)
+from .exact import GaussianRational, ParamPoly, SymbolicRootsUnavailable
 from .rootsystem import (
     BUILTIN_ALGEBRAS,
     CartanData,
@@ -166,7 +162,11 @@ def _load_algebra(args) -> tuple[str, CartanData, tuple[int, ...], bool]:
         cartan = builtin_cartan(name)
     else:
         path = Path(args.algebra)
-        if not path.exists():
+        try:
+            found = path.exists()
+        except OSError:  # e.g. a name too long for the file system
+            found = False
+        if not found:
             raise CliInputError(
                 f"unknown algebra {args.algebra!r} (not builtin, not a file)"
             )
@@ -216,6 +216,19 @@ def _fund_dims(args, cartan: CartanData) -> tuple[int, ...] | None:
     return dims
 
 
+def _dimension_report(weight, dims, cartan: CartanData):
+    """dimension_bound, with a bound too long to print as an input error."""
+    try:
+        report = dimension_bound(weight, dims, cartan)
+    except ValueError as exc:
+        raise CliInputError(str(exc)) from None
+    try:
+        str(report.bound)
+    except ValueError as exc:  # past the interpreter's int-to-str digit limit
+        raise CliInputError(f"dimension bound too large to print: {exc}") from None
+    return report
+
+
 def _envelope(args, label: str, experimental: bool, inputs: dict, results: dict):
     return {
         "command": args.command,
@@ -238,7 +251,7 @@ def _walk_rows(report, cartan: CartanData) -> list[dict]:
     for rec in report.rows():
         try:
             roots = [
-                _intercept_str(r) for r in roots_affine_in_param(rec.poly)
+                _intercept_str(r) for r in row_roots(rec.poly, cartan.di(rec.node))
             ]
         except SymbolicRootsUnavailable:
             roots = None
@@ -370,7 +383,7 @@ def _cmd_weyl_module(args) -> tuple[int, dict]:
     spec = build_ordered_product(roots1, roots2, s_sets)
     dims = _fund_dims(args, cartan)
     dim_report = (
-        dimension_bound(spec.weight, dims, cartan) if dims is not None else None
+        _dimension_report(spec.weight, dims, cartan) if dims is not None else None
     )
     results = {
         "weight": list(spec.weight),
@@ -398,10 +411,7 @@ def _cmd_dim(args) -> tuple[int, dict]:
     dims = _fund_dims(args, cartan)
     if dims is None:
         raise CliInputError("dim needs --fund-dims or a config with fund_dims")
-    try:
-        report = dimension_bound(weight, dims, cartan)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from None
+    report = _dimension_report(weight, dims, cartan)
     results = {
         "weight": list(report.weight),
         "fund_dims": list(report.fund_dims),

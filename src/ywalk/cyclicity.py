@@ -1,10 +1,11 @@
 """Root collections, tensor-product cyclicity verdicts, and ordered products.
 
 From completed walks this layer collects, per (source weight b, acting
-node c), the symbolic roots of every step polynomial: the T set.  Each
-root is affine with slope 1/d_c, so the single condition "spectral
-difference never lands one past a root" reduces to a finite set of
-forbidden rational differences, the S set
+node c), the symbolic roots of every step polynomial: the T set.  A walk
+at a is the walk at a = 0 with every unscaled root moved by a, so each
+root is a/d_c + beta with beta a root of the row at a = 0, and the single
+condition "spectral difference never lands one past a root" reduces to a
+finite set of forbidden rational differences, the S set
 
     S(b, c) = { d_c * (1 + intercept) : a/d_c + intercept in T(b, c) }.
 
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exact import GaussianRational, roots_affine_in_param
+from .exact import GaussianRational, SymbolicRootsUnavailable, UniPoly, _rational_roots
 from .rootsystem import CartanData, weyl_dim
-from .walk import CrosscheckError, WalkReport
+from .walk import WalkReport
 
 __all__ = [
     "TSet",
@@ -34,6 +35,7 @@ __all__ = [
     "CyclicityReport",
     "WeylModuleSpec",
     "DimensionReport",
+    "row_roots",
     "compute_t_sets",
     "compute_s_sets",
     "check_cyclicity",
@@ -117,13 +119,27 @@ class DimensionReport:
     reference_fund_dims: tuple[int, ...]
 
 
+def row_roots(poly: UniPoly, d: int) -> list[tuple[Fraction, Fraction]]:
+    """Roots a/d + beta of a walk row at a node with symmetrizer d, as
+    sorted (1/d, beta) pairs with multiplicity.
+
+    The row's roots at a = 0 are the betas, so the row splits over the
+    rationals exactly when its a = 0 specialization does; otherwise
+    SymbolicRootsUnavailable.
+    """
+    betas = _rational_roots(poly.specialize(0))
+    if betas is None:
+        raise SymbolicRootsUnavailable(
+            "specialization a=0 does not split over the rationals"
+        )
+    return [(Fraction(1, d), beta) for beta in betas]
+
+
 def compute_t_sets(reports: Iterable[WalkReport]) -> list[TSet]:
     """Collect, for every (source fundamental, acting node) pair, the union
     of step-polynomial roots across the walk, deduplicated.
 
-    Every root must have slope 1/d_c, else CrosscheckError (an internal
-    invariant, not an input error); SymbolicRootsUnavailable propagates
-    from the root extraction.
+    SymbolicRootsUnavailable propagates from a row that does not split.
     """
     reports = list(reports)
     if not reports:
@@ -134,15 +150,8 @@ def compute_t_sets(reports: Iterable[WalkReport]) -> list[TSet]:
         for c in range(1, cartan.rank + 1):
             collected: set[tuple[Fraction, Fraction]] = set()
             for rec in rep.rows():
-                if rec.node != c:
-                    continue
-                for slope, intercept in roots_affine_in_param(rec.poly):
-                    if slope != Fraction(1, cartan.di(c)):
-                        raise CrosscheckError(
-                            f"root slope {slope} at node {c} differs from "
-                            f"1/d_{c} = 1/{cartan.di(c)}"
-                        )
-                    collected.add((slope, intercept))
+                if rec.node == c:
+                    collected.update(row_roots(rec.poly, cartan.di(c)))
             out.append(TSet(b=rep.fundamental, c=c, roots=tuple(sorted(collected))))
     return out
 
@@ -152,13 +161,7 @@ def compute_s_sets(t_sets: Iterable[TSet], cartan: CartanData) -> list[SSet]:
     out = []
     for t in t_sets:
         d = cartan.di(t.c)
-        values = set()
-        for slope, intercept in t.roots:
-            if slope != Fraction(1, d):
-                raise CrosscheckError(
-                    f"root slope {slope} at node {t.c} differs from 1/{d}"
-                )
-            values.add(d * (1 + intercept))
+        values = {d * (1 + intercept) for _, intercept in t.roots}
         out.append(SSet(b=t.b, c=t.c, values=tuple(sorted(values))))
     return out
 

@@ -4,7 +4,9 @@ Scalars are :class:`fractions.Fraction`.  Polynomials in the formal
 parameter ``a`` (:class:`ParamPoly`) serve as coefficients for polynomials
 (:class:`UniPoly`) and truncated series (:class:`ParamSeries`) in a second
 variable ``u``; series are expansions in powers of ``u^{-1}`` and every
-operation is exact through the stated truncation order.
+operation is exact through the stated truncation order.  The power-sum
+helpers (Newton's identities, ``shift_log_series``) take plain sequences of
+either scalar type: the walk runs them over Fraction at a = 0.
 """
 
 from __future__ import annotations
@@ -30,9 +32,7 @@ __all__ = [
     "series_exp",
     "series_rescale",
     "power_sums_to_monic",
-    "extend_power_sums",
     "shift_log_series",
-    "roots_affine_in_param",
 ]
 
 
@@ -58,10 +58,6 @@ class GaussianRational:
     def __post_init__(self):
         object.__setattr__(self, "re", _frac(self.re))
         object.__setattr__(self, "im", _frac(self.im))
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(self.re + other.re, self.im + other.im)
@@ -274,14 +270,6 @@ class UniPoly:
                 out[j] = out[j] + ck * (math.comb(k, j) * d ** (k - j))
         return UniPoly(out)
 
-    def scale_var(self, d) -> "UniPoly":
-        """Return the monic polynomial whose roots are this one's divided by d."""
-        d = _frac(d)
-        if d == 0:
-            raise ValueError("scale factor must be nonzero")
-        m = self.degree
-        return UniPoly(self.coeff(k) * d ** (k - m) for k in range(m + 1))
-
     def specialize(self, value) -> tuple[Fraction, ...]:
         """Coefficients over the rationals after substituting the parameter."""
         return tuple(c.evaluate(value) for c in self.coeffs)
@@ -331,10 +319,6 @@ class ParamSeries:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def zero(cls, order: int) -> "ParamSeries":
-        return cls((), order=order)
-
-    @classmethod
     def one(cls, order: int) -> "ParamSeries":
         return cls((ParamPoly.const(1),), order=order)
 
@@ -360,18 +344,6 @@ class ParamSeries:
 
     def __hash__(self) -> int:
         return hash(("ParamSeries", self.coeffs))
-
-    def __neg__(self) -> "ParamSeries":
-        return ParamSeries((-c for c in self.coeffs), order=self.order)
-
-    def __add__(self, other: "ParamSeries") -> "ParamSeries":
-        n = min(self.order, other.order)
-        return ParamSeries(
-            (self.coeffs[k] + other.coeffs[k] for k in range(n + 1)), order=n
-        )
-
-    def __sub__(self, other: "ParamSeries") -> "ParamSeries":
-        return self + (-other)
 
     def __mul__(self, other: "ParamSeries") -> "ParamSeries":
         n = min(self.order, other.order)
@@ -511,57 +483,31 @@ class PowerSums:
             if tuple(expected) != self.values:
                 raise ValueError("tail entries violate the Newton recurrence")
 
-    @property
-    def top_index(self) -> int:
-        return len(self.values)
 
-    def p(self, k: int) -> ParamPoly:
-        """p_k, with p_0 defined as the root count m."""
-        if k == 0:
-            return ParamPoly.const(self.degree)
-        if not 1 <= k <= len(self.values):
-            raise IndexError(f"p_{k} not available (have p_1..p_{len(self.values)})")
-        return self.values[k - 1]
-
-    @classmethod
-    def of_roots(cls, roots: Sequence, top_index: int) -> "PowerSums":
-        """Power sums of an explicit root multiset, up to the given index."""
-        rs = [_as_param_poly(r) for r in roots]
-        vals = []
-        powers = list(rs)
-        for _ in range(top_index):
-            vals.append(sum(powers, ParamPoly()))
-            powers = [p * r for p, r in zip(powers, rs)]
-        return cls(len(rs), tuple(vals))
-
-
-def _elementary_raw(m: int, values: Sequence[ParamPoly]) -> list[ParamPoly]:
-    """e_1..e_m via Newton's identities, from p_1..p_m."""
-    e: list[ParamPoly] = [ParamPoly.const(1)]
+def _elementary_raw(m: int, values: Sequence) -> list:
+    """e_1..e_m via Newton's identities, from p_1..p_m (any exact scalars)."""
+    e: list = [1]
     for k in range(1, m + 1):
-        acc = ParamPoly()
+        acc = 0
         for i in range(1, k + 1):
             term = values[i - 1] * e[k - i]
-            acc = acc + (term if i % 2 == 1 else -term)
-        e.append(acc / k)
+            acc = acc + term if i % 2 == 1 else acc - term
+        e.append(acc * Fraction(1, k))
     return e[1:]
 
 
-def _newton_extend(
-    m: int, values: Sequence[ParamPoly], top_index: int
-) -> list[ParamPoly]:
+def _newton_extend(m: int, values: Sequence, top_index: int) -> list:
     """p_1..p_top_index from p_1..p_m via the Newton recurrence."""
     if m == 0:
-        return [ParamPoly() for _ in range(top_index)]
+        return [0] * top_index
     e = _elementary_raw(m, values)
     vals = list(values[:m])
     while len(vals) < top_index:
         k = len(vals) + 1
-        acc = ParamPoly()
+        acc = 0
         for i in range(1, m + 1):
-            prev = ParamPoly.const(m) if k - i == 0 else vals[k - i - 1]
-            term = e[i - 1] * prev
-            acc = acc + (term if i % 2 == 1 else -term)
+            term = e[i - 1] * (m if k - i == 0 else vals[k - i - 1])
+            acc = acc + term if i % 2 == 1 else acc - term
         vals.append(acc)
     return vals
 
@@ -570,42 +516,34 @@ def power_sums_to_monic(p: PowerSums) -> UniPoly:
     """Monic polynomial in ``u`` whose root multiset has the given power sums."""
     m = p.degree
     e = _elementary_raw(m, p.values)
-    coeffs = [ParamPoly() for _ in range(m + 1)]
-    coeffs[m] = ParamPoly.const(1)
+    coeffs = [0] * (m + 1)
+    coeffs[m] = 1
     for k in range(1, m + 1):
         coeffs[m - k] = e[k - 1] if k % 2 == 0 else -e[k - 1]
     return UniPoly(coeffs)
 
 
-def extend_power_sums(p: PowerSums, top_index: int) -> PowerSums:
-    """Fill p_{m+1}..p_K using the recurrence induced by the elementary
-    symmetric functions of the first m power sums."""
-    if top_index < p.degree:
-        raise ValueError("cannot extend below the root count")
-    if top_index <= p.top_index:
-        return PowerSums(p.degree, p.values[: max(top_index, p.degree)])
-    return PowerSums(p.degree, tuple(_newton_extend(p.degree, p.values, top_index)))
+def shift_log_series(p: Sequence, shift, order: int) -> list:
+    """Coefficients of log(pi(u+shift)/pi(u)) at u^0..u^-order, for the
+    monic pi whose roots have the power sums p = [p_0, p_1, ...], p_0 the
+    root count.  The u^0 coefficient is 0; the others are of the scalar
+    type of p.
 
-
-def shift_log_series(p: PowerSums, shift, order: int) -> ParamSeries:
-    """log(pi(u+shift)/pi(u)) through ``order``, for the monic pi whose
-    roots have the power sums p.
-
-    The u^{-k} coefficient is -(1/k) sum_{j<k} C(k,j) (-shift)^{k-j} p_j
-    with p_0 the root count, so p must carry p_1..p_{order-1}.
+    The u^{-k} coefficient is -(1/k) sum_{j<k} C(k,j) (-shift)^{k-j} p_j,
+    so p must carry p_0..p_{order-1}.
     """
     shift = _frac(shift)
-    if p.top_index < order - 1:
+    if len(p) < order:
         raise ValueError(
-            f"series order {order} needs p_1..p_{order - 1}, have p_1..p_{p.top_index}"
+            f"series order {order} needs p_1..p_{order - 1}, have p_1..p_{len(p) - 1}"
         )
-    out = [ParamPoly()]
+    out = [Fraction(0)]
     for k in range(1, order + 1):
-        acc = ParamPoly()
+        acc = 0
         for j in range(k):
-            acc = acc + (math.comb(k, j) * (-shift) ** (k - j)) * p.p(j)
-        out.append(acc / -k)
-    return ParamSeries(out, order=order)
+            acc = acc + (math.comb(k, j) * (-shift) ** (k - j)) * p[j]
+        out.append(acc * Fraction(-1, k))
+    return out
 
 
 def _divisors(n: int) -> list[int]:
@@ -657,41 +595,3 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction] | None:
     if len(cs) > 1:
         return None
     return sorted(roots)
-
-
-def roots_affine_in_param(q: UniPoly) -> list[tuple[Fraction, Fraction]]:
-    """Split a monic polynomial into roots affine in the parameter.
-
-    Specializes the parameter at a = 0 and a = 1, splits both
-    specializations over the rationals, pairs their roots by ascending
-    order, interpolates an affine expression per root, and verifies by
-    symbolic re-expansion.  Returns (slope, intercept) pairs sorted by
-    (slope, intercept).
-
-    Raises SymbolicRootsUnavailable when either specialization fails to
-    split or the re-expansion does not reproduce the input.
-    """
-    if not q.monic:
-        raise ValueError("roots_affine_in_param requires a monic polynomial")
-    n = q.degree
-    if n == 0:
-        return []
-    # if q splits into affine factors, so does every specialization; the
-    # roots at a = 0 and a = 1, paired in ascending order, fix each factor
-    root_table: list[list[Fraction]] = []
-    for a0 in (Fraction(0), Fraction(1)):
-        rs = _rational_roots(q.specialize(a0))
-        if rs is None:
-            raise SymbolicRootsUnavailable(
-                f"specialization a={a0} does not split over the rationals"
-            )
-        root_table.append(rs)
-    candidates = [(r1 - r0, r0) for r0, r1 in zip(*root_table)]
-    rebuilt = UniPoly.from_roots(
-        ParamPoly((beta, alpha)) for alpha, beta in candidates
-    )
-    if rebuilt != q:
-        raise SymbolicRootsUnavailable(
-            "affine interpolation failed verification against the input polynomial"
-        )
-    return sorted(candidates)

@@ -102,6 +102,8 @@ def validate_cartan(a: Sequence[Sequence[int]], d: Sequence[int]) -> CartanData:
         if m[k][k] <= 0:
             raise InvalidCartanError("D*A must be positive definite (finite type)")
         for r in range(k + 1, l):
+            if m[r][k] == 0:
+                continue
             f = m[r][k] / m[k][k]
             for c in range(k + 1, l):
                 m[r][c] -= f * m[k][c]

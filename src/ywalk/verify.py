@@ -119,6 +119,37 @@ def _suite_sl2() -> list[CheckResult]:
     return results
 
 
+def _lifted_series(state, node: int) -> ParamSeries:
+    """H_node(u) of a walk state as a series with coefficients in a."""
+    coeffs = [0] + [state.coefficient(node, k) for k in range(state.order)]
+    return ParamSeries(coeffs, order=state.order)
+
+
+def _rank1_against_matrices():
+    """The A1 walk at every sample a against the explicit evaluation module."""
+    a1 = builtin_cartan("a1")
+
+    def matrix_log_series(mod, s):
+        coeffs = [Fraction(1)] + [
+            mod.matrix(GeneratorLabel("h", k))[s][s] for k in range(8)
+        ]
+        return series_log(ParamSeries(coeffs, order=8))
+
+    for a_val in SAMPLE_A:
+        state = init_walk(a1, 1, 8)
+        mod = EvalModule(1, a_val, max_level=8)
+        top = _lifted_series(state, 1).evaluate_param(a_val)
+        assert top == matrix_log_series(mod, 1), (
+            "top-vector series disagrees with the matrix module"
+        )
+        sums = extract_step_poly(state, 1, 1)
+        apply_step(state, 1, 1, sums)
+        bottom = _lifted_series(state, 1).evaluate_param(a_val)
+        assert bottom == matrix_log_series(mod, 0), (
+            "bottom-vector series disagrees with the matrix module"
+        )
+
+
 def _suite_walk() -> list[CheckResult]:
     results: list[CheckResult] = []
     g2 = builtin_cartan("g2")
@@ -134,45 +165,23 @@ def _suite_walk() -> list[CheckResult]:
     def anchors():
         state = init_walk(g2, 1, 8)
         for node, m in ((2, 0), (1, 1), (2, 3)):
-            _, sums = extract_step_poly(state, node, m)
+            sums = extract_step_poly(state, node, m)
             apply_step(state, node, m, sums)
         assert state.coefficient(1, 1) == ParamPoly((0, 6)), "H_{1,1} != 6a"
         assert state.coefficient(1, 2) == ParamPoly((6, 0, 6)), "H_{1,2} != 6a^2+6"
-        rescaled = series_exp(series_rescale(state.series[0], 3))
+        rescaled = series_exp(series_rescale(_lifted_series(state, 1), 3))
         assert rescaled.coeff(2) == ParamPoly((2, Fraction(2, 3))), (
             "rescaled h_1 coefficient != 2a/3 + 2"
         )
-        _, sums = extract_step_poly(state, 1, 2)
+        sums = extract_step_poly(state, 1, 2)
         apply_step(state, 1, 2, sums)
-        h2 = series_exp(state.series[1])
+        h2 = series_exp(_lifted_series(state, 2))
         assert h2.coeff(2) == ParamPoly((Fraction(21, 2), 3)), (
             "h_{2,1} != 3a + 21/2"
         )
 
     _check(results, "intermediate eigenvalue anchors", anchors)
-
-    def rank1_against_matrices():
-        a1 = builtin_cartan("a1")
-
-        def matrix_log_series(mod, s):
-            coeffs = [Fraction(1)] + [
-                mod.matrix(GeneratorLabel("h", k))[s][s] for k in range(8)
-            ]
-            return series_log(ParamSeries(coeffs, order=8))
-
-        for a_val in SAMPLE_A:
-            state = init_walk(a1, 1, 8)
-            mod = EvalModule(1, a_val, max_level=8)
-            assert state.series[0].evaluate_param(a_val) == matrix_log_series(
-                mod, 1
-            ), "top-vector series disagrees with the matrix module"
-            _, sums = extract_step_poly(state, 1, 1)
-            apply_step(state, 1, 1, sums)
-            assert state.series[0].evaluate_param(a_val) == matrix_log_series(
-                mod, 0
-            ), "bottom-vector series disagrees with the matrix module"
-
-    _check(results, "rank-1 walk matches matrix modules", rank1_against_matrices)
+    _check(results, "rank-1 walk matches matrix modules", _rank1_against_matrices)
     return results
 
 

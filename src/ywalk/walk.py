@@ -20,6 +20,13 @@ log(pi(u+d_c)/pi(u)) (resp. log(pi(u-d_c)/pi(u))) built from the unscaled
 monic pi.  The lowest-vector form is re-derived after every step from the
 extracted roots and compared against the transported series; any mismatch
 aborts the walk.
+
+The parameter a enters only as a translation: the shift automorphism
+x(u) -> x(u-b) of the Yangian sends V(a) to V(a+b) (Chari-Pressley, A Guide
+to Quantum Groups, 1994, ch. 12), so the walk at a is the walk at a = 0
+with every root moved by a.  The walk therefore runs on Fraction values at
+a = 0, and ``_lift`` turns them into polynomials in a where a caller reads
+them: the StepRecords and ``WalkState.coefficient``.
 """
 
 from __future__ import annotations
@@ -27,14 +34,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .exact import (
-    A,
     ParamPoly,
-    ParamSeries,
     PowerSums,
     UniPoly,
-    extend_power_sums,
+    _newton_extend,
     power_sums_to_monic,
     shift_log_series,
 )
@@ -59,25 +65,37 @@ class CrosscheckError(RuntimeError):
     """An internal consistency check failed during a walk."""
 
 
+def _lift(p: Sequence[Fraction]) -> list[ParamPoly]:
+    """p_0..p_N of a root multiset at a = 0 as polynomials in a, once every
+    root is moved by a: p_k(a) = sum_j C(k, j) a^{k-j} p_j."""
+    return [
+        ParamPoly(math.comb(k, i) * p[k - i] for i in range(k + 1))
+        for k in range(len(p))
+    ]
+
+
 @dataclass
 class WalkState:
-    """Mutable per-walk state: one H_i(u) log-series per node.
+    """Mutable per-walk state at a = 0: one H_i(u) log-series per node.
 
-    series[i-1] stores H_i(u) as a ParamSeries whose u^{-k-1} coefficient
-    is the eigenvalue of H_{i,k} on the current extremal vector; the
-    constant term is always zero.
+    series[i-1][k] is the u^{-k} coefficient of H_i(u), so series[i-1][k+1]
+    is the eigenvalue of H_{i,k} on the current extremal vector at a = 0;
+    the constant term is always zero.
     """
 
     cartan: CartanData
     fundamental: int
     order: int
-    series: list[ParamSeries]
+    series: list[list[Fraction]]
     weight: tuple[int, ...]
     cursor: int = 0  # number of path steps applied so far
 
     def coefficient(self, node: int, k: int) -> ParamPoly:
-        """Eigenvalue of H_{node,k} on the current extremal vector."""
-        return self.series[node - 1].coeff(k + 1)
+        """Eigenvalue of H_{node,k} on the current extremal vector, in a."""
+        # n times the u^{-n} coefficient of a log-ratio of monic polynomials
+        # of equal degree is a signed power sum of their roots with count 0
+        q = [n * c for n, c in enumerate(self.series[node - 1][: k + 2])]
+        return _lift(q)[k + 1] / (k + 1)
 
 
 @dataclass(frozen=True)
@@ -116,9 +134,10 @@ def init_walk(cartan: CartanData, fundamental: int, order: int = DEFAULT_ORDER) 
         raise ValueError(f"fundamental index {fundamental} out of range")
     if order < 2:
         raise ValueError("series order must be at least 2")
-    series = [ParamSeries.zero(order) for _ in range(cartan.rank)]
+    series = [[Fraction(0)] * (order + 1) for _ in range(cartan.rank)]
+    # the single root a sits at 0
     series[fundamental - 1] = shift_log_series(
-        PowerSums.of_roots([A], order), cartan.di(fundamental), order
+        [1] + [0] * (order - 1), cartan.di(fundamental), order
     )
     return WalkState(
         cartan=cartan,
@@ -132,17 +151,17 @@ def init_walk(cartan: CartanData, fundamental: int, order: int = DEFAULT_ORDER) 
 def _check_weight_bookkeeping(state: WalkState):
     # H_{i,0} must equal d_i times the i-th coordinate of the current weight
     for i in range(1, state.cartan.rank + 1):
-        expected = ParamPoly.const(state.cartan.di(i) * state.weight[i - 1])
-        if state.coefficient(i, 0) != expected:
+        h0 = state.series[i - 1][1]
+        if h0 != state.cartan.di(i) * state.weight[i - 1]:
             raise CrosscheckError(
                 f"weight bookkeeping broken at node {i}: "
-                f"H_0 = {state.coefficient(i, 0)}, weight {state.weight}"
+                f"H_0 = {h0}, weight {state.weight}"
             )
 
 
-def solve_power_sums(lam: ParamSeries, shift, m: int) -> list[ParamPoly]:
-    """Solve (k+1) lam_k = -sum_{s<=k} C(k+1,s) (-shift)^{k+1-s} p_s for
-    p_0..p_m, where lam_k is the u^{-k-1} coefficient and p_0 = m.
+def solve_power_sums(lam: Sequence[Fraction], shift, m: int) -> list[Fraction]:
+    """Solve (k+1) lam_{k+1} = -sum_{s<=k} C(k+1,s) (-shift)^{k+1-s} p_s for
+    p_0..p_m, where lam_{k+1} is the u^{-k-1} coefficient and p_0 = m.
 
     With shift = +d this recovers the root power sums of a highest-weight
     series log(pi(u+d)/pi(u)); with shift = -d, those of a lowest-weight
@@ -151,24 +170,23 @@ def solve_power_sums(lam: ParamSeries, shift, m: int) -> list[ParamPoly]:
     shift = Fraction(shift)
     if shift == 0:
         raise ValueError("shift must be nonzero")
-    p: list[ParamPoly] = [ParamPoly.const(m)]
+    p = [Fraction(m)]
     for k in range(1, m + 1):
-        acc = (k + 1) * lam.coeff(k + 1)
+        acc = (k + 1) * lam[k + 1]
         for s in range(k):
             acc = acc + math.comb(k + 1, s) * (-shift) ** (k + 1 - s) * p[s]
         p.append(acc / ((k + 1) * shift))
     return p
 
 
-def extract_step_poly(state: WalkState, node: int, m: int) -> tuple[UniPoly, PowerSums]:
-    """Associated polynomial of the current node restriction, degree m.
+def extract_step_poly(state: WalkState, node: int, m: int) -> list[Fraction]:
+    """Power sums p_0..p_N (p_0 = m, N the series order) of the unscaled
+    roots of the current node restriction's degree-m associated polynomial.
 
-    Solves (k+1) H_k = -sum_{s=0}^{k} C(k+1,s) (-d)^{k+1-s} p_s for the
-    unscaled root power sums p_1..p_m (p_0 = m), forms the monic polynomial
-    in the rescaled variable from p_k / d^k, and extends the unscaled sums
-    through the truncation order.  The full series is then rebuilt from
-    the extended power sums and compared against the state as a
-    highest-weight consistency check.
+    Solves (k+1) H_k = -sum_{s=0}^{k} C(k+1,s) (-d)^{k+1-s} p_s for p_1..p_m
+    and extends them through the truncation order.  The full series is then
+    rebuilt from the extended power sums and compared against the state as
+    a highest-weight consistency check.
     """
     if m < 0:
         raise ValueError("step exponent must be non-negative")
@@ -176,38 +194,37 @@ def extract_step_poly(state: WalkState, node: int, m: int) -> tuple[UniPoly, Pow
         raise ValueError(
             f"step degree {m} needs series order >= {m + 1}, have {state.order}"
         )
-    d = state.cartan.di(node)
     if m == 0:
         # a zero weight coordinate at an extremal vector: the node
         # restriction is trivial, so its series must vanish
-        if state.series[node - 1] != ParamSeries.zero(state.order):
+        if any(state.series[node - 1]):
             raise CrosscheckError(f"node {node} series is nonzero at a zero exponent")
-        return UniPoly.one(), PowerSums(0, tuple(ParamPoly() for _ in range(state.order)))
+        return [Fraction(0)] * (state.order + 1)
+    d = state.cartan.di(node)
     p = solve_power_sums(state.series[node - 1], d, m)
-    rescaled = PowerSums(m, tuple(p[k] / Fraction(d) ** k for k in range(1, m + 1)))
-    poly = power_sums_to_monic(rescaled)
-    unscaled = extend_power_sums(PowerSums(m, tuple(p[1:])), state.order)
+    p = p[:1] + _newton_extend(m, p[1:], state.order)
     # highest-weight consistency: the node series must match the roots.
-    if state.series[node - 1] != shift_log_series(unscaled, d, state.order):
+    if state.series[node - 1] != shift_log_series(p, d, state.order):
         raise CrosscheckError(
             f"node {node} series is not a degree-{m} highest-weight series"
         )
-    return poly, unscaled
+    return p
 
 
-def apply_step(state: WalkState, node: int, m: int, p: PowerSums) -> WalkState:
+def apply_step(state: WalkState, node: int, m: int, p: Sequence[Fraction]) -> WalkState:
     """Transport every node's series across (x-_{node,0})^m.
 
-    p must carry the step's unscaled root power sums extended through the
-    truncation order; the update at node i and coefficient k subtracts
+    p must carry the step's unscaled root power sums p_0..p_N (p_0 = m)
+    extended through the truncation order N; the update at node i and
+    coefficient k subtracts
 
         d_i a_{i,node} p_k
         + sum_{0<=s<=k-2, k+s even} 2^{s-k} (d_i a_{i,node})^{k+1-s}
               C(k+1,s)/(k+1) p_s
     """
-    if p.degree != m:
+    if p[0] != m:
         raise ValueError("power-sum degree does not match the step exponent")
-    if p.top_index < state.order:
+    if len(p) <= state.order:
         raise ValueError("power sums must be extended through the series order")
     state.cursor += 1
     if m == 0:
@@ -215,19 +232,16 @@ def apply_step(state: WalkState, node: int, m: int, p: PowerSums) -> WalkState:
     c = node
     for i in range(1, state.cartan.rank + 1):
         dai = state.cartan.di(i) * state.cartan.aij(i, c)
-        delta = [ParamPoly()]  # constant term of the H-series stays zero
+        row = state.series[i - 1]
         for k in range(state.order):
-            term = dai * p.p(k)
+            term = dai * p[k]
             for s in range(0, k - 1):
                 if (k + s) % 2 == 0:
                     term = term + (
                         Fraction(dai) ** (k + 1 - s)
                         * Fraction(math.comb(k + 1, s), (k + 1) * 2 ** (k - s))
-                    ) * p.p(s)
-            delta.append(term)
-        state.series[i - 1] = state.series[i - 1] - ParamSeries(
-            delta, order=state.order
-        )
+                    ) * p[s]
+            row[k + 1] = row[k + 1] - term
     # weight drops by m * alpha_c; alpha_c has weight coordinates A[:, c]
     state.weight = tuple(
         w - m * state.cartan.aij(i, c)
@@ -235,6 +249,20 @@ def apply_step(state: WalkState, node: int, m: int, p: PowerSums) -> WalkState:
     )
     _check_weight_bookkeeping(state)
     return state
+
+
+def _record(j: int, node: int, m: int, d: int, p, crosscheck) -> StepRecord:
+    """The step's record, with its power sums and polynomial lifted to a."""
+    lifted = _lift(p)
+    rescaled = PowerSums(m, tuple(lifted[k] / Fraction(d) ** k for k in range(1, m + 1)))
+    return StepRecord(
+        step=j,
+        node=node,
+        exponent=m,
+        poly=power_sums_to_monic(rescaled),
+        power_sums=PowerSums(m, tuple(lifted[1:])),
+        crosscheck_ok=crosscheck,
+    )
 
 
 def run_walk(
@@ -261,15 +289,15 @@ def run_walk(
     state = init_walk(cartan, fundamental, order)
     _check_weight_bookkeeping(state)
     records: list[StepRecord] = []
-    checked: dict[int, ParamSeries] = {}  # {node: series} of the latest crosscheck
+    checked: dict[int, list[Fraction]] = {}  # {node: series} of the latest crosscheck
     for j in range(len(exps.word), 0, -1):
         node = exps.word[j - 1]
         m = exps.exponents[j - 1]
-        poly, sums = extract_step_poly(state, node, m)
-        apply_step(state, node, m, sums)
+        p = extract_step_poly(state, node, m)
+        apply_step(state, node, m, p)
         crosscheck: bool | None = None
         if m > 0:
-            expected = shift_log_series(sums, -cartan.di(node), order)
+            expected = shift_log_series(p, -cartan.di(node), order)
             checked = {node: expected}
             crosscheck = state.series[node - 1] == expected
             if not crosscheck:
@@ -277,16 +305,7 @@ def run_walk(
                     f"lowest-vector crosscheck failed at step {j} "
                     f"(node {node}, exponent {m})"
                 )
-        records.append(
-            StepRecord(
-                step=j,
-                node=node,
-                exponent=m,
-                poly=poly,
-                power_sums=sums,
-                crosscheck_ok=crosscheck,
-            )
-        )
+        records.append(_record(j, node, m, cartan.di(node), p, crosscheck))
     if state.weight != lowest_weight(cartan, cartan.fundamental(fundamental)):
         raise CrosscheckError(
             f"walk did not land on the lowest weight: ended at {state.weight}"
@@ -295,7 +314,7 @@ def run_walk(
     # of the last positive step, whose series must be the one crosschecked
     # there; at every other node the lowest-vector series is zero
     for i in range(1, cartan.rank + 1):
-        if state.series[i - 1] != checked.get(i, ParamSeries.zero(order)):
+        if state.series[i - 1] != checked.get(i, [0] * (order + 1)):
             raise CrosscheckError(f"node {i} series is not a lowest-vector series")
     return WalkReport(
         cartan=cartan,

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ywalk import cli, cyclicity, validate_cartan, walk
+from ywalk import cli, validate_cartan, walk
 from ywalk.cli import CliInputError, main, parse_factors, parse_gaussian
 from ywalk.exact import GaussianRational
 
@@ -204,19 +204,6 @@ def test_order_ceiling_is_accepted(capsys):
     assert env["order"] == 64
 
 
-def test_wrong_root_slope_exits_three(capsys, monkeypatch):
-    real = cyclicity.roots_affine_in_param
-
-    def doubled_slopes(poly):
-        return [(2 * slope, intercept) for slope, intercept in real(poly)]
-
-    monkeypatch.setattr(cyclicity, "roots_affine_in_param", doubled_slopes)
-    assert main(["tables"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "internal invariant violation: root slope" in captured.err
-
-
 def test_unexpected_exception_exits_three(capsys, monkeypatch):
     def broken_walk(*args, **kwargs):
         raise ZeroDivisionError("division by zero")
@@ -246,6 +233,19 @@ def _undecodable_algebra_file(tmp_path):
     return ["path", "--algebra", str(algebra)], "cannot read algebra file"
 
 
+def _bound_past_digit_limit(tmp_path):
+    return ["dim", "--weights", "5000,0", "--fund-dims", "14,7"], "too large to print"
+
+
+def _weyl_module_bound_past_digit_limit(tmp_path):
+    pi1 = ",".join(["0"] * 5000)
+    return ["weyl-module", "--pi1", pi1, "--fund-dims", "14,7"], "too large to print"
+
+
+def _algebra_name_too_long(tmp_path):
+    return ["path", "--algebra", "x" * 5000], "unknown algebra"
+
+
 def _config_case(data, message):
     def case(tmp_path):
         config = tmp_path / "dims.json"
@@ -261,6 +261,9 @@ def _config_case(data, message):
         _order_below_max_exponent,
         _integer_past_digit_limit,
         _undecodable_algebra_file,
+        _bound_past_digit_limit,
+        _weyl_module_bound_past_digit_limit,
+        _algebra_name_too_long,
         pytest.param(
             _config_case(b'{"fund_dims": [14, 7]} \xff\xfe', "cannot read config"),
             id="config-undecodable",
@@ -288,7 +291,7 @@ def test_input_cases_exit_two_with_one_line(capsys, tmp_path, case):
 
 
 def test_unextended_power_sums_exit_three(capsys, monkeypatch):
-    monkeypatch.setattr(walk, "extend_power_sums", lambda p, order: p)
+    monkeypatch.setattr(walk, "_newton_extend", lambda m, values, top: list(values))
     assert main(["walk", "--weight", "1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

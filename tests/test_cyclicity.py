@@ -20,8 +20,8 @@ from ywalk.cyclicity import (
     dimension_bound,
     q_exponent_image,
 )
-from ywalk.exact import A, GaussianRational, SymbolicRootsUnavailable, UniPoly
-from ywalk.walk import CrosscheckError, StepRecord, WalkReport, run_walk
+from ywalk.exact import GaussianRational, SymbolicRootsUnavailable, UniPoly
+from ywalk.walk import StepRecord, WalkReport, run_walk
 
 EXPECTED_T = {
     (1, 1): ((F(1, 3), F(0)), (F(1, 3), F(1, 3)), (F(1, 3), F(2, 3)), (F(1, 3), F(1))),
@@ -81,28 +81,6 @@ def test_t_sets_propagate_unavailable_roots(g2, g2_reports):
         records=(bad,),
     )
     with pytest.raises(SymbolicRootsUnavailable):
-        compute_t_sets([fake])
-
-
-def test_t_sets_reject_wrong_slope(g2, g2_reports):
-    base = g2_reports[0]
-    bad = StepRecord(
-        step=1,
-        node=1,
-        exponent=1,
-        poly=UniPoly.from_roots([2 * A]),  # slope 2 instead of 1/3
-        power_sums=base.rows()[0].power_sums,
-        crosscheck_ok=True,
-    )
-    fake = WalkReport(
-        cartan=base.cartan,
-        fundamental=1,
-        word=base.word,
-        exponents=base.exponents,
-        order=base.order,
-        records=(bad,),
-    )
-    with pytest.raises(CrosscheckError):
         compute_t_sets([fake])
 
 
@@ -222,7 +200,7 @@ def _pairwise_reference(factors, s_sets, mode):
             if key not in smap:
                 raise ValueError(f"no S set for node pair {key}")
             diff = fj.param - fi.param
-            if diff.is_real and diff.re in smap[key].values:
+            if diff.im == 0 and diff.re in smap[key].values:
                 out.append((i, j, diff, diff.re))
     return out
 

@@ -19,34 +19,43 @@ from ywalk.exact import (
     SymbolicRootsUnavailable,
     UniPoly,
     _divisors,
+    _newton_extend,
     _rational_roots,
-    extend_power_sums,
     power_sums_to_monic,
-    roots_affine_in_param,
     series_exp,
     series_from_poly_ratio,
     series_log,
     series_rescale,
     shift_log_series,
 )
+from ywalk.cyclicity import row_roots
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 param_polys = st.lists(rationals, min_size=0, max_size=3).map(ParamPoly)
 
 
-def scaled(s: ParamSeries, c: F) -> ParamSeries:
-    return ParamSeries((x * c for x in s.coeffs), order=s.order)
+def plus_scaled(acc: ParamSeries, s: ParamSeries, c: F) -> ParamSeries:
+    """acc + c*s, coefficient by coefficient."""
+    return ParamSeries((x + y * c for x, y in zip(acc.coeffs, s.coeffs)), order=acc.order)
+
+
+def power_sums(roots, top_index):
+    """[p_0, p_1, ..., p_top_index] of an explicit root multiset, p_0 the count."""
+    rs = [r if isinstance(r, ParamPoly) else ParamPoly.const(r) for r in roots]
+    return [ParamPoly.const(len(rs))] + [
+        sum((r**k for r in rs), ParamPoly()) for k in range(1, top_index + 1)
+    ]
 
 
 def log_by_powers(s: ParamSeries) -> ParamSeries:
     """Reference log: sum_k (-1)^{k+1} (s-1)^k / k, cubic in the order."""
     n = s.order
-    x = s - ParamSeries.one(n)
-    out = ParamSeries.zero(n)
+    x = ParamSeries([0, *s.coeffs[1:]], order=n)  # s - 1
+    out = ParamSeries((), order=n)
     power = ParamSeries.one(n)
     for k in range(1, n + 1):
         power = power * x
-        out = out + scaled(power, F((-1) ** (k + 1), k))
+        out = plus_scaled(out, power, F((-1) ** (k + 1), k))
     return out
 
 
@@ -59,7 +68,7 @@ def exp_by_powers(s: ParamSeries) -> ParamSeries:
     for k in range(1, n + 1):
         power = power * s
         fact *= k
-        out = out + scaled(power, F(1, fact))
+        out = plus_scaled(out, power, F(1, fact))
     return out
 
 
@@ -103,16 +112,11 @@ def test_uni_poly_from_roots_and_shift():
     assert not UniPoly([1, ParamPoly((0, 2))]).monic
 
 
-def test_uni_poly_scale_var():
-    p = UniPoly.from_roots([A, A + 3])
-    assert p.scale_var(3) == UniPoly.from_roots([A / 3, (A + 3) / 3])
-
-
 def test_gaussian_rational():
     x = GaussianRational(F(1, 2), F(-2))
     y = GaussianRational(F(3), F(2))
     assert x + y == GaussianRational(F(7, 2), F(0))
-    assert (x - x).is_real
+    assert (x - x).im == 0
     assert str(y) == "3+2i"
     assert str(GaussianRational(F(-1), F(2, 3))) == "-1+2/3i"
     assert str(x) == "1/2-2i"
@@ -159,7 +163,7 @@ def test_ratio_errors():
 
 
 def test_log_of_one_is_zero():
-    assert series_log(ParamSeries.one(6)) == ParamSeries.zero(6)
+    assert series_log(ParamSeries.one(6)) == ParamSeries((), order=6)
 
 
 @pytest.mark.parametrize("c", [ParamPoly.const(2), A, A - F(1, 2)])
@@ -200,7 +204,7 @@ def test_log_requires_unit_constant_term():
 
 
 def test_exp_of_zero_is_one():
-    assert series_exp(ParamSeries.zero(5)) == ParamSeries.one(5)
+    assert series_exp(ParamSeries((), order=5)) == ParamSeries.one(5)
 
 
 def test_exp_low_order_pattern():
@@ -263,13 +267,18 @@ affine_roots = st.lists(
 def test_shift_log_series_matches_ratio_log(roots, shift, order):
     pi = UniPoly.from_roots(roots)
     expected = series_log(series_from_poly_ratio(pi.shift(shift), pi, order))
-    sums = PowerSums.of_roots(roots, max(order, len(roots)))
-    assert shift_log_series(sums, shift, order) == expected
+    sums = power_sums(roots, max(order, len(roots)))
+    assert ParamSeries(shift_log_series(sums, shift, order), order=order) == expected
+    # the same coefficients over Fraction at a = 0
+    at_zero = [c.evaluate(0) for c in sums]
+    assert shift_log_series(at_zero, shift, order) == [
+        c.evaluate(0) for c in expected.coeffs
+    ]
 
 
 def test_shift_log_series_needs_enough_power_sums():
-    sums = PowerSums.of_roots([A, A + 1], 3)
-    assert shift_log_series(sums, 1, 4).order == 4  # p_1..p_3 suffice
+    sums = power_sums([A, A + 1], 3)
+    assert len(shift_log_series(sums, 1, 4)) == 5  # p_1..p_3 suffice for u^-4
     with pytest.raises(ValueError):
         shift_log_series(sums, 1, 5)
 
@@ -344,17 +353,20 @@ def test_power_sums_to_monic_symbolic():
 @settings(max_examples=60, deadline=None)
 @given(st.lists(rationals, min_size=0, max_size=6))
 def test_power_sums_roundtrip_random_multisets(roots):
-    sums = PowerSums.of_roots(roots, max(len(roots), 1))
+    sums = PowerSums(len(roots), tuple(power_sums(roots, max(len(roots), 1))[1:]))
     assert power_sums_to_monic(sums) == UniPoly.from_roots(roots)
 
 
 def test_extend_power_sums():
-    assert extend_power_sums(PowerSums(2, (5, 13)), 3).p(3) == ParamPoly.const(35)
-    single = extend_power_sums(PowerSums(1, (A + 2,)), 5)
+    # the Newton recurrence over both scalar types
+    assert _newton_extend(2, [F(5), F(13)], 3) == [5, 13, 35]
+    assert _newton_extend(2, [ParamPoly.const(5), ParamPoly.const(13)], 3)[2] == 35
+    single = _newton_extend(1, [A + 2], 5)
     for k in range(1, 6):
-        assert single.p(k) == (A + 2) ** k
-    empty = extend_power_sums(PowerSums(0, ()), 4)
-    assert all(empty.p(k) == ParamPoly() for k in range(1, 5))
+        assert single[k - 1] == (A + 2) ** k
+    assert _newton_extend(1, [F(2)], 5) == [2**k for k in range(1, 6)]
+    empty = _newton_extend(0, [], 4)
+    assert all(p == ParamPoly() for p in empty)
 
 
 def test_power_sums_tail_validation():
@@ -368,7 +380,7 @@ def test_power_sums_tail_validation():
 
 def test_roots_affine_paper_pair():
     poly = UniPoly.from_roots([(A + 1) / 3, (A + 2) / 3])
-    assert roots_affine_in_param(poly) == [
+    assert row_roots(poly, 3) == [
         (F(1, 3), F(1, 3)),
         (F(1, 3), F(2, 3)),
     ]
@@ -377,36 +389,27 @@ def test_roots_affine_paper_pair():
 def test_roots_affine_by_inspection():
     # u^2 - 2au + (a^2 - 1) = (u - (a-1))(u - (a+1))
     poly = UniPoly([A * A - 1, -2 * A, 1])
-    assert roots_affine_in_param(poly) == [(F(1), F(-1)), (F(1), F(1))]
+    assert row_roots(poly, 1) == [(F(1), F(-1)), (F(1), F(1))]
 
 
 def test_roots_affine_unavailable():
-    with pytest.raises(SymbolicRootsUnavailable):
-        roots_affine_in_param(UniPoly([1, 0, 1]))  # u^2 + 1
-
-
-def test_roots_affine_requires_monic():
-    with pytest.raises(ValueError):
-        roots_affine_in_param(UniPoly([ParamPoly.const(1), ParamPoly.const(2)]))
+    with pytest.raises(
+        SymbolicRootsUnavailable,
+        match="specialization a=0 does not split over the rationals",
+    ):
+        row_roots(UniPoly([1, 0, 1]), 1)  # u^2 + 1
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.lists(
-        st.tuples(
-            st.fractions(min_value=-3, max_value=3, max_denominator=3),
-            st.fractions(min_value=-3, max_value=3, max_denominator=3),
-        ),
-        min_size=0,
-        max_size=4,
-    )
+    st.sampled_from((1, 2, 3)),
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3), max_size=4),
 )
-def test_roots_affine_reexpansion_matches_input(pairs):
-    poly = UniPoly.from_roots(ParamPoly((beta, alpha)) for alpha, beta in pairs)
-    try:
-        found = roots_affine_in_param(poly)
-    except SymbolicRootsUnavailable:
-        return  # crossing affine families may defeat sorted pairing
+def test_roots_affine_reexpansion_matches_input(d, intercepts):
+    # walk rows have roots a/d + beta; the a = 0 split must give them back
+    poly = UniPoly.from_roots(ParamPoly((beta, F(1, d))) for beta in intercepts)
+    found = row_roots(poly, d)
+    assert found == sorted((F(1, d), beta) for beta in intercepts)
     rebuilt = UniPoly.from_roots(ParamPoly((beta, alpha)) for alpha, beta in found)
     assert rebuilt == poly
 
@@ -476,36 +479,6 @@ def _split_outcome(split, q):
         return SymbolicRootsUnavailable
 
 
-# extra factors: none, irreducible, split at a = 0 and 1 but not at a = 2,
-# split at every integer a but not affinely, not split at a = 1
-EXTRA_FACTORS = (
-    UniPoly.one(),
-    UniPoly([1, 0, 1]),
-    UniPoly([-4 * A, 0, 1]),
-    UniPoly([-A * A, 1]),
-    UniPoly([-A - 1, 0, 1]),
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.sampled_from((F(0), F(1), F(1, 3), F(1, 2), F(-1))),
-            st.fractions(min_value=-3, max_value=3, max_denominator=3),
-        ),
-        max_size=4,
-    ),
-    st.sampled_from(range(len(EXTRA_FACTORS))),
-)
-def test_two_point_split_matches_reference(pairs, extra):
-    poly = UniPoly.from_roots(ParamPoly((beta, alpha)) for alpha, beta in pairs)
-    poly = poly * EXTRA_FACTORS[extra]
-    assert _split_outcome(roots_affine_in_param, poly) == _split_outcome(
-        _split_reference, poly
-    )
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=4), max_size=5),
@@ -527,5 +500,4 @@ def test_rational_roots_match_reference(roots, zeros, quadratic):
 def test_series_min_order_rule():
     long = ParamSeries([1, 2, 3, 4], order=3)
     short = ParamSeries([1, 1], order=1)
-    assert (long + short).order == 1
     assert (long * short).order == 1

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
 
-from ywalk import walk
+from ywalk import verify, walk
 from ywalk.cli import main
+from ywalk.cyclicity import row_roots
 from ywalk.exact import (
     A,
     ParamPoly,
@@ -19,9 +22,11 @@ from ywalk.exact import (
     series_log,
     series_rescale,
 )
+from ywalk.rootsystem import CartanData, lowest_weight, path_exponents, weyl_longest
 from ywalk.sl2 import EvalModule, GeneratorLabel
 from ywalk.walk import (
     CrosscheckError,
+    StepRecord,
     apply_step,
     extract_step_poly,
     init_walk,
@@ -29,6 +34,9 @@ from ywalk.walk import (
     solve_power_sums,
 )
 from ywalk.verify import G2_WORD, SAMPLE_A
+from ywalk.verify import _lifted_series as lifted  # H_i(u) in a, via coefficient
+
+from test_exact import _split_outcome, _split_reference
 
 # application order of (node, exponent) for the two flagship walks
 STEPS_W1 = ((2, 0), (1, 1), (2, 3), (1, 2), (2, 3), (1, 1))
@@ -38,9 +46,14 @@ STEPS_W2 = ((2, 1), (1, 1), (2, 2), (1, 1), (2, 1), (1, 0))
 def drive(g2, fundamental, steps):
     state = init_walk(g2, fundamental, 8)
     for node, m in steps:
-        _, sums = extract_step_poly(state, node, m)
+        sums = extract_step_poly(state, node, m)
         apply_step(state, node, m, sums)
     return state
+
+
+def poly_of(p, m, d) -> UniPoly:
+    """The table-row polynomial run_walk records for a=0 power sums p."""
+    return walk._record(1, 1, m, d, p, None).poly
 
 
 def test_init_walk_series(g2):
@@ -48,27 +61,28 @@ def test_init_walk_series(g2):
     expected = series_log(
         series_from_poly_ratio(UniPoly.from_roots([A - 3]), UniPoly.from_roots([A]), 8)
     )
-    assert state.series[0] == expected
-    assert state.series[1] == ParamSeries.zero(8)
+    assert lifted(state, 1) == expected
+    assert state.series[0] == [c.evaluate(0) for c in expected.coeffs]
+    assert state.series[1] == [0] * 9
     assert state.coefficient(1, 0) == ParamPoly.const(3)  # d_1 * weight coord
     state2 = init_walk(g2, 2, 8)
-    assert state2.series[0] == ParamSeries.zero(8)
+    assert state2.series[0] == [0] * 9
     assert state2.coefficient(2, 0) == ParamPoly.const(1)
 
 
 def test_first_extractions(g2):
     state = init_walk(g2, 1, 8)
-    extract_at_1 = extract_step_poly(state, 1, 1)[0]
+    extract_at_1 = poly_of(extract_step_poly(state, 1, 1), 1, 3)
     assert extract_at_1 == UniPoly.from_roots([A / 3])  # rescaled by d_1 = 3
     state = init_walk(g2, 2, 8)
-    assert extract_step_poly(state, 2, 1)[0] == UniPoly.from_roots([A])
+    assert poly_of(extract_step_poly(state, 2, 1), 1, 1) == UniPoly.from_roots([A])
 
 
 def test_second_walk_reaches_half_shifted_root(g2):
     state = init_walk(g2, 2, 8)
-    _, sums = extract_step_poly(state, 2, 1)
+    sums = extract_step_poly(state, 2, 1)
     apply_step(state, 2, 1, sums)
-    poly, _ = extract_step_poly(state, 1, 1)
+    poly = poly_of(extract_step_poly(state, 1, 1), 1, 3)
     assert poly == UniPoly.from_roots([A / 3 + F(1, 2)])
 
 
@@ -81,10 +95,10 @@ def test_zero_exponent_step_needs_a_zero_series(g2):
 
 def test_zero_exponent_step_is_inert(g2):
     state = init_walk(g2, 1, 8)
-    before = list(state.series)
-    poly, sums = extract_step_poly(state, 2, 0)
-    assert poly == UniPoly.one()
-    assert sums.degree == 0
+    before = [list(s) for s in state.series]
+    sums = extract_step_poly(state, 2, 0)
+    assert poly_of(sums, 0, 1) == UniPoly.one()
+    assert sums[0] == 0  # the degree
     apply_step(state, 2, 0, sums)
     assert state.series == before
 
@@ -95,18 +109,18 @@ def test_transport_anchors(g2):
     assert state.coefficient(1, 1) == 6 * A
     assert state.coefficient(1, 2) == 6 * A * A + 6
     # rescaled commuting generator at the long node: exp picks up 2a/3 + 2
-    h_tilde = series_exp(series_rescale(state.series[0], 3))
+    h_tilde = series_exp(series_rescale(lifted(state, 1), 3))
     assert h_tilde.coeff(2) == 2 * A / 3 + 2
     # one more long-node step: short-node h_{2,1} lands on 3(a + 7/2)
     state = drive(g2, 1, STEPS_W1[:4])
-    h2 = series_exp(state.series[1])
+    h2 = series_exp(lifted(state, 2))
     assert h2.coeff(2) == 3 * (A + F(7, 2))
 
 
 def test_weight_bookkeeping_along_walk(g2):
     state = init_walk(g2, 1, 8)
     for node, m in STEPS_W1:
-        _, sums = extract_step_poly(state, node, m)
+        sums = extract_step_poly(state, node, m)
         apply_step(state, node, m, sums)
         for i in (1, 2):
             assert state.coefficient(i, 0) == ParamPoly.const(
@@ -120,8 +134,8 @@ def test_reextraction_after_step_sees_the_same_roots(g2):
     # polynomial: solving with the negated shift recovers the power sums
     state = init_walk(g2, 1, 8)
     for node, m in STEPS_W1:
-        _, sums = extract_step_poly(state, node, m)
-        recorded = [sums.p(k) for k in range(m + 1)]
+        sums = extract_step_poly(state, node, m)
+        recorded = sums[: m + 1]
         apply_step(state, node, m, sums)
         if m:
             again = solve_power_sums(state.series[node - 1], -g2.di(node), m)
@@ -174,10 +188,10 @@ def test_rank_one_series_agree_with_matrix_module(a1):
             ]
             return series_log(ParamSeries(coeffs, order=8))
 
-        assert state.series[0].evaluate_param(a_val) == matrix_series(1)
-        _, sums = extract_step_poly(state, 1, 1)
+        assert lifted(state, 1).evaluate_param(a_val) == matrix_series(1)
+        sums = extract_step_poly(state, 1, 1)
         apply_step(state, 1, 1, sums)
-        assert state.series[0].evaluate_param(a_val) == matrix_series(0)
+        assert lifted(state, 1).evaluate_param(a_val) == matrix_series(0)
 
 
 def test_run_walk_alternate_reduced_word(g2):
@@ -199,7 +213,7 @@ def test_run_walk_rejects_bad_word(g2):
 
 def test_extract_needs_enough_order(g2):
     state = init_walk(g2, 1, 3)
-    state.series[1] = ParamSeries([0, 3, 0, 0], order=3)
+    state.series[1] = [F(0), F(3), F(0), F(0)]
     with pytest.raises(ValueError):
         extract_step_poly(state, 2, 3)
 
@@ -207,16 +221,14 @@ def test_extract_needs_enough_order(g2):
 def test_apply_step_requires_extended_sums(g2):
     state = init_walk(g2, 1, 8)
     with pytest.raises(ValueError):
-        apply_step(state, 1, 1, PowerSums(1, (A,)))  # not extended to order
+        apply_step(state, 1, 1, [F(1), F(0)])  # not extended to order
 
 
 # ------------------------------------------------------- crosscheck mutations
 
 
 def _bump(state, node, k):
-    coeffs = list(state.series[node - 1].coeffs)
-    coeffs[k] = coeffs[k] + 1
-    state.series[node - 1] = ParamSeries(coeffs, order=state.order)
+    state.series[node - 1][k] += 1
 
 
 def _off_by_one_transport(k):
@@ -275,3 +287,243 @@ def test_cli_reports_crosscheck_failure_as_exit_three(monkeypatch, capsys, mutat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "internal invariant violation" in captured.err
+
+
+# ------------------------------------------- the symbolic walk as reference
+#
+# The walk as it was written before it moved to a = 0: every coefficient a
+# ParamPoly, the parameter carried symbolically through every step.  It is
+# kept as it was, less its argument checks, with private copies of the exact
+# helpers it used, so that it shares no arithmetic with the a = 0 walk it
+# checks.
+
+
+def _ref_elementary_raw(m, values):
+    e = [ParamPoly.const(1)]
+    for k in range(1, m + 1):
+        acc = ParamPoly()
+        for i in range(1, k + 1):
+            term = values[i - 1] * e[k - i]
+            acc = acc + (term if i % 2 == 1 else -term)
+        e.append(acc / k)
+    return e[1:]
+
+
+def _ref_newton_extend(m, values, top_index):
+    if m == 0:
+        return [ParamPoly() for _ in range(top_index)]
+    e = _ref_elementary_raw(m, values)
+    vals = list(values[:m])
+    while len(vals) < top_index:
+        k = len(vals) + 1
+        acc = ParamPoly()
+        for i in range(1, m + 1):
+            prev = ParamPoly.const(m) if k - i == 0 else vals[k - i - 1]
+            term = e[i - 1] * prev
+            acc = acc + (term if i % 2 == 1 else -term)
+        vals.append(acc)
+    return vals
+
+
+def _ref_power_sums_to_monic(p):
+    m = p.degree
+    e = _ref_elementary_raw(m, p.values)
+    coeffs = [ParamPoly() for _ in range(m + 1)]
+    coeffs[m] = ParamPoly.const(1)
+    for k in range(1, m + 1):
+        coeffs[m - k] = e[k - 1] if k % 2 == 0 else -e[k - 1]
+    return UniPoly(coeffs)
+
+
+def _ref_shift_log_series(p, shift, order):
+    shift = F(shift)
+    out = [ParamPoly()]
+    for k in range(1, order + 1):
+        acc = ParamPoly()
+        for j in range(k):
+            acc = acc + (math.comb(k, j) * (-shift) ** (k - j)) * _ref_p(p, j)
+        out.append(acc / -k)
+    return ParamSeries(out, order=order)
+
+
+def _ref_zero(order):
+    return ParamSeries((), order=order)
+
+
+def _ref_p(p, k):
+    """p_k of a PowerSums, with p_0 the root count."""
+    return ParamPoly.const(p.degree) if k == 0 else p.values[k - 1]
+
+
+@dataclass
+class _RefState:
+    cartan: CartanData
+    order: int
+    series: list
+    weight: tuple
+
+
+def _ref_solve_power_sums(lam, shift, m):
+    shift = F(shift)
+    p = [ParamPoly.const(m)]
+    for k in range(1, m + 1):
+        acc = (k + 1) * lam.coeff(k + 1)
+        for s in range(k):
+            acc = acc + math.comb(k + 1, s) * (-shift) ** (k + 1 - s) * p[s]
+        p.append(acc / ((k + 1) * shift))
+    return p
+
+
+def _ref_extract_step_poly(state, node, m):
+    d = state.cartan.di(node)
+    if m == 0:
+        if state.series[node - 1] != _ref_zero(state.order):
+            raise CrosscheckError(f"node {node} series is nonzero at a zero exponent")
+        return UniPoly.one(), PowerSums(0, tuple(ParamPoly() for _ in range(state.order)))
+    p = _ref_solve_power_sums(state.series[node - 1], d, m)
+    rescaled = PowerSums(m, tuple(p[k] / F(d) ** k for k in range(1, m + 1)))
+    poly = _ref_power_sums_to_monic(rescaled)
+    unscaled = PowerSums(m, tuple(_ref_newton_extend(m, p[1:], state.order)))
+    if state.series[node - 1] != _ref_shift_log_series(unscaled, d, state.order):
+        raise CrosscheckError(
+            f"node {node} series is not a degree-{m} highest-weight series"
+        )
+    return poly, unscaled
+
+
+def _ref_apply_step(state, node, m, p):
+    if m == 0:
+        return state
+    c = node
+    for i in range(1, state.cartan.rank + 1):
+        dai = state.cartan.di(i) * state.cartan.aij(i, c)
+        delta = [ParamPoly()]
+        for k in range(state.order):
+            term = dai * _ref_p(p, k)
+            for s in range(0, k - 1):
+                if (k + s) % 2 == 0:
+                    term = term + (
+                        F(dai) ** (k + 1 - s)
+                        * F(math.comb(k + 1, s), (k + 1) * 2 ** (k - s))
+                    ) * _ref_p(p, s)
+            delta.append(term)
+        old = state.series[i - 1].coeffs
+        state.series[i - 1] = ParamSeries(
+            (x - y for x, y in zip(old, delta)), order=state.order
+        )
+    state.weight = tuple(
+        w - m * state.cartan.aij(i, c) for i, w in enumerate(state.weight, start=1)
+    )
+    return state
+
+
+def _symbolic_walk_reference(cartan, word, fundamental, order):
+    """(records, states): the symbolic walk's StepRecords and, after every
+    step, its node series as ParamSeries."""
+    exps = path_exponents(cartan, word, fundamental)
+    series = [_ref_zero(order) for _ in range(cartan.rank)]
+    series[fundamental - 1] = _ref_shift_log_series(
+        PowerSums(1, tuple(A**k for k in range(1, order + 1))),
+        cartan.di(fundamental),
+        order,
+    )
+    state = _RefState(cartan, order, series, cartan.fundamental(fundamental))
+    records, states = [], []
+    checked = {}
+    for j in range(len(exps.word), 0, -1):
+        node = exps.word[j - 1]
+        m = exps.exponents[j - 1]
+        poly, sums = _ref_extract_step_poly(state, node, m)
+        _ref_apply_step(state, node, m, sums)
+        crosscheck = None
+        if m > 0:
+            expected = _ref_shift_log_series(sums, -cartan.di(node), order)
+            checked = {node: expected}
+            crosscheck = state.series[node - 1] == expected
+            if not crosscheck:
+                raise CrosscheckError(f"lowest-vector crosscheck failed at step {j}")
+        records.append(StepRecord(j, node, m, poly, sums, crosscheck))
+        states.append(list(state.series))
+    assert state.weight == lowest_weight(cartan, cartan.fundamental(fundamental))
+    for i in range(1, cartan.rank + 1):
+        assert state.series[i - 1] == checked.get(i, _ref_zero(order))
+    return records, states
+
+
+def _assert_matches_reference(cartan, word, fundamental, order):
+    """run_walk and the step-by-step a = 0 state against the symbolic walk:
+    records (poly, power sums, flags) and every coefficient(i, k)."""
+    ref_records, ref_states = _symbolic_walk_reference(cartan, word, fundamental, order)
+    report = run_walk(cartan, word, fundamental, order)
+    assert len(report.records) == len(ref_records)
+    for got, want in zip(report.records, ref_records):
+        assert got.poly == want.poly, f"step {want.step}: {got.poly} != {want.poly}"
+        assert got.power_sums == want.power_sums, f"step {want.step}: power sums"
+        assert got.crosscheck_ok == want.crosscheck_ok, f"step {want.step}: flag"
+        assert got == want
+    state = init_walk(cartan, fundamental, order)
+    for rec, ref_series in zip(report.records, ref_states):
+        p = extract_step_poly(state, rec.node, rec.exponent)
+        apply_step(state, rec.node, rec.exponent, p)
+        for i in range(1, cartan.rank + 1):
+            for k in range(order):
+                assert state.coefficient(i, k) == ref_series[i - 1].coeff(k + 1), (
+                    f"step {rec.step}: H_{{{i},{k}}}"
+                )
+    return report
+
+
+G2_WORDS = (G2_WORD, (2, 1, 2, 1, 2, 1))
+
+# (algebra fixture, word or None for the lex-least word, fundamental, order)
+WALK_CASES = (
+    [("g2", w, b, n) for w in G2_WORDS for b in (1, 2) for n in (8, 20)]
+    + [("f4", None, b, 8) for b in (1, 2, 3, 4)]
+    + [("a1", None, 1, 8)]
+    + [(name, None, b, 8) for name in ("a2", "b2") for b in (1, 2)]
+)
+
+
+def _case_id(case):
+    name, word, b, n = case
+    return f"{name}-{''.join(map(str, word)) if word else 'lex'}-w{b}-n{n}"
+
+
+def _resolve(request, case):
+    name, word, b, n = case
+    cartan = request.getfixturevalue(name)
+    return cartan, word or weyl_longest(cartan), b, n
+
+
+@pytest.mark.parametrize("case", WALK_CASES, ids=_case_id)
+def test_walk_matches_symbolic_reference(request, case):
+    _assert_matches_reference(*_resolve(request, case))
+
+
+def test_a0_split_matches_split_reference(request):
+    # the a = 0 split against the deg+1-specialization split, on every row
+    for case in WALK_CASES:
+        cartan, word, fundamental, order = _resolve(request, case)
+        for rec in run_walk(cartan, word, fundamental, order).rows():
+            d = cartan.di(rec.node)
+            assert _split_outcome(lambda q: row_roots(q, d), rec.poly) == (
+                _split_outcome(_split_reference, rec.poly)
+            )
+
+
+def _lift_with_one_binomial_off(p):
+    """walk._lift with C(3, 1) read as 4."""
+    return [
+        ParamPoly(
+            (math.comb(k, i) + ((k, i) == (3, 1))) * p[k - i] for i in range(k + 1)
+        )
+        for k in range(len(p))
+    ]
+
+
+def test_lift_mutation_is_caught(g2, monkeypatch):
+    monkeypatch.setattr(walk, "_lift", _lift_with_one_binomial_off)
+    with pytest.raises((AssertionError, ValueError)):
+        _assert_matches_reference(g2, G2_WORD, 1, 8)
+    with pytest.raises(AssertionError, match="disagrees with the matrix module"):
+        verify._rank1_against_matrices()
