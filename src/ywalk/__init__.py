@@ -6,7 +6,6 @@ from .exact import (
     GaussianRational,
     ParamPoly,
     ParamSeries,
-    PowerSums,
     Rational,
     SymbolicRootsUnavailable,
     UniPoly,

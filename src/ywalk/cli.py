@@ -246,13 +246,11 @@ def _intercept_str(root: tuple[Fraction, Fraction]) -> str:
     return str(ParamPoly((beta, alpha)))
 
 
-def _walk_rows(report, cartan: CartanData) -> list[dict]:
+def _walk_rows(report) -> list[dict]:
     rows = []
     for rec in report.rows():
         try:
-            roots = [
-                _intercept_str(r) for r in row_roots(rec.poly, cartan.di(rec.node))
-            ]
+            roots = [_intercept_str(r) for r in row_roots(rec.row, rec.rescale)]
         except SymbolicRootsUnavailable:
             roots = None
         rows.append(
@@ -260,7 +258,7 @@ def _walk_rows(report, cartan: CartanData) -> list[dict]:
                 "step": rec.step,
                 "node": rec.node,
                 "exponent": rec.exponent,
-                "rescale": cartan.di(rec.node),
+                "rescale": rec.rescale,
                 "polynomial": str(rec.poly),
                 "roots": roots,
                 "crosscheck": rec.crosscheck_ok,
@@ -318,7 +316,7 @@ def _cmd_walk(args) -> tuple[int, dict]:
         "word": list(word),
         "weight": args.weight,
         "variable_note": "polynomials are in the rescaled variable u/d(node)",
-        "rows": _walk_rows(report, cartan),
+        "rows": _walk_rows(report),
     }
     inputs = {"weight": args.weight}
     return EXIT_OK, _envelope(args, label, experimental, inputs, results)

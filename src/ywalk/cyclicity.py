@@ -18,12 +18,13 @@ means "not certified", nothing stronger.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exact import GaussianRational, SymbolicRootsUnavailable, UniPoly, _rational_roots
+from .exact import GaussianRational, SymbolicRootsUnavailable, _rational_roots
 from .rootsystem import CartanData, weyl_dim
 from .walk import WalkReport
 
@@ -119,15 +120,15 @@ class DimensionReport:
     reference_fund_dims: tuple[int, ...]
 
 
-def row_roots(poly: UniPoly, d: int) -> list[tuple[Fraction, Fraction]]:
+def row_roots(row: Sequence[Fraction], d: int) -> list[tuple[Fraction, Fraction]]:
     """Roots a/d + beta of a walk row at a node with symmetrizer d, as
     sorted (1/d, beta) pairs with multiplicity.
 
-    The row's roots at a = 0 are the betas, so the row splits over the
-    rationals exactly when its a = 0 specialization does; otherwise
-    SymbolicRootsUnavailable.
+    ``row`` holds the row's ascending coefficients at a = 0, whose roots
+    are the betas, so the row splits over the rationals exactly when it
+    does at a = 0; otherwise SymbolicRootsUnavailable.
     """
-    betas = _rational_roots(poly.specialize(0))
+    betas = _rational_roots(row)
     if betas is None:
         raise SymbolicRootsUnavailable(
             "specialization a=0 does not split over the rationals"
@@ -151,7 +152,7 @@ def compute_t_sets(reports: Iterable[WalkReport]) -> list[TSet]:
             collected: set[tuple[Fraction, Fraction]] = set()
             for rec in rep.rows():
                 if rec.node == c:
-                    collected.update(row_roots(rec.poly, cartan.di(c)))
+                    collected.update(row_roots(rec.row, rec.rescale))
             out.append(TSet(b=rep.fundamental, c=c, roots=tuple(sorted(collected))))
     return out
 
@@ -264,7 +265,13 @@ def dimension_bound(
 ) -> DimensionReport:
     """Product bound prod_i D_i^{m_i} for the module with weight
     (m_1..m_l), with the classical Weyl-formula fundamental dimensions
-    reported alongside for reference."""
+    reported alongside for reference.
+
+    A product that could not be printed under the interpreter's int-to-str
+    digit limit raises ValueError before it is built: it has at least
+    sum_i m_i (bit_length(D_i) - 1) + 1 bits, and 2^(b-1) >= 10^limit once
+    b - 1 reaches the bit length of 10^limit.
+    """
     lam = tuple(int(x) for x in weight)
     dims = tuple(int(x) for x in fund_dims)
     if len(lam) != cartan.rank or len(dims) != cartan.rank:
@@ -273,6 +280,13 @@ def dimension_bound(
         raise ValueError("weight must be dominant")
     if any(x <= 0 for x in dims):
         raise ValueError("fundamental dimensions must be positive")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    min_bits = sum(m * (d.bit_length() - 1) for d, m in zip(dims, lam)) + 1
+    if limit and min_bits - 1 >= (10**limit).bit_length():
+        raise ValueError(
+            f"dimension bound too large to print: at least {min_bits} bits, "
+            f"more than {limit} digits"
+        )
     bound = 1
     for d, m in zip(dims, lam):
         bound *= d**m

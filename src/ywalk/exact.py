@@ -24,7 +24,6 @@ __all__ = [
     "ParamPoly",
     "UniPoly",
     "ParamSeries",
-    "PowerSums",
     "SymbolicRootsUnavailable",
     "A",
     "series_from_poly_ratio",
@@ -38,6 +37,14 @@ __all__ = [
 
 class SymbolicRootsUnavailable(Exception):
     """A root multiset affine in the parameter could not be recovered."""
+
+
+def _horner(coeffs: Sequence, x) -> Fraction:
+    """Value at x of the polynomial with the given ascending coefficients."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def _frac(value) -> Fraction:
@@ -64,15 +71,6 @@ class GaussianRational:
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
 
     def __str__(self) -> str:
         if self.im == 0:
@@ -109,11 +107,7 @@ class ParamPoly:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
 
     def evaluate(self, value) -> Fraction:
-        x = _frac(value)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coeffs, _frac(value))
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -140,9 +134,6 @@ class ParamPoly:
 
     def __sub__(self, other) -> "ParamPoly":
         return self + (-_as_param_poly(other))
-
-    def __rsub__(self, other) -> "ParamPoly":
-        return _as_param_poly(other) + (-self)
 
     def __mul__(self, other) -> "ParamPoly":
         other = _as_param_poly(other)
@@ -245,10 +236,6 @@ class UniPoly:
     def __hash__(self) -> int:
         return hash(("UniPoly", self.coeffs))
 
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.coeff(k) + other.coeff(k) for k in range(n))
-
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         if not self.coeffs or not other.coeffs:
             return UniPoly()
@@ -259,8 +246,9 @@ class UniPoly:
         return UniPoly(out)
 
     def shift(self, delta) -> "UniPoly":
-        """Substitute ``u -> u + delta`` for an exact rational ``delta``."""
-        d = _frac(delta)
+        """Substitute ``u -> u + delta`` for an exact rational or a
+        :class:`ParamPoly` ``delta``."""
+        d = delta if isinstance(delta, ParamPoly) else _frac(delta)
         n = self.degree
         out = [ParamPoly() for _ in range(n + 1)]
         for k, ck in enumerate(self.coeffs):
@@ -269,10 +257,6 @@ class UniPoly:
             for j in range(k + 1):
                 out[j] = out[j] + ck * (math.comb(k, j) * d ** (k - j))
         return UniPoly(out)
-
-    def specialize(self, value) -> tuple[Fraction, ...]:
-        """Coefficients over the rationals after substituting the parameter."""
-        return tuple(c.evaluate(value) for c in self.coeffs)
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -455,35 +439,6 @@ def series_rescale(s: ParamSeries, d) -> ParamSeries:
     )
 
 
-@dataclass(frozen=True)
-class PowerSums:
-    """Power sums p_1..p_K of a degree-m root multiset.
-
-    Entries beyond index m are determined by the first m through the Newton
-    recurrence; construction validates that property.
-    """
-
-    degree: int
-    values: tuple[ParamPoly, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "values", tuple(_as_param_poly(v) for v in self.values)
-        )
-        if self.degree < 0:
-            raise ValueError("degree must be non-negative")
-        if len(self.values) < self.degree:
-            raise ValueError(
-                f"need p_1..p_{self.degree}, got only {len(self.values)} entries"
-            )
-        if len(self.values) > self.degree:
-            expected = _newton_extend(
-                self.degree, self.values[: self.degree], len(self.values)
-            )
-            if tuple(expected) != self.values:
-                raise ValueError("tail entries violate the Newton recurrence")
-
-
 def _elementary_raw(m: int, values: Sequence) -> list:
     """e_1..e_m via Newton's identities, from p_1..p_m (any exact scalars)."""
     e: list = [1]
@@ -512,15 +467,14 @@ def _newton_extend(m: int, values: Sequence, top_index: int) -> list:
     return vals
 
 
-def power_sums_to_monic(p: PowerSums) -> UniPoly:
-    """Monic polynomial in ``u`` whose root multiset has the given power sums."""
-    m = p.degree
-    e = _elementary_raw(m, p.values)
-    coeffs = [0] * (m + 1)
-    coeffs[m] = 1
+def power_sums_to_monic(m: int, values: Sequence) -> list:
+    """Ascending coefficients of the monic degree-m polynomial whose roots
+    have the power sums p_1..p_m = values (any exact scalars)."""
+    e = _elementary_raw(m, values)
+    coeffs = [0] * m + [Fraction(1)]
     for k in range(1, m + 1):
         coeffs[m - k] = e[k - 1] if k % 2 == 0 else -e[k - 1]
-    return UniPoly(coeffs)
+    return coeffs
 
 
 def shift_log_series(p: Sequence, shift, order: int) -> list:

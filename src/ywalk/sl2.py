@@ -73,9 +73,6 @@ class EvalModule:
     def highest(self) -> ModuleVector:
         return self.basis_vector(self.m)
 
-    def lowest(self) -> ModuleVector:
-        return self.basis_vector(0)
-
     def matrix(self, g: GeneratorLabel) -> Matrix:
         # h levels up to 2*max_level are needed by the [x+_r, x-_s] = h_{r+s}
         # relation check.
@@ -226,29 +223,23 @@ def symmetrized_insertion_check(m: int, a, k: int) -> CheckReport:
     string a, a+1, ..., a+m-1."""
     mod = EvalModule(m, Fraction(a))
     report = CheckReport()
-    x0 = mod.matrix(GeneratorLabel("x-", 0))
-    xk = mod.matrix(GeneratorLabel("x-", k))
+    x0 = GeneratorLabel("x-", 0)
+    xk = GeneratorLabel("x-", k)
     top = mod.highest()
-
-    def apply(mat: Matrix, vec: ModuleVector) -> ModuleVector:
-        return tuple(
-            sum((row[c] * vec[c] for c in range(mod.dim)), Fraction(0)) for row in mat
-        )
-
     lhs = tuple(Fraction(0) for _ in range(mod.dim))
     for t in range(m):
         vec = top
         for _ in range(m - 1 - t):
-            vec = apply(x0, vec)
-        vec = apply(xk, vec)
+            vec = act(mod, x0, vec)
+        vec = act(mod, xk, vec)
         for _ in range(t):
-            vec = apply(x0, vec)
+            vec = act(mod, x0, vec)
         lhs = tuple(u + v for u, v in zip(lhs, vec))
 
     power_sum = sum((Fraction(a) + t - 1) ** k for t in range(1, m + 1))
     bottom = top
     for _ in range(m):
-        bottom = apply(x0, bottom)
+        bottom = act(mod, x0, bottom)
     rhs = tuple(power_sum * c for c in bottom)
     if all(c == 0 for c in bottom):
         report.record("(x-_0)^m annihilated the highest vector")

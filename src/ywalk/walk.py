@@ -25,8 +25,9 @@ The parameter a enters only as a translation: the shift automorphism
 x(u) -> x(u-b) of the Yangian sends V(a) to V(a+b) (Chari-Pressley, A Guide
 to Quantum Groups, 1994, ch. 12), so the walk at a is the walk at a = 0
 with every root moved by a.  The walk therefore runs on Fraction values at
-a = 0, and ``_lift`` turns them into polynomials in a where a caller reads
-them: the StepRecords and ``WalkState.coefficient``.
+a = 0 and keeps its StepRecords there.  A record's ``poly`` moves the row's
+roots by a/d when it is read, and ``WalkState.coefficient`` lifts the
+series coefficients through ``_lift``.
 """
 
 from __future__ import annotations
@@ -34,12 +35,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .exact import (
+    A,
     ParamPoly,
-    PowerSums,
     UniPoly,
+    _horner,
     _newton_extend,
     power_sums_to_monic,
     shift_log_series,
@@ -100,14 +103,33 @@ class WalkState:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One processed path step and its extracted data."""
+    """One processed path step and its extracted data, at a = 0."""
 
     step: int  # position j in the reduced word (1-based)
     node: int
     exponent: int
-    poly: UniPoly  # associated polynomial in the rescaled variable u/d_node
-    power_sums: PowerSums  # unscaled root power sums p_1..p_N
+    row: tuple[Fraction, ...]  # monic row in u/d_node at a = 0, ascending
+    rescale: int  # d_node
+    power_sums: tuple[Fraction, ...]  # unscaled root power sums p_0..p_N at a = 0
     crosscheck_ok: bool | None  # None for zero-exponent steps
+
+    @cached_property
+    def poly(self) -> UniPoly:
+        """The associated polynomial in u/d_node, in a: the row with every
+        root moved by a/d_node, lifted on first read.
+
+        Checked over the rationals at a = 1, where the row must have moved
+        by exactly 1/d_node: pi_1(x + 1/d) = pi_0(x) at x = 0..m.
+        """
+        lifted = UniPoly(self.row).shift(-A / self.rescale)
+        at_one = [c.evaluate(1) for c in lifted.coeffs]
+        step = Fraction(1, self.rescale)
+        for x in range(len(self.row)):
+            if _horner(at_one, x + step) != _horner(self.row, x):
+                raise CrosscheckError(
+                    f"row at step {self.step} did not move by a/{self.rescale}"
+                )
+        return lifted
 
 
 @dataclass(frozen=True)
@@ -252,15 +274,15 @@ def apply_step(state: WalkState, node: int, m: int, p: Sequence[Fraction]) -> Wa
 
 
 def _record(j: int, node: int, m: int, d: int, p, crosscheck) -> StepRecord:
-    """The step's record, with its power sums and polynomial lifted to a."""
-    lifted = _lift(p)
-    rescaled = PowerSums(m, tuple(lifted[k] / Fraction(d) ** k for k in range(1, m + 1)))
+    """The step's record: its power sums and its row in u/d, at a = 0."""
+    row = power_sums_to_monic(m, [p[k] / Fraction(d) ** k for k in range(1, m + 1)])
     return StepRecord(
         step=j,
         node=node,
         exponent=m,
-        poly=power_sums_to_monic(rescaled),
-        power_sums=PowerSums(m, tuple(lifted[1:])),
+        row=tuple(row),
+        rescale=d,
+        power_sums=tuple(p),
         crosscheck_ok=crosscheck,
     )
 

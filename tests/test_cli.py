@@ -237,6 +237,12 @@ def _bound_past_digit_limit(tmp_path):
     return ["dim", "--weights", "5000,0", "--fund-dims", "14,7"], "too large to print"
 
 
+def _bound_rejected_before_it_is_built(tmp_path):
+    # 14^(10^12) has about 3.8 * 10^12 bits; building it would not finish
+    weights = f"{10**12},0"
+    return ["dim", "--weights", weights, "--fund-dims", "14,7"], "too large to print"
+
+
 def _weyl_module_bound_past_digit_limit(tmp_path):
     pi1 = ",".join(["0"] * 5000)
     return ["weyl-module", "--pi1", pi1, "--fund-dims", "14,7"], "too large to print"
@@ -262,6 +268,7 @@ def _config_case(data, message):
         _integer_past_digit_limit,
         _undecodable_algebra_file,
         _bound_past_digit_limit,
+        _bound_rejected_before_it_is_built,
         _weyl_module_bound_past_digit_limit,
         _algebra_name_too_long,
         pytest.param(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -20,7 +21,7 @@ from ywalk.cyclicity import (
     dimension_bound,
     q_exponent_image,
 )
-from ywalk.exact import GaussianRational, SymbolicRootsUnavailable, UniPoly
+from ywalk.exact import GaussianRational, SymbolicRootsUnavailable
 from ywalk.walk import StepRecord, WalkReport, run_walk
 
 EXPECTED_T = {
@@ -68,7 +69,8 @@ def test_t_sets_propagate_unavailable_roots(g2, g2_reports):
         step=1,
         node=2,
         exponent=2,
-        poly=UniPoly([1, 0, 1]),
+        row=(F(1), F(0), F(1)),
+        rescale=1,
         power_sums=base.rows()[0].power_sums,
         crosscheck_ok=True,
     )
@@ -343,6 +345,15 @@ def test_dimension_bound(g2):
         dimension_bound((-1, 0), (14, 7), g2)
     with pytest.raises(ValueError):
         dimension_bound((1, 0), (0, 7), g2)
+
+
+def test_dimension_bound_past_the_digit_limit_is_never_built(g2):
+    limit = sys.get_int_max_str_digits()
+    # 16^m = 2^(4m), and 2^(4m) < 10^limit exactly when 4m < bit_length(10^limit)
+    m = ((10**limit).bit_length() - 1) // 4
+    assert len(str(dimension_bound((m, 0), (16, 1), g2).bound)) <= limit
+    with pytest.raises(ValueError, match="too large to print"):
+        dimension_bound((m + 1, 0), (16, 1), g2)
 
 
 def test_q_exponent_image_diagonal(g2, g2_s_sets):

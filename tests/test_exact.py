@@ -15,7 +15,6 @@ from ywalk.exact import (
     GaussianRational,
     ParamPoly,
     ParamSeries,
-    PowerSums,
     SymbolicRootsUnavailable,
     UniPoly,
     _divisors,
@@ -72,6 +71,11 @@ def exp_by_powers(s: ParamSeries) -> ParamSeries:
     return out
 
 
+def at(q: UniPoly, a) -> list[F]:
+    """Ascending coefficients of q with the parameter set to a."""
+    return [c.evaluate(a) for c in q.coeffs]
+
+
 def poly_tail(p: UniPoly, order: int) -> ParamSeries:
     """p(u)/u^deg as a series in u^{-1}: the long-division oracle's basis."""
     g = p.degree
@@ -108,6 +112,8 @@ def test_uni_poly_from_roots_and_shift():
     assert quad.shift(1) == UniPoly.from_roots([1, 2])
     sym = UniPoly.from_roots([A, A + 2])
     assert sym.shift(-3) == UniPoly.from_roots([A + 3, A + 5])
+    # a parameter shift: u -> u - a/3 moves every root up by a/3
+    assert quad.shift(-A / 3) == UniPoly.from_roots([A / 3 + 2, A / 3 + 3])
     assert sym.monic
     assert not UniPoly([1, ParamPoly((0, 2))]).monic
 
@@ -336,25 +342,29 @@ def test_rescale_rejects_zero():
 
 
 def test_power_sums_to_monic_frozen():
-    assert power_sums_to_monic(PowerSums(2, (5, 13))) == UniPoly.from_roots([2, 3])
+    assert power_sums_to_monic(2, (F(5), F(13))) == [6, -5, 1]  # roots 2, 3
 
 
 def test_power_sums_degree_zero():
-    assert power_sums_to_monic(PowerSums(0, ())) == UniPoly.one()
+    assert power_sums_to_monic(0, ()) == [1]
 
 
 def test_power_sums_to_monic_symbolic():
     p1 = 2 * A / 3 + 1
     p2 = ((A + 1) ** 2 + (A + 2) ** 2) / 9
-    poly = power_sums_to_monic(PowerSums(2, (p1, p2)))
+    poly = UniPoly(power_sums_to_monic(2, (p1, p2)))
     assert poly == UniPoly.from_roots([(A + 1) / 3, (A + 2) / 3])
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(rationals, min_size=0, max_size=6))
 def test_power_sums_roundtrip_random_multisets(roots):
-    sums = PowerSums(len(roots), tuple(power_sums(roots, max(len(roots), 1))[1:]))
-    assert power_sums_to_monic(sums) == UniPoly.from_roots(roots)
+    m = len(roots)
+    sums = power_sums(roots, m)[1:]
+    assert UniPoly(power_sums_to_monic(m, sums)) == UniPoly.from_roots(roots)
+    # the same multiset over Fraction, as the walk calls it
+    at_zero = [p.evaluate(0) for p in sums]
+    assert power_sums_to_monic(m, at_zero) == at(UniPoly.from_roots(roots), 0)
 
 
 def test_extend_power_sums():
@@ -369,18 +379,12 @@ def test_extend_power_sums():
     assert all(p == ParamPoly() for p in empty)
 
 
-def test_power_sums_tail_validation():
-    with pytest.raises(ValueError):
-        PowerSums(1, (ParamPoly.const(2), ParamPoly.const(5)))  # p_2 must be 4
-    PowerSums(1, (ParamPoly.const(2), ParamPoly.const(4)))  # consistent tail ok
-
-
 # ------------------------------------------------------------ affine roots
 
 
 def test_roots_affine_paper_pair():
     poly = UniPoly.from_roots([(A + 1) / 3, (A + 2) / 3])
-    assert row_roots(poly, 3) == [
+    assert row_roots(at(poly, 0), 3) == [
         (F(1, 3), F(1, 3)),
         (F(1, 3), F(2, 3)),
     ]
@@ -389,7 +393,7 @@ def test_roots_affine_paper_pair():
 def test_roots_affine_by_inspection():
     # u^2 - 2au + (a^2 - 1) = (u - (a-1))(u - (a+1))
     poly = UniPoly([A * A - 1, -2 * A, 1])
-    assert row_roots(poly, 1) == [(F(1), F(-1)), (F(1), F(1))]
+    assert row_roots(at(poly, 0), 1) == [(F(1), F(-1)), (F(1), F(1))]
 
 
 def test_roots_affine_unavailable():
@@ -397,7 +401,7 @@ def test_roots_affine_unavailable():
         SymbolicRootsUnavailable,
         match="specialization a=0 does not split over the rationals",
     ):
-        row_roots(UniPoly([1, 0, 1]), 1)  # u^2 + 1
+        row_roots([F(1), F(0), F(1)], 1)  # u^2 + 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -408,7 +412,7 @@ def test_roots_affine_unavailable():
 def test_roots_affine_reexpansion_matches_input(d, intercepts):
     # walk rows have roots a/d + beta; the a = 0 split must give them back
     poly = UniPoly.from_roots(ParamPoly((beta, F(1, d))) for beta in intercepts)
-    found = row_roots(poly, d)
+    found = row_roots(at(poly, 0), d)
     assert found == sorted((F(1, d), beta) for beta in intercepts)
     rebuilt = UniPoly.from_roots(ParamPoly((beta, alpha)) for alpha, beta in found)
     assert rebuilt == poly
@@ -461,7 +465,7 @@ def _split_reference(q):
         return []
     table = []
     for a0 in range(n + 1):
-        rs = _rational_roots_reference(q.specialize(F(a0)))
+        rs = _rational_roots_reference(at(q, F(a0)))
         if rs is None:
             raise SymbolicRootsUnavailable(f"specialization a={a0} does not split")
         table.append(rs)
@@ -472,9 +476,9 @@ def _split_reference(q):
     return sorted(candidates)
 
 
-def _split_outcome(split, q):
+def _split_outcome(split, *args):
     try:
-        return split(q)
+        return split(*args)
     except SymbolicRootsUnavailable:
         return SymbolicRootsUnavailable
 
@@ -490,7 +494,7 @@ def test_rational_roots_match_reference(roots, zeros, quadratic):
     poly = UniPoly.from_roots(ParamPoly.const(r) for r in roots + [F(0)] * zeros)
     if quadratic:
         poly = poly * UniPoly(quadratic)
-    coeffs = poly.specialize(F(0))
+    coeffs = at(poly, F(0))
     found = _rational_roots(coeffs)
     assert found == _rational_roots_reference(coeffs)
     if not quadratic:

@@ -38,7 +38,7 @@ def test_act_lowering_kills_bottom():
     mod = EvalModule(3, F(1))
     for k in range(4):
         assert all(
-            c == 0 for c in act(mod, GeneratorLabel("x-", k), mod.lowest())
+            c == 0 for c in act(mod, GeneratorLabel("x-", k), mod.basis_vector(0))
         )
     assert all(c == 0 for c in act(mod, GeneratorLabel("x+", 2), mod.highest()))
 

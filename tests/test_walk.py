@@ -5,17 +5,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction as F
+from typing import NamedTuple
 
 import pytest
 
 from ywalk import verify, walk
 from ywalk.cli import main
-from ywalk.cyclicity import row_roots
+from ywalk.cyclicity import compute_t_sets, row_roots
 from ywalk.exact import (
     A,
     ParamPoly,
     ParamSeries,
-    PowerSums,
     UniPoly,
     series_exp,
     series_from_poly_ratio,
@@ -26,7 +26,6 @@ from ywalk.rootsystem import CartanData, lowest_weight, path_exponents, weyl_lon
 from ywalk.sl2 import EvalModule, GeneratorLabel
 from ywalk.walk import (
     CrosscheckError,
-    StepRecord,
     apply_step,
     extract_step_poly,
     init_walk,
@@ -295,7 +294,23 @@ def test_cli_reports_crosscheck_failure_as_exit_three(monkeypatch, capsys, mutat
 # ParamPoly, the parameter carried symbolically through every step.  It is
 # kept as it was, less its argument checks, with private copies of the exact
 # helpers it used, so that it shares no arithmetic with the a = 0 walk it
-# checks.
+# checks.  Its power sums and records are test-local tuples.
+
+
+class _RefSums(NamedTuple):
+    """p_1, p_2, ... of a root multiset of the given degree, in a."""
+
+    degree: int
+    values: tuple
+
+
+class _RefRecord(NamedTuple):
+    step: int
+    node: int
+    exponent: int
+    poly: UniPoly
+    power_sums: _RefSums
+    crosscheck_ok: bool | None
 
 
 def _ref_elementary_raw(m, values):
@@ -351,7 +366,7 @@ def _ref_zero(order):
 
 
 def _ref_p(p, k):
-    """p_k of a PowerSums, with p_0 the root count."""
+    """p_k of a _RefSums, with p_0 the root count."""
     return ParamPoly.const(p.degree) if k == 0 else p.values[k - 1]
 
 
@@ -379,11 +394,11 @@ def _ref_extract_step_poly(state, node, m):
     if m == 0:
         if state.series[node - 1] != _ref_zero(state.order):
             raise CrosscheckError(f"node {node} series is nonzero at a zero exponent")
-        return UniPoly.one(), PowerSums(0, tuple(ParamPoly() for _ in range(state.order)))
+        return UniPoly.one(), _RefSums(0, tuple(ParamPoly() for _ in range(state.order)))
     p = _ref_solve_power_sums(state.series[node - 1], d, m)
-    rescaled = PowerSums(m, tuple(p[k] / F(d) ** k for k in range(1, m + 1)))
+    rescaled = _RefSums(m, tuple(p[k] / F(d) ** k for k in range(1, m + 1)))
     poly = _ref_power_sums_to_monic(rescaled)
-    unscaled = PowerSums(m, tuple(_ref_newton_extend(m, p[1:], state.order)))
+    unscaled = _RefSums(m, tuple(_ref_newton_extend(m, p[1:], state.order)))
     if state.series[node - 1] != _ref_shift_log_series(unscaled, d, state.order):
         raise CrosscheckError(
             f"node {node} series is not a degree-{m} highest-weight series"
@@ -418,12 +433,12 @@ def _ref_apply_step(state, node, m, p):
 
 
 def _symbolic_walk_reference(cartan, word, fundamental, order):
-    """(records, states): the symbolic walk's StepRecords and, after every
+    """(records, states): the symbolic walk's _RefRecords and, after every
     step, its node series as ParamSeries."""
     exps = path_exponents(cartan, word, fundamental)
     series = [_ref_zero(order) for _ in range(cartan.rank)]
     series[fundamental - 1] = _ref_shift_log_series(
-        PowerSums(1, tuple(A**k for k in range(1, order + 1))),
+        _RefSums(1, tuple(A**k for k in range(1, order + 1))),
         cartan.di(fundamental),
         order,
     )
@@ -442,7 +457,7 @@ def _symbolic_walk_reference(cartan, word, fundamental, order):
             crosscheck = state.series[node - 1] == expected
             if not crosscheck:
                 raise CrosscheckError(f"lowest-vector crosscheck failed at step {j}")
-        records.append(StepRecord(j, node, m, poly, sums, crosscheck))
+        records.append(_RefRecord(j, node, m, poly, sums, crosscheck))
         states.append(list(state.series))
     assert state.weight == lowest_weight(cartan, cartan.fundamental(fundamental))
     for i in range(1, cartan.rank + 1):
@@ -452,15 +467,22 @@ def _symbolic_walk_reference(cartan, word, fundamental, order):
 
 def _assert_matches_reference(cartan, word, fundamental, order):
     """run_walk and the step-by-step a = 0 state against the symbolic walk:
-    records (poly, power sums, flags) and every coefficient(i, k)."""
+    records (poly, a = 0 row and power sums, flags) and every
+    coefficient(i, k)."""
     ref_records, ref_states = _symbolic_walk_reference(cartan, word, fundamental, order)
     report = run_walk(cartan, word, fundamental, order)
     assert len(report.records) == len(ref_records)
     for got, want in zip(report.records, ref_records):
+        assert (got.step, got.node, got.exponent) == want[:3], f"step {want.step}"
         assert got.poly == want.poly, f"step {want.step}: {got.poly} != {want.poly}"
-        assert got.power_sums == want.power_sums, f"step {want.step}: power sums"
+        assert got.row == tuple(c.evaluate(0) for c in want.poly.coeffs), (
+            f"step {want.step}: row at a = 0"
+        )
+        sums = want.power_sums
+        assert got.power_sums == (F(sums.degree),) + tuple(
+            v.evaluate(0) for v in sums.values
+        ), f"step {want.step}: power sums at a = 0"
         assert got.crosscheck_ok == want.crosscheck_ok, f"step {want.step}: flag"
-        assert got == want
     state = init_walk(cartan, fundamental, order)
     for rec, ref_series in zip(report.records, ref_states):
         p = extract_step_poly(state, rec.node, rec.exponent)
@@ -506,7 +528,7 @@ def test_a0_split_matches_split_reference(request):
         cartan, word, fundamental, order = _resolve(request, case)
         for rec in run_walk(cartan, word, fundamental, order).rows():
             d = cartan.di(rec.node)
-            assert _split_outcome(lambda q: row_roots(q, d), rec.poly) == (
+            assert _split_outcome(row_roots, rec.row, d) == (
                 _split_outcome(_split_reference, rec.poly)
             )
 
@@ -527,3 +549,56 @@ def test_lift_mutation_is_caught(g2, monkeypatch):
         _assert_matches_reference(g2, G2_WORD, 1, 8)
     with pytest.raises(AssertionError, match="disagrees with the matrix module"):
         verify._rank1_against_matrices()
+
+
+def _shift_with_one_binomial_off(self, delta):
+    """UniPoly.shift with C(2, 1) read as 3."""
+    d = delta if isinstance(delta, ParamPoly) else F(delta)
+    out = [ParamPoly() for _ in range(self.degree + 1)]
+    for k, ck in enumerate(self.coeffs):
+        for j in range(k + 1):
+            binomial = math.comb(k, j) + ((k, j) == (2, 1))
+            out[j] = out[j] + ck * (binomial * d ** (k - j))
+    return UniPoly(out)
+
+
+def test_shift_mutation_is_caught(g2, monkeypatch, capsys):
+    monkeypatch.setattr(UniPoly, "shift", _shift_with_one_binomial_off)
+    # the lift check inside poly
+    rows = run_walk(g2, G2_WORD, 1, 8).rows()
+    with pytest.raises(CrosscheckError, match="did not move by a/"):
+        [rec.poly for rec in rows]
+    with pytest.raises(CrosscheckError):
+        _assert_matches_reference(g2, G2_WORD, 1, 8)
+    assert main(["walk", "--weight", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal invariant violation" in captured.err
+    # the symbolic reference on its own, with the lift check blinded
+    monkeypatch.setattr(walk, "_horner", lambda coeffs, x: 0)
+    with pytest.raises(AssertionError, match="step"):
+        _assert_matches_reference(g2, G2_WORD, 1, 8)
+
+
+def test_walk_and_t_sets_do_no_param_poly_arithmetic(g2, f4, monkeypatch):
+    calls = []
+
+    def counted(name):
+        real = vars(ParamPoly)[name]
+
+        def wrapper(self, other):
+            calls.append(name)
+            return real(self, other)
+
+        return wrapper
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(ParamPoly, name, counted(name))
+    walks = [(g2, w, (1, 2)) for w in G2_WORDS] + [(f4, weyl_longest(f4), (1, 2, 3, 4))]
+    for cartan, word, fundamentals in walks:
+        reports = [run_walk(cartan, word, b, 8) for b in fundamentals]
+        compute_t_sets(reports)
+    assert calls == []
+    # the counter sees the lift that reading a row in a does
+    reports[0].rows()[-1].poly
+    assert calls
