@@ -5,7 +5,6 @@ from .exact import (
     A,
     GaussianRational,
     ParamPoly,
-    ParamSeries,
     Rational,
     SymbolicRootsUnavailable,
     UniPoly,

@@ -19,6 +19,7 @@ from pathlib import Path
 from . import __version__
 from .cyclicity import (
     TensorFactor,
+    _digit_limit,
     build_ordered_product,
     check_cyclicity,
     compute_s_sets,
@@ -223,9 +224,14 @@ def _dimension_report(weight, dims, cartan: CartanData):
     except ValueError as exc:
         raise CliInputError(str(exc)) from None
     try:
-        str(report.bound)
+        digits = len(str(report.bound))
     except ValueError as exc:  # past the interpreter's int-to-str digit limit
         raise CliInputError(f"dimension bound too large to print: {exc}") from None
+    limit = _digit_limit()
+    if digits > limit:  # the interpreter's limit is off: hold to its default
+        raise CliInputError(
+            f"dimension bound too large to print: more than {limit} digits"
+        )
     return report
 
 

@@ -260,6 +260,12 @@ def build_ordered_product(
     )
 
 
+def _digit_limit() -> int:
+    """The interpreter's int-to-str digit limit, or CPython's default of
+    4300 digits where the limit is off (0) or absent (before 3.10.7)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
 def dimension_bound(
     weight: Sequence[int], fund_dims: Sequence[int], cartan: CartanData
 ) -> DimensionReport:
@@ -268,7 +274,8 @@ def dimension_bound(
     reported alongside for reference.
 
     A product that could not be printed under the interpreter's int-to-str
-    digit limit raises ValueError before it is built: it has at least
+    digit limit (CPython's default where the limit is off or absent) raises
+    ValueError before it is built: it has at least
     sum_i m_i (bit_length(D_i) - 1) + 1 bits, and 2^(b-1) >= 10^limit once
     b - 1 reaches the bit length of 10^limit.
     """
@@ -280,9 +287,9 @@ def dimension_bound(
         raise ValueError("weight must be dominant")
     if any(x <= 0 for x in dims):
         raise ValueError("fundamental dimensions must be positive")
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    limit = _digit_limit()
     min_bits = sum(m * (d.bit_length() - 1) for d, m in zip(dims, lam)) + 1
-    if limit and min_bits - 1 >= (10**limit).bit_length():
+    if min_bits - 1 >= (10**limit).bit_length():
         raise ValueError(
             f"dimension bound too large to print: at least {min_bits} bits, "
             f"more than {limit} digits"

@@ -2,11 +2,12 @@
 
 Scalars are :class:`fractions.Fraction`.  Polynomials in the formal
 parameter ``a`` (:class:`ParamPoly`) serve as coefficients for polynomials
-(:class:`UniPoly`) and truncated series (:class:`ParamSeries`) in a second
-variable ``u``; series are expansions in powers of ``u^{-1}`` and every
-operation is exact through the stated truncation order.  The power-sum
-helpers (Newton's identities, ``shift_log_series``) take plain sequences of
-either scalar type: the walk runs them over Fraction at a = 0.
+(:class:`UniPoly`) in a second variable ``u``.  A truncated series in
+``u^{-1}`` is a plain coefficient list whose entry k multiplies ``u^{-k}``,
+so its truncation order is its length minus one; every operation is exact
+through that order.  The series and power-sum helpers (Newton's
+identities, ``shift_log_series``) take lists of either scalar type: the
+walk runs them over Fraction at a = 0.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "GaussianRational",
     "ParamPoly",
     "UniPoly",
-    "ParamSeries",
     "SymbolicRootsUnavailable",
     "A",
     "series_from_poly_ratio",
@@ -65,12 +65,6 @@ class GaussianRational:
     def __post_init__(self):
         object.__setattr__(self, "re", _frac(self.re))
         object.__setattr__(self, "im", _frac(self.im))
-
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
 
     def __str__(self) -> str:
         if self.im == 0:
@@ -279,98 +273,12 @@ class UniPoly:
         return f"UniPoly({self})"
 
 
-class ParamSeries:
-    """Truncated series in ``u^{-1}`` with :class:`ParamPoly` coefficients.
+def series_from_poly_ratio(num: UniPoly, den: UniPoly, order: int) -> list:
+    """Coefficients of num/den at u^0..u^-order, exact.
 
-    ``coeffs[k]`` multiplies ``u^{-k}``; the truncation order N is the
-    largest retained index.  Binary operations on series of different
-    orders truncate to the smaller order.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable, order: int | None = None):
-        cs = [_as_param_poly(c) for c in coeffs]
-        if order is not None:
-            if order < 0:
-                raise ValueError("truncation order must be non-negative")
-            if len(cs) > order + 1:
-                cs = cs[: order + 1]
-            else:
-                cs.extend(ParamPoly() for _ in range(order + 1 - len(cs)))
-        if not cs:
-            raise ValueError("a series needs at least its constant term")
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def one(cls, order: int) -> "ParamSeries":
-        return cls((ParamPoly.const(1),), order=order)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, k: int) -> ParamPoly:
-        if not 0 <= k <= self.order:
-            raise IndexError(f"series truncated at order {self.order}, asked for {k}")
-        return self.coeffs[k]
-
-    def evaluate_param(self, value) -> "ParamSeries":
-        return ParamSeries(
-            (ParamPoly.const(c.evaluate(value)) for c in self.coeffs),
-            order=self.order,
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ParamSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("ParamSeries", self.coeffs))
-
-    def __mul__(self, other: "ParamSeries") -> "ParamSeries":
-        n = min(self.order, other.order)
-        out = [ParamPoly() for _ in range(n + 1)]
-        for i in range(n + 1):
-            ci = self.coeffs[i]
-            if not ci:
-                continue
-            for j in range(n + 1 - i):
-                cj = other.coeffs[j]
-                if cj:
-                    out[i + j] = out[i + j] + ci * cj
-        return ParamSeries(out, order=n)
-
-    def __str__(self) -> str:
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            parts.append(f"({c})" if k == 0 else f"({c})*u^-{k}")
-        return " + ".join(parts) if parts else "0"
-
-    def __repr__(self) -> str:
-        return f"ParamSeries({self}; order={self.order})"
-
-
-def _series_inverse(s: ParamSeries) -> ParamSeries:
-    # requires constant term 1
-    n = s.order
-    out = [ParamPoly.const(1)] + [ParamPoly() for _ in range(n)]
-    for k in range(1, n + 1):
-        acc = ParamPoly()
-        for j in range(1, k + 1):
-            acc = acc + s.coeffs[j] * out[k - j]
-        out[k] = -acc
-    return ParamSeries(out, order=n)
-
-
-def series_from_poly_ratio(num: UniPoly, den: UniPoly, order: int) -> ParamSeries:
-    """Expansion of num/den in powers of ``u^{-1}``, exact through ``order``.
-
-    Both polynomials must be monic of equal degree in ``u``, so the series
-    has constant term 1.
+    Both polynomials must be monic of equal degree g in ``u``, so the
+    series has constant term 1.  With p(u)/u^g = sum_j p_{g-j} u^{-j} for
+    both, the quotient q solves q_k = num_{g-k} - sum_{1<=j<=k} den_{g-j} q_{k-j}.
     """
     if num.degree != den.degree:
         raise ValueError(
@@ -379,64 +287,60 @@ def series_from_poly_ratio(num: UniPoly, den: UniPoly, order: int) -> ParamSerie
     if not (num.monic and den.monic):
         raise ValueError("both numerator and denominator must be monic in u")
     g = num.degree
+    out: list = []
+    for k in range(order + 1):
+        acc = num.coeff(g - k)
+        for j in range(1, min(k, g) + 1):
+            acc = acc - den.coeff(g - j) * out[k - j]
+        out.append(acc)
+    return out
 
-    def tail(p: UniPoly) -> ParamSeries:
-        # p(u)/u^g = 1 + sum_{j>=1} coeff(g-j) u^{-j}
-        cs = [p.coeff(g - j) for j in range(0, g + 1)]
-        return ParamSeries(cs, order=order)
 
-    return tail(num) * _series_inverse(tail(den))
-
-
-def series_log(s: ParamSeries) -> ParamSeries:
-    """Formal logarithm of a series with constant term 1.
+def series_log(s: Sequence) -> list:
+    """Formal logarithm of the series with coefficients s (s[k] at u^-k),
+    whose constant term must be 1; the result has the same length.
 
     Uses L' = S'/S, i.e. k l_k = k s_k - sum_{1<=j<k} j l_j s_{k-j}, which
     is quadratic in the order.
     """
-    if s.coeffs[0] != ParamPoly.const(1):
+    if s[0] != 1:
         raise ValueError("series_log requires constant term 1")
-    n = s.order
-    kl = [ParamPoly()]  # kl[k] = k * l_k
-    for k in range(1, n + 1):
-        acc = k * s.coeffs[k]
+    kl = [0]  # kl[k] = k * l_k
+    for k in range(1, len(s)):
+        acc = k * s[k]
         for j in range(1, k):
-            if kl[j] and s.coeffs[k - j]:
-                acc = acc - kl[j] * s.coeffs[k - j]
+            if kl[j] and s[k - j]:
+                acc = acc - kl[j] * s[k - j]
         kl.append(acc)
-    return ParamSeries(
-        [ParamPoly()] + [kl[k] / k for k in range(1, n + 1)], order=n
-    )
+    return [0] + [kl[k] * Fraction(1, k) for k in range(1, len(s))]
 
 
-def series_exp(s: ParamSeries) -> ParamSeries:
-    """Formal exponential of a series with constant term 0.
+def series_exp(s: Sequence) -> list:
+    """Formal exponential of the series with coefficients s, whose
+    constant term must be 0; the result has the same length.
 
     Uses E' = L'E, i.e. k e_k = sum_{1<=j<=k} j l_j e_{k-j}, which is
     quadratic in the order.
     """
-    if s.coeffs[0] != ParamPoly():
+    if s[0] != 0:
         raise ValueError("series_exp requires constant term 0")
-    n = s.order
-    jl = [j * c for j, c in enumerate(s.coeffs)]
-    out = [ParamPoly.const(1)]
-    for k in range(1, n + 1):
-        acc = ParamPoly()
+    jl = [j * c for j, c in enumerate(s)]
+    out: list = [1]
+    for k in range(1, len(s)):
+        acc = 0
         for j in range(1, k + 1):
             if jl[j] and out[k - j]:
                 acc = acc + jl[j] * out[k - j]
-        out.append(acc / k)
-    return ParamSeries(out, order=n)
+        out.append(acc * Fraction(1, k))
+    return out
 
 
-def series_rescale(s: ParamSeries, d) -> ParamSeries:
+def series_rescale(s: Sequence, d) -> list:
     """Substitute ``u -> d*u``: the ``u^{-k}`` coefficient picks up ``d^{-k}``."""
     d = _frac(d)
     if d == 0:
         raise ValueError("rescale factor must be nonzero")
-    return ParamSeries(
-        (c * Fraction(1) / d**k for k, c in enumerate(s.coeffs)), order=s.order
-    )
+    return [c * d**-k for k, c in enumerate(s)]
 
 
 def _elementary_raw(m: int, values: Sequence) -> list:

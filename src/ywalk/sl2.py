@@ -1,4 +1,4 @@
-"""Explicit rank-1 evaluation modules used as a brute-force oracle.
+"""Explicit rank-1 evaluation modules used as an independent oracle.
 
 The (m+1)-dimensional module V_m(a) carries generator actions
 
@@ -6,9 +6,11 @@ The (m+1)-dimensional module V_m(a) carries generator actions
     x-_k w_s = (s+a-1)^k (m-s+1) w_{s-1}
     h_k  w_s = ((s+a-1)^k s (m-s+1) - (s+a)^k (s+1)(m-s)) w_s
 
-on the basis w_0..w_m, with a an exact rational.  Everything here is
-computed as exact matrix identities; the reports returned by the check
-functions either confirm an identity or carry the first violation found.
+on the basis w_0..w_m, with a an exact rational.  Each generator is a
+weighted shift, an :class:`Operator`; compositions of generators are
+weighted shifts too, so every operator identity is checked exactly on
+their weights.  The reports returned by the check functions either
+confirm an identity or carry the first violation found.
 """
 
 from __future__ import annotations
@@ -16,13 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
-from .exact import ParamSeries, UniPoly, series_from_poly_ratio
+from .exact import UniPoly, series_from_poly_ratio
 
 __all__ = [
     "GeneratorLabel",
     "EvalModule",
     "ModuleVector",
+    "Operator",
     "CheckReport",
     "act",
     "check_relations",
@@ -30,10 +34,19 @@ __all__ = [
     "extremal_series_check",
 ]
 
-Matrix = tuple[tuple[Fraction, ...], ...]
 ModuleVector = tuple[Fraction, ...]
 
 DEFAULT_MAX_LEVEL = 8
+
+
+class Operator(NamedTuple):
+    """The weighted shift w_s -> weights[s] * w_{s+shift} on w_0..w_m.
+
+    A weight whose image would leave the basis is 0.
+    """
+
+    shift: int
+    weights: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -73,67 +86,66 @@ class EvalModule:
     def highest(self) -> ModuleVector:
         return self.basis_vector(self.m)
 
-    def matrix(self, g: GeneratorLabel) -> Matrix:
+    def operator(self, g: GeneratorLabel) -> Operator:
         # h levels up to 2*max_level are needed by the [x+_r, x-_s] = h_{r+s}
         # relation check.
         limit = self.max_level * (2 if g.kind == "h" else 1)
         if g.level > limit:
             raise ValueError(f"level {g.level} exceeds configured bound {limit}")
-        return _matrix(self.m, self.a, g.kind, g.level)
+        return _operator(self.m, self.a, g.kind, g.level)
 
 
 @lru_cache(maxsize=None)
-def _matrix(m: int, a: Fraction, kind: str, k: int) -> Matrix:
-    dim = m + 1
-    rows = [[Fraction(0)] * dim for _ in range(dim)]
-    for s in range(dim):
-        if kind == "x+" and s < m:
-            rows[s + 1][s] = (s + a) ** k * (s + 1)
-        elif kind == "x-" and s > 0:
-            rows[s - 1][s] = (s + a - 1) ** k * (m - s + 1)
-        elif kind == "h":
-            rows[s][s] = (s + a - 1) ** k * s * (m - s + 1) - (s + a) ** k * (
-                s + 1
-            ) * (m - s)
-    return tuple(tuple(row) for row in rows)
+def _operator(m: int, a: Fraction, kind: str, k: int) -> Operator:
+    zero = Fraction(0)
+    if kind == "x+":
+        weights = ((s + a) ** k * (s + 1) if s < m else zero for s in range(m + 1))
+        return Operator(1, tuple(weights))
+    if kind == "x-":
+        weights = (
+            (s + a - 1) ** k * (m - s + 1) if s > 0 else zero for s in range(m + 1)
+        )
+        return Operator(-1, tuple(weights))
+    weights = (
+        (s + a - 1) ** k * s * (m - s + 1) - (s + a) ** k * (s + 1) * (m - s)
+        for s in range(m + 1)
+    )
+    return Operator(0, tuple(weights))
 
 
 def act(mod: EvalModule, g: GeneratorLabel, v: ModuleVector) -> ModuleVector:
     """Exact action of one generator on a coordinate vector."""
-    mat = mod.matrix(g)
-    return tuple(
-        sum((row[c] * v[c] for c in range(mod.dim)), Fraction(0)) for row in mat
-    )
+    shift, weights = mod.operator(g)
+    out = [Fraction(0)] * mod.dim
+    for s, w in enumerate(weights):
+        if w:
+            out[s + shift] += w * v[s]
+    return tuple(out)
 
 
-def _matmul(x: Matrix, y: Matrix) -> Matrix:
-    n = len(x)
-    return tuple(
-        tuple(sum((x[r][k] * y[k][c] for k in range(n)), Fraction(0)) for c in range(n))
-        for r in range(n)
-    )
+def _compose(x: Operator, y: Operator) -> Operator:
+    """x after y: w_s -> y_s w_{s+dy} -> x_{s+dy} y_s w_{s+dy+dx}."""
+    weights = (x.weights[s + y.shift] * w if w else w for s, w in enumerate(y.weights))
+    return Operator(x.shift + y.shift, tuple(weights))
 
 
-def _matadd(x: Matrix, y: Matrix, sign: int = 1) -> Matrix:
-    return tuple(
-        tuple(xc + sign * yc for xc, yc in zip(xr, yr)) for xr, yr in zip(x, y)
-    )
+def _add(x: Operator, y: Operator, sign: int = 1) -> Operator:
+    if x.shift != y.shift:
+        raise ValueError(f"cannot add operators of shifts {x.shift} and {y.shift}")
+    weights = (p + sign * q for p, q in zip(x.weights, y.weights))
+    return Operator(x.shift, tuple(weights))
 
 
-def _commutator(x: Matrix, y: Matrix) -> Matrix:
-    return _matadd(_matmul(x, y), _matmul(y, x), sign=-1)
+def _scale(x: Operator, c: Fraction) -> Operator:
+    return Operator(x.shift, tuple(w * c for w in x.weights))
 
 
-def _is_zero(x: Matrix) -> bool:
-    return all(c == 0 for row in x for c in row)
+def _commutator(x: Operator, y: Operator) -> Operator:
+    return _add(_compose(x, y), _compose(y, x), sign=-1)
 
 
-def _scale(x: Matrix, s: Fraction) -> Matrix:
-    return tuple(tuple(c * s for c in row) for row in x)
-
-
-def _residual(lhs: Matrix, rhs: Matrix) -> str:
-    return f"residual {_matadd(lhs, rhs, sign=-1)}"
+def _residual(lhs: Operator, rhs: Operator) -> str:
+    return f"residual {_add(lhs, rhs, sign=-1)}"
 
 
 @dataclass
@@ -151,7 +163,7 @@ class CheckReport:
 def check_relations(m: int, a, max_level: int = 3) -> CheckReport:
     """Verify the five rank-1 defining-relation families on V_m(a).
 
-    All identities are checked as exact matrix equations for generator
+    All identities are checked as exact operator equations for generator
     levels r, s up to max_level (h levels reach 2*max_level through the
     [x+_r, x-_s] = h_{r+s} family).
     """
@@ -159,18 +171,18 @@ def check_relations(m: int, a, max_level: int = 3) -> CheckReport:
     report = CheckReport()
 
     def h(k):
-        return mod.matrix(GeneratorLabel("h", k))
+        return mod.operator(GeneratorLabel("h", k))
 
     def xp(k):
-        return mod.matrix(GeneratorLabel("x+", k))
+        return mod.operator(GeneratorLabel("x+", k))
 
     def xm(k):
-        return mod.matrix(GeneratorLabel("x-", k))
+        return mod.operator(GeneratorLabel("x-", k))
 
     for r in range(max_level + 1):
         for s in range(max_level + 1):
             comm = _commutator(h(r), h(s))
-            if not _is_zero(comm):
+            if any(comm.weights):
                 report.record(f"[h_{r}, h_{s}] != 0: residual {comm}")
     for s in range(max_level + 1):
         for sign, x in ((1, xp), (-1, xm)):
@@ -188,32 +200,25 @@ def check_relations(m: int, a, max_level: int = 3) -> CheckReport:
                 report.record(
                     f"[x+_{r}, x-_{s}] != h_{r + s}: " + _residual(lhs, h(r + s))
                 )
-    for r in range(max_level + 1):
-        for s in range(max_level + 1):
-            for sign, x in ((1, xp), (-1, xm)):
-                lhs = _matadd(
-                    _commutator(h(r + 1), x(s)), _commutator(h(r), x(s + 1)), sign=-1
-                )
-                anti = _matadd(_matmul(h(r), x(s)), _matmul(x(s), h(r)))
-                rhs = _scale(anti, Fraction(sign))
-                if lhs != rhs:
-                    report.record(
-                        f"family-4 identity fails at r={r}, s={s}, "
-                        f"sign={sign:+d}: " + _residual(lhs, rhs)
+    # families 4 and 5: [y_{r+1}, x_s] - [y_r, x_{s+1}] = ±(y_r x_s + x_s y_r)
+    # with y = h and y = x
+    for family in (4, 5):
+        for r in range(max_level + 1):
+            for s in range(max_level + 1):
+                for sign, x in ((1, xp), (-1, xm)):
+                    y = h if family == 4 else x
+                    lhs = _add(
+                        _commutator(y(r + 1), x(s)),
+                        _commutator(y(r), x(s + 1)),
+                        sign=-1,
                     )
-    for r in range(max_level + 1):
-        for s in range(max_level + 1):
-            for sign, x in ((1, xp), (-1, xm)):
-                lhs = _matadd(
-                    _commutator(x(r + 1), x(s)), _commutator(x(r), x(s + 1)), sign=-1
-                )
-                anti = _matadd(_matmul(x(r), x(s)), _matmul(x(s), x(r)))
-                rhs = _scale(anti, Fraction(sign))
-                if lhs != rhs:
-                    report.record(
-                        f"family-5 identity fails at r={r}, s={s}, "
-                        f"sign={sign:+d}: " + _residual(lhs, rhs)
-                    )
+                    anti = _add(_compose(y(r), x(s)), _compose(x(s), y(r)))
+                    rhs = _scale(anti, Fraction(sign))
+                    if lhs != rhs:
+                        report.record(
+                            f"family-{family} identity fails at r={r}, s={s}, "
+                            f"sign={sign:+d}: " + _residual(lhs, rhs)
+                        )
     return report
 
 
@@ -251,34 +256,26 @@ def symmetrized_insertion_check(m: int, a, k: int) -> CheckReport:
     return report
 
 
-def _eigen_series(mod: EvalModule, s: int, order: int) -> ParamSeries:
-    """Series 1 + sum_k (h_k eigenvalue on w_s) u^{-k-1}, truncated."""
-    coeffs = [Fraction(1)]
-    for k in range(order):
-        mat = mod.matrix(GeneratorLabel("h", k))
-        coeffs.append(mat[s][s])
-    return ParamSeries(coeffs, order=order)
+def _eigen_series(mod: EvalModule, s: int, order: int) -> list[Fraction]:
+    """Coefficients of 1 + sum_k (h_k eigenvalue on w_s) u^{-k-1}, truncated."""
+    return [Fraction(1)] + [
+        mod.operator(GeneratorLabel("h", k)).weights[s] for k in range(order)
+    ]
 
 
 def extremal_series_check(m: int, a, order: int = 8) -> CheckReport:
-    """Compare matrix-computed h(u) eigenvalue series on the highest and
-    lowest basis vectors with the polynomial-ratio forms pi(u+1)/pi(u) and
+    """Compare the h(u) eigenvalue series of the highest and lowest basis
+    vectors with the polynomial-ratio forms pi(u+1)/pi(u) and
     pi(u-1)/pi(u), pi(u) = prod_t (u - (a+t))."""
     mod = EvalModule(m, Fraction(a), max_level=max(order, DEFAULT_MAX_LEVEL))
     report = CheckReport()
     pi = UniPoly.from_roots(Fraction(a) + t for t in range(m))
-    expected_top = series_from_poly_ratio(pi.shift(1), pi, order)
-    expected_bottom = series_from_poly_ratio(pi.shift(-1), pi, order)
-    got_top = _eigen_series(mod, m, order)
-    got_bottom = _eigen_series(mod, 0, order)
-    if got_top != expected_top:
-        report.record(
-            f"highest-vector series mismatch on V_{m}({a}): "
-            f"{got_top} vs {expected_top}"
-        )
-    if got_bottom != expected_bottom:
-        report.record(
-            f"lowest-vector series mismatch on V_{m}({a}): "
-            f"{got_bottom} vs {expected_bottom}"
-        )
+    for name, s, shift in (("highest", m, 1), ("lowest", 0, -1)):
+        got = _eigen_series(mod, s, order)
+        expected = series_from_poly_ratio(pi.shift(shift), pi, order)
+        if got != expected:
+            report.record(
+                f"{name}-vector series mismatch on V_{m}({a}): "
+                f"{[str(c) for c in got]} vs {[str(c) for c in expected]}"
+            )
     return report

@@ -181,6 +181,27 @@ def test_non_list_config_fund_dims_exits_two(capsys, tmp_path):
     assert "fund_dims" in capsys.readouterr().err
 
 
+def test_dimension_bound_with_the_digit_limit_off_exits_two(capsys):
+    # with the limit off, CPython's default of 4300 digits is the ceiling;
+    # the weight-10^5 case fails fast where that ceiling is missing, before
+    # 14^(10^12) would be built
+    setter = getattr(sys, "set_int_max_str_digits", None)
+    old = sys.get_int_max_str_digits() if setter else None
+    if setter:
+        setter(0)
+    try:
+        for weight in ("100000", "1000000000000"):
+            argv = ["dim", "--weights", f"{weight},0", "--fund-dims", "14,7"]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            [line] = captured.err.splitlines()
+            assert line.startswith("error: ") and "too large to print" in line
+    finally:
+        if setter:
+            setter(old)
+
+
 def test_argparse_usage_error_exits_two(capsys):
     assert main(["walk"]) == 2  # missing required --weight
     capsys.readouterr()

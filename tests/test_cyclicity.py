@@ -166,7 +166,8 @@ def test_unknown_node_rejected(g2_s_sets):
 def test_common_shift_invariance(g2_s_sets, raw_factors, shift, shift_im):
     factors = [TensorFactor(n, gauss(re, im)) for n, re, im in raw_factors]
     shifted = [
-        TensorFactor(f.node, f.param + gauss(shift, shift_im)) for f in factors
+        TensorFactor(f.node, gauss(f.param.re + shift, f.param.im + shift_im))
+        for f in factors
     ]
     for mode in ("hw", "irr"):
         base = check_cyclicity(factors, g2_s_sets, mode)
@@ -201,7 +202,7 @@ def _pairwise_reference(factors, s_sets, mode):
             key = (fi.node, fj.node)
             if key not in smap:
                 raise ValueError(f"no S set for node pair {key}")
-            diff = fj.param - fi.param
+            diff = gauss(fj.param.re - fi.param.re, fj.param.im - fi.param.im)
             if diff.im == 0 and diff.re in smap[key].values:
                 out.append((i, j, diff, diff.re))
     return out

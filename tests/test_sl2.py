@@ -3,19 +3,46 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
-from ywalk.exact import ParamSeries, UniPoly, series_from_poly_ratio
+from ywalk import sl2
+from ywalk.cli import main
+from ywalk.exact import UniPoly, series_from_poly_ratio
 from ywalk.sl2 import (
     EvalModule,
     GeneratorLabel,
+    Operator,
     act,
     check_relations,
     extremal_series_check,
     symmetrized_insertion_check,
 )
 from ywalk.verify import SAMPLE_A
+
+KINDS = ("x+", "x-", "h")
+
+
+def dense(op: Operator, dim: int) -> list[list[F]]:
+    """The matrix of a weighted shift: column s holds the image of w_s."""
+    rows = [[F(0)] * dim for _ in range(dim)]
+    for s, w in enumerate(op.weights):
+        if w:
+            rows[s + op.shift][s] = w
+    return rows
+
+
+def dense_product(x: list[list[F]], y: list[list[F]]) -> list[list[F]]:
+    n = len(x)
+    return [
+        [sum(x[r][k] * y[k][c] for k in range(n)) for c in range(n)] for r in range(n)
+    ]
+
+
+def dense_commutator(x: list[list[F]], y: list[list[F]]) -> list[list[F]]:
+    xy, yx = dense_product(x, y), dense_product(y, x)
+    return [[p - q for p, q in zip(rp, rq)] for rp, rq in zip(xy, yx)]
 
 
 def test_act_raising_example():
@@ -50,7 +77,7 @@ def test_generator_label_validation():
         GeneratorLabel("h", -1)
     mod = EvalModule(1, F(0), max_level=2)
     with pytest.raises(ValueError):
-        mod.matrix(GeneratorLabel("x+", 3))
+        mod.operator(GeneratorLabel("x+", 3))
 
 
 def test_h_matrices_commute():
@@ -61,18 +88,65 @@ def test_h_matrices_commute():
 def test_commutator_gives_h():
     # [x+_1, x-_2] = h_3 checked directly on V_3(1/2)
     mod = EvalModule(3, F(1, 2))
-    xp = mod.matrix(GeneratorLabel("x+", 1))
-    xm = mod.matrix(GeneratorLabel("x-", 2))
-    h3 = mod.matrix(GeneratorLabel("h", 3))
-    n = mod.dim
-    comm = tuple(
-        tuple(
-            sum(xp[r][k] * xm[k][c] - xm[r][k] * xp[k][c] for k in range(n))
-            for c in range(n)
-        )
-        for r in range(n)
+    xp, xm, h3 = (
+        dense(mod.operator(GeneratorLabel(kind, k)), mod.dim)
+        for kind, k in (("x+", 1), ("x-", 2), ("h", 3))
     )
-    assert comm == h3
+    assert dense_commutator(xp, xm) == h3
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("a", SAMPLE_A[2:])
+def test_composition_matches_dense_product(m, a):
+    mod = EvalModule(m, a)
+    gens = [GeneratorLabel(kind, k) for kind in KINDS for k in range(4)]
+    for g1, g2 in product(gens, repeat=2):
+        x, y = mod.operator(g1), mod.operator(g2)
+        composed = sl2._compose(x, y)
+        assert composed.shift == x.shift + y.shift
+        assert dense(composed, mod.dim) == dense_product(
+            dense(x, mod.dim), dense(y, mod.dim)
+        ), (g1, g2)
+
+
+def test_adding_operators_of_different_shifts_raises():
+    mod = EvalModule(2, F(1))
+    xp, h = (mod.operator(GeneratorLabel(kind, 1)) for kind in ("x+", "h"))
+    assert sl2._add(xp, xp).shift == 1
+    with pytest.raises(ValueError, match="shifts"):
+        sl2._add(xp, h)
+
+
+def _one_weight_off(kind, level, m, s):
+    """sl2._operator with the weight at w_s of the generator kind_level on
+    V_m raised by 1."""
+    real = sl2._operator
+
+    def mutated(m_, a, kind_, k):
+        op = real(m_, a, kind_, k)
+        if (m_, kind_, k) != (m, kind, level):
+            return op
+        weights = list(op.weights)
+        weights[s] += 1
+        return Operator(op.shift, tuple(weights))
+
+    return mutated
+
+
+def test_relations_catch_one_raising_weight_off(monkeypatch, capsys):
+    monkeypatch.setattr(sl2, "_operator", _one_weight_off("x+", 2, 3, 1))
+    assert not check_relations(3, F(5, 3), max_level=3).ok
+    assert check_relations(2, F(5, 3), max_level=3).ok
+    assert main(["verify", "--suite", "sl2", "--format", "text"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("FAIL") and "relations m=3" in line for line in lines)
+
+
+def test_extremal_series_catch_one_h_weight_off(monkeypatch):
+    monkeypatch.setattr(sl2, "_operator", _one_weight_off("h", 1, 2, 2))
+    report = extremal_series_check(2, F(1), order=8)
+    assert not report.ok
+    assert report.failures[0].startswith("highest-vector series mismatch")
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -108,11 +182,12 @@ def test_extremal_series_v1_lowest():
     # V_1(b): h_k eigenvalue on w_0 is -b^k, summing to (u-(b+1))/(u-b)
     b = F(5, 3)
     mod = EvalModule(1, b, max_level=8)
-    coeffs = [F(1)] + [mod.matrix(GeneratorLabel("h", k))[0][0] for k in range(8)]
+    h = [mod.operator(GeneratorLabel("h", k)) for k in range(8)]
+    coeffs = [F(1)] + [op.weights[0] for op in h]
     expected = series_from_poly_ratio(
         UniPoly.from_roots([b + 1]), UniPoly.from_roots([b]), 8
     )
-    assert ParamSeries(coeffs, order=8) == expected
+    assert coeffs == expected
     for k in range(8):
         assert coeffs[k + 1] == -(b**k)
 
@@ -121,11 +196,12 @@ def test_extremal_series_highest_telescopes():
     # V_m(a) highest vector series collapses to (u-(a-1))/(u-(a+m-1))
     m, a = 3, F(1)
     mod = EvalModule(m, a, max_level=8)
-    coeffs = [F(1)] + [mod.matrix(GeneratorLabel("h", k))[m][m] for k in range(8)]
+    h = [mod.operator(GeneratorLabel("h", k)) for k in range(8)]
+    coeffs = [F(1)] + [op.weights[m] for op in h]
     expected = series_from_poly_ratio(
         UniPoly.from_roots([a - 1]), UniPoly.from_roots([a + m - 1]), 8
     )
-    assert ParamSeries(coeffs, order=8) == expected
+    assert coeffs == expected
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])

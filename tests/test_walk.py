@@ -15,7 +15,6 @@ from ywalk.cyclicity import compute_t_sets, row_roots
 from ywalk.exact import (
     A,
     ParamPoly,
-    ParamSeries,
     UniPoly,
     series_exp,
     series_from_poly_ratio,
@@ -61,7 +60,7 @@ def test_init_walk_series(g2):
         series_from_poly_ratio(UniPoly.from_roots([A - 3]), UniPoly.from_roots([A]), 8)
     )
     assert lifted(state, 1) == expected
-    assert state.series[0] == [c.evaluate(0) for c in expected.coeffs]
+    assert state.series[0] == [0] + [c.evaluate(0) for c in expected[1:]]
     assert state.series[1] == [0] * 9
     assert state.coefficient(1, 0) == ParamPoly.const(3)  # d_1 * weight coord
     state2 = init_walk(g2, 2, 8)
@@ -109,11 +108,11 @@ def test_transport_anchors(g2):
     assert state.coefficient(1, 2) == 6 * A * A + 6
     # rescaled commuting generator at the long node: exp picks up 2a/3 + 2
     h_tilde = series_exp(series_rescale(lifted(state, 1), 3))
-    assert h_tilde.coeff(2) == 2 * A / 3 + 2
+    assert h_tilde[2] == 2 * A / 3 + 2
     # one more long-node step: short-node h_{2,1} lands on 3(a + 7/2)
     state = drive(g2, 1, STEPS_W1[:4])
     h2 = series_exp(lifted(state, 2))
-    assert h2.coeff(2) == 3 * (A + F(7, 2))
+    assert h2[2] == 3 * (A + F(7, 2))
 
 
 def test_weight_bookkeeping_along_walk(g2):
@@ -181,16 +180,17 @@ def test_rank_one_series_agree_with_matrix_module(a1):
         state = init_walk(a1, 1, 8)
         mod = EvalModule(1, a_val, max_level=8)
 
-        def matrix_series(s):
-            coeffs = [F(1)] + [
-                mod.matrix(GeneratorLabel("h", k))[s][s] for k in range(8)
-            ]
-            return series_log(ParamSeries(coeffs, order=8))
+        def module_series(s):
+            h = [mod.operator(GeneratorLabel("h", k)).weights[s] for k in range(8)]
+            return series_log([F(1)] + h)
 
-        assert lifted(state, 1).evaluate_param(a_val) == matrix_series(1)
+        def walk_series():
+            return [c.evaluate(a_val) for c in lifted(state, 1)]
+
+        assert walk_series() == module_series(1)
         sums = extract_step_poly(state, 1, 1)
         apply_step(state, 1, 1, sums)
-        assert lifted(state, 1).evaluate_param(a_val) == matrix_series(0)
+        assert walk_series() == module_series(0)
 
 
 def test_run_walk_alternate_reduced_word(g2):
@@ -358,11 +358,11 @@ def _ref_shift_log_series(p, shift, order):
         for j in range(k):
             acc = acc + (math.comb(k, j) * (-shift) ** (k - j)) * _ref_p(p, j)
         out.append(acc / -k)
-    return ParamSeries(out, order=order)
+    return out
 
 
 def _ref_zero(order):
-    return ParamSeries((), order=order)
+    return [ParamPoly()] * (order + 1)
 
 
 def _ref_p(p, k):
@@ -382,7 +382,7 @@ def _ref_solve_power_sums(lam, shift, m):
     shift = F(shift)
     p = [ParamPoly.const(m)]
     for k in range(1, m + 1):
-        acc = (k + 1) * lam.coeff(k + 1)
+        acc = (k + 1) * lam[k + 1]
         for s in range(k):
             acc = acc + math.comb(k + 1, s) * (-shift) ** (k + 1 - s) * p[s]
         p.append(acc / ((k + 1) * shift))
@@ -422,10 +422,8 @@ def _ref_apply_step(state, node, m, p):
                         * F(math.comb(k + 1, s), (k + 1) * 2 ** (k - s))
                     ) * _ref_p(p, s)
             delta.append(term)
-        old = state.series[i - 1].coeffs
-        state.series[i - 1] = ParamSeries(
-            (x - y for x, y in zip(old, delta)), order=state.order
-        )
+        old = state.series[i - 1]
+        state.series[i - 1] = [x - y for x, y in zip(old, delta)]
     state.weight = tuple(
         w - m * state.cartan.aij(i, c) for i, w in enumerate(state.weight, start=1)
     )
@@ -434,7 +432,7 @@ def _ref_apply_step(state, node, m, p):
 
 def _symbolic_walk_reference(cartan, word, fundamental, order):
     """(records, states): the symbolic walk's _RefRecords and, after every
-    step, its node series as ParamSeries."""
+    step, its node series as coefficient lists."""
     exps = path_exponents(cartan, word, fundamental)
     series = [_ref_zero(order) for _ in range(cartan.rank)]
     series[fundamental - 1] = _ref_shift_log_series(
@@ -489,7 +487,7 @@ def _assert_matches_reference(cartan, word, fundamental, order):
         apply_step(state, rec.node, rec.exponent, p)
         for i in range(1, cartan.rank + 1):
             for k in range(order):
-                assert state.coefficient(i, k) == ref_series[i - 1].coeff(k + 1), (
+                assert state.coefficient(i, k) == ref_series[i - 1][k + 1], (
                     f"step {rec.step}: H_{{{i},{k}}}"
                 )
     return report
