@@ -6,8 +6,9 @@ parameter ``a`` (:class:`ParamPoly`) serve as coefficients for polynomials
 ``u^{-1}`` is a plain coefficient list whose entry k multiplies ``u^{-k}``,
 so its truncation order is its length minus one; every operation is exact
 through that order.  The series and power-sum helpers (Newton's
-identities, ``shift_log_series``) take lists of either scalar type: the
-walk runs them over Fraction at a = 0.
+identities) take lists of either scalar type; ``shift_log_series`` takes
+rational power sums and sums over the integers, since the walk runs it over
+Fraction at a = 0.
 """
 
 from __future__ import annotations
@@ -381,39 +382,54 @@ def power_sums_to_monic(m: int, values: Sequence) -> list:
     return coeffs
 
 
-def shift_log_series(p: Sequence, shift, order: int) -> list:
+def shift_log_series(p: Sequence, shift, order: int) -> list[Fraction]:
     """Coefficients of log(pi(u+shift)/pi(u)) at u^0..u^-order, for the
-    monic pi whose roots have the power sums p = [p_0, p_1, ...], p_0 the
-    root count.  The u^0 coefficient is 0; the others are of the scalar
-    type of p.
+    monic pi whose rational roots have the power sums p = [p_0, p_1, ...],
+    p_0 the root count.  The u^0 coefficient is 0.
 
     The u^{-k} coefficient is -(1/k) sum_{j<k} C(k,j) (-shift)^{k-j} p_j,
-    so p must carry p_0..p_{order-1}.
+    so p must carry p_0..p_{order-1}.  With shift = sn/sd and p_j = P_j/D
+    over a common denominator D, the sum is taken over the integers as
+    sum_j C(k,j) (-sn)^{k-j} sd^j P_j and divided once by k D sd^k.
     """
     shift = _frac(shift)
     if len(p) < order:
         raise ValueError(
             f"series order {order} needs p_1..p_{order - 1}, have p_1..p_{len(p) - 1}"
         )
+    ps = [_frac(x) for x in p[:order]]
+    den = math.lcm(*(x.denominator for x in ps))
+    sd = shift.denominator
+    # sd^j P_j, and the powers of -sn
+    scaled = [x.numerator * (den // x.denominator) * sd**j for j, x in enumerate(ps)]
+    neg = [(-shift.numerator) ** e for e in range(order + 1)]
     out = [Fraction(0)]
     for k in range(1, order + 1):
         acc = 0
         for j in range(k):
-            acc = acc + (math.comb(k, j) * (-shift) ** (k - j)) * p[j]
-        out.append(acc * Fraction(-1, k))
+            acc += math.comb(k, j) * neg[k - j] * scaled[j]
+        out.append(Fraction(-acc, k * den * sd**k))
     return out
 
 
 def _divisors(n: int) -> list[int]:
+    """Positive divisors of n in ascending order, from its factorization by
+    trial division, which stops once the cofactor left is 1 or a prime."""
     n = abs(n)
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
+    if n == 0:
+        return []
+    out = [1]
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out = [d * p**i for d in out for i in range(e + 1)]
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out += [d * n for d in out]
     return sorted(out)
 
 
@@ -421,9 +437,11 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction] | None:
     """All roots of a monic polynomial over the rationals, with multiplicity.
 
     Returns None when the polynomial does not split over the rationals.
-    Every rational root of the zero-stripped polynomial is among the
-    rational-root-theorem candidates of that polynomial, so they are
-    enumerated once and each is divided out for as long as it is a root.
+    Once zero roots are stripped and denominators cleared, every rational
+    root is n/q in lowest terms with n dividing the constant term, q the
+    leading one, and |n/q| within Cauchy's bound 1 + max|c_k/c_lead|.
+    Each such candidate is divided out, by exact integer synthetic
+    division by (q u - n), for as long as it leaves no remainder.
     """
     cs = [Fraction(c) for c in coeffs]
     zeros = 0
@@ -432,24 +450,41 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction] | None:
     cs = cs[zeros:]
     roots = [Fraction(0)] * zeros
     scale = math.lcm(*(c.denominator for c in cs))
-    ints = [int(c * scale) for c in cs]
-    candidates: set[Fraction] = set()
-    for num in _divisors(ints[0]):
-        for den in _divisors(ints[-1]):
-            candidates.add(Fraction(num, den))
-            candidates.add(Fraction(-num, den))
-    for cand in sorted(candidates):
-        while len(cs) > 1:
-            # synthetic division by (u - cand); the final carry is the value
-            quot = [Fraction(0)] * (len(cs) - 1)
-            carry = Fraction(0)
-            for k in range(len(cs) - 1, 0, -1):
-                quot[k - 1] = cs[k] + carry
-                carry = quot[k - 1] * cand
-            if cs[0] + carry != 0:
+    ints = [c.numerator * (scale // c.denominator) for c in cs]
+    lead = abs(ints[-1])
+    reach = lead + max((abs(c) for c in ints[:-1]), default=0)
+    nums = _divisors(ints[0])
+    for q in _divisors(ints[-1]):
+        for n in nums:
+            if n * lead > q * reach:  # |n/q| > 1 + max|c_k|/|c_lead|
                 break
-            roots.append(cand)
-            cs = quot
-    if len(cs) > 1:
+            if math.gcd(n, q) != 1:
+                continue
+            for num in (n, -n):
+                while len(ints) > 1:
+                    quot = _divide_linear(ints, q, num)
+                    if quot is None:
+                        break
+                    roots.append(Fraction(num, q))
+                    ints = quot
+    if len(ints) > 1:
         return None
     return sorted(roots)
+
+
+def _divide_linear(ints: list[int], q: int, n: int) -> list[int] | None:
+    """Quotient of the integer polynomial ints (ascending) by (q u - n), or
+    None when the division leaves a remainder.  With gcd(n, q) = 1 the
+    quotient of a multiple of (q u - n) has integer coefficients (Gauss's
+    lemma), so any inexact step means n/q is not a root."""
+    quot = [0] * (len(ints) - 1)
+    carry = 0  # n times the quotient coefficient one degree up
+    for k in range(len(ints) - 1, 0, -1):
+        b, r = divmod(ints[k] + carry, q)
+        if r:
+            return None
+        quot[k - 1] = b
+        carry = n * b
+    if ints[0] + carry != 0:
+        return None
+    return quot

@@ -243,6 +243,10 @@ def apply_step(state: WalkState, node: int, m: int, p: Sequence[Fraction]) -> Wa
         d_i a_{i,node} p_k
         + sum_{0<=s<=k-2, k+s even} 2^{s-k} (d_i a_{i,node})^{k+1-s}
               C(k+1,s)/(k+1) p_s
+
+    The p_k term is the s = k term of the sum.  With p_s = P_s/D over a
+    common denominator D, (k+1) 2^k D times the update is the integer
+    sum_{s<=k, k+s even} (d_i a_{i,node})^{k+1-s} C(k+1,s) 2^s P_s.
     """
     if p[0] != m:
         raise ValueError("power-sum degree does not match the step exponent")
@@ -252,18 +256,21 @@ def apply_step(state: WalkState, node: int, m: int, p: Sequence[Fraction]) -> Wa
     if m == 0:
         return state
     c = node
+    n = state.order
+    den = math.lcm(*(x.denominator for x in p[:n]))
+    # 2^s P_s
+    scaled = [x.numerator * (den // x.denominator) << s for s, x in enumerate(p[:n])]
     for i in range(1, state.cartan.rank + 1):
         dai = state.cartan.di(i) * state.cartan.aij(i, c)
+        if dai == 0:
+            continue
+        powers = [dai**e for e in range(n + 1)]
         row = state.series[i - 1]
-        for k in range(state.order):
-            term = dai * p[k]
-            for s in range(0, k - 1):
-                if (k + s) % 2 == 0:
-                    term = term + (
-                        Fraction(dai) ** (k + 1 - s)
-                        * Fraction(math.comb(k + 1, s), (k + 1) * 2 ** (k - s))
-                    ) * p[s]
-            row[k + 1] = row[k + 1] - term
+        for k in range(n):
+            acc = 0
+            for s in range(k % 2, k + 1, 2):
+                acc += powers[k + 1 - s] * math.comb(k + 1, s) * scaled[s]
+            row[k + 1] -= Fraction(acc, (k + 1) * den << k)
     # weight drops by m * alpha_c; alpha_c has weight coordinates A[:, c]
     state.weight = tuple(
         w - m * state.cartan.aij(i, c)

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ywalk.exact import (
@@ -277,7 +277,7 @@ affine_roots = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(
     affine_roots,
-    st.sampled_from([1, -1, 2, -2, 3, -3]),
+    st.sampled_from([1, -1, 2, -2, 3, -3, F(1, 2), F(-1, 2), F(2, 3), F(-2, 3)]),
     st.integers(min_value=1, max_value=12),
 )
 def test_shift_log_series_matches_ratio_log(roots, shift, order):
@@ -285,19 +285,25 @@ def test_shift_log_series_matches_ratio_log(roots, shift, order):
     expected = series_log(series_from_poly_ratio(pi.shift(shift), pi, order))
     sums = power_sums(roots, max(order, len(roots)))
     assert len(expected) == order + 1
-    assert shift_log_series(sums, shift, order) == expected
-    # the same coefficients over Fraction at a = 0
-    at_zero = [c.evaluate(0) for c in sums]
-    assert shift_log_series(at_zero, shift, order) == [0] + [
-        c.evaluate(0) for c in expected[1:]
-    ]
+    # the u^-k coefficient has degree < k <= order in a, so its values at
+    # a = 0..order determine it
+    for a0 in range(order + 1):
+        at_a0 = [c.evaluate(a0) for c in sums]
+        assert shift_log_series(at_a0, shift, order) == [0] + [
+            c.evaluate(a0) for c in expected[1:]
+        ]
 
 
 def test_shift_log_series_needs_enough_power_sums():
-    sums = power_sums([A, A + 1], 3)
+    sums = [c.evaluate(0) for c in power_sums([A, A + 1], 3)]
     assert len(shift_log_series(sums, 1, 4)) == 5  # p_1..p_3 suffice for u^-4
     with pytest.raises(ValueError):
         shift_log_series(sums, 1, 5)
+
+
+def test_shift_log_series_takes_rational_power_sums():
+    with pytest.raises(TypeError, match="exact rational"):
+        shift_log_series(power_sums([A], 3), 1, 3)
 
 
 def test_shifted_ratio_log_coefficients_match_power_sum_oracle():
@@ -495,12 +501,32 @@ def _split_outcome(split, *args):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=4), max_size=5),
+    st.lists(st.fractions(min_value=-60, max_value=60, max_denominator=6), max_size=5),
+    st.lists(
+        st.fractions(min_value=-60, max_value=60, max_denominator=6).filter(
+            lambda r: r.denominator > 1
+        ),
+        max_size=1,
+    ),
+    st.integers(min_value=2, max_value=3),
     st.integers(min_value=0, max_value=3),
-    st.sampled_from(((), (F(1), F(0), F(1)), (F(-2), F(0), F(1)))),
+    st.sampled_from(
+        (
+            (),
+            (F(1), F(0), F(1)),  # u^2 + 1
+            (F(-2), F(0), F(1)),  # u^2 - 2
+            (F(1), F(1), F(1)),  # u^2 + u + 1
+            (F(-1, 3), F(0), F(1)),  # u^2 - 1/3
+        )
+    ),
 )
-def test_rational_roots_match_reference(roots, zeros, quadratic):
-    # repeats come from the list itself; zero roots are added explicitly
+# over q = 2, the divisor 2 of the constant 6 of 2u^2 - 7u + 6 comes before
+# the numerator 3 and shares a factor with q
+@example([F(3, 2), F(2)], [], 2, 0, ())
+def test_rational_roots_match_reference(roots, repeated, times, zeros, quadratic):
+    # repeats come from the list itself and from one non-integer root
+    # repeated 2 or 3 times; zero roots are added explicitly
+    roots = roots + repeated * times
     poly = UniPoly.from_roots(ParamPoly.const(r) for r in roots + [F(0)] * zeros)
     if quadratic:
         poly = poly * UniPoly(quadratic)
@@ -509,4 +535,3 @@ def test_rational_roots_match_reference(roots, zeros, quadratic):
     assert found == _rational_roots_reference(coeffs)
     if not quadratic:
         assert found == sorted(roots + [F(0)] * zeros)
-

@@ -8,6 +8,8 @@ from fractions import Fraction as F
 from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ywalk import verify, walk
 from ywalk.cli import main
@@ -25,6 +27,7 @@ from ywalk.rootsystem import CartanData, lowest_weight, path_exponents, weyl_lon
 from ywalk.sl2 import EvalModule, GeneratorLabel
 from ywalk.walk import (
     CrosscheckError,
+    WalkState,
     apply_step,
     extract_step_poly,
     init_walk,
@@ -221,6 +224,66 @@ def test_apply_step_requires_extended_sums(g2):
     state = init_walk(g2, 1, 8)
     with pytest.raises(ValueError):
         apply_step(state, 1, 1, [F(1), F(0)])  # not extended to order
+
+
+class _Products(NamedTuple):
+    """Stand-in Cartan data for apply_step: d_i = 1 and a_{i,c} = products[i-1]
+    at every c, so that d_i a_{i,c} takes each drawn value."""
+
+    products: tuple
+
+    @property
+    def rank(self):
+        return len(self.products)
+
+    def di(self, i):
+        return 1
+
+    def aij(self, i, c):
+        return self.products[i - 1]
+
+
+def _docstring_transport(row, dai, p, order):
+    """The node series after one step, term by term from apply_step's
+    docstring, over Fraction."""
+    out = list(row)
+    for k in range(order):
+        term = dai * p[k]
+        for s in range(0, k - 1):
+            if (k + s) % 2 == 0:
+                term += (
+                    F(1, 2 ** (k - s))
+                    * F(dai) ** (k + 1 - s)
+                    * F(math.comb(k + 1, s), k + 1)
+                    * p[s]
+                )
+        out[k + 1] -= term
+    return out
+
+
+small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=24), st.data())
+def test_apply_step_matches_its_docstring_formula(order, data):
+    # d_i a_{i,c} = 0 occurs on F4 and B2, where apply_step skips the node
+    products = data.draw(
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=3)
+    )
+    m = data.draw(st.integers(min_value=1, max_value=order - 1))
+    p = [F(m)] + data.draw(st.lists(small_rationals, min_size=order, max_size=order))
+    # H_{i,0} = d_i times the weight coordinate, so the u^-1 entries are integers
+    weight = data.draw(st.tuples(*(st.integers(-4, 4) for _ in products)))
+    tails = st.lists(small_rationals, min_size=order - 1, max_size=order - 1)
+    series = [[F(0), F(w)] + data.draw(tails) for w in weight]
+    state = WalkState(
+        _Products(tuple(products)), 1, order, [list(r) for r in series], weight
+    )
+    apply_step(state, 1, m, p)
+    for row, dai, got in zip(series, products, state.series):
+        assert got == _docstring_transport(row, dai, p, order)
+    assert state.weight == tuple(w - m * a for w, a in zip(weight, products))
 
 
 # ------------------------------------------------------- crosscheck mutations
