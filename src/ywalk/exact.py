@@ -413,23 +413,15 @@ def shift_log_series(p: Sequence, shift, order: int) -> list[Fraction]:
 
 
 def _divisors(n: int) -> list[int]:
-    """Positive divisors of n in ascending order, from its factorization by
-    trial division, which stops once the cofactor left is 1 or a prime."""
     n = abs(n)
-    if n == 0:
-        return []
-    out = [1]
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out = [d * p**i for d in out for i in range(e + 1)]
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out += [d * n for d in out]
+    out = []
+    i = 1
+    while i * i <= n:
+        if n % i == 0:
+            out.append(i)
+            if i != n // i:
+                out.append(n // i)
+        i += 1
     return sorted(out)
 
 
