@@ -5,7 +5,6 @@ from .exact import (
     A,
     GaussianRational,
     ParamPoly,
-    Rational,
     SymbolicRootsUnavailable,
     UniPoly,
     power_sums_to_monic,
@@ -18,6 +17,7 @@ from .exact import (
 from .rootsystem import (
     BUILTIN_ALGEBRAS,
     CartanData,
+    InputError,
     InvalidCartanError,
     PathExponents,
     builtin_cartan,

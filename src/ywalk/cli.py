@@ -19,7 +19,6 @@ from pathlib import Path
 from . import __version__
 from .cyclicity import (
     TensorFactor,
-    _digit_limit,
     build_ordered_product,
     check_cyclicity,
     compute_s_sets,
@@ -31,6 +30,7 @@ from .exact import GaussianRational, ParamPoly, SymbolicRootsUnavailable
 from .rootsystem import (
     BUILTIN_ALGEBRAS,
     CartanData,
+    InputError,
     InvalidCartanError,
     builtin_cartan,
     is_reduced_word_of_longest,
@@ -53,6 +53,9 @@ EXIT_INTERNAL = 3
 MIN_ORDER = 2
 MAX_ORDER = 64
 
+# accepted --factors length: the violation list grows with the square of it
+MAX_FACTORS = 256
+
 _RATIONAL = r"-?\d+(?:/\d+)?"
 _GAUSSIAN_RE = re.compile(rf"^({_RATIONAL})(?:([+-]\d+(?:/\d+)?)i)?$")
 
@@ -60,8 +63,8 @@ _GAUSSIAN_RE = re.compile(rf"^({_RATIONAL})(?:([+-]\d+(?:/\d+)?)i)?$")
 _CERTIFIED = {("g2", G2_WORD), ("a1", (1,))}
 
 
-class CliInputError(Exception):
-    """Malformed or out-of-range user input (exit code 2)."""
+class CliInputError(InputError):
+    """Malformed command-line input (exit code 2)."""
 
 
 class _NotCertified(Exception):
@@ -85,9 +88,13 @@ def parse_gaussian(text: str) -> GaussianRational:
 
 
 def parse_factors(spec: str, rank: int) -> list[TensorFactor]:
-    """Parse comma-separated ``node:param`` tokens; whitespace is ignored."""
+    """Parse comma-separated ``node:param`` tokens, at most MAX_FACTORS of
+    them; whitespace is ignored."""
+    tokens = spec.split(",")
+    if len(tokens) > MAX_FACTORS:
+        raise CliInputError(f"{len(tokens)} factors listed; at most {MAX_FACTORS}")
     factors = []
-    for token in spec.split(","):
+    for token in tokens:
         token = token.strip()
         if not token:
             raise CliInputError("empty factor token")
@@ -201,38 +208,16 @@ def _load_config(args) -> dict:
     return data
 
 
-def _fund_dims(args, cartan: CartanData) -> tuple[int, ...] | None:
+def _fund_dims(args) -> tuple[int, ...] | None:
     if getattr(args, "fund_dims", None):
-        dims = _parse_int_list(args.fund_dims, "fundamental-dimension")
-    else:
-        config = _load_config(args)
-        if "fund_dims" not in config:
-            return None
-        try:
-            dims = tuple(int(x) for x in config["fund_dims"])
-        except (TypeError, ValueError, OverflowError):
-            raise CliInputError("config fund_dims must be a list of integers") from None
-    if len(dims) != cartan.rank or any(d <= 0 for d in dims):
-        raise CliInputError("fund_dims must list one positive integer per node")
-    return dims
-
-
-def _dimension_report(weight, dims, cartan: CartanData):
-    """dimension_bound, with a bound too long to print as an input error."""
+        return _parse_int_list(args.fund_dims, "fundamental-dimension")
+    config = _load_config(args)
+    if "fund_dims" not in config:
+        return None
     try:
-        report = dimension_bound(weight, dims, cartan)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from None
-    try:
-        digits = len(str(report.bound))
-    except ValueError as exc:  # past the interpreter's int-to-str digit limit
-        raise CliInputError(f"dimension bound too large to print: {exc}") from None
-    limit = _digit_limit()
-    if digits > limit:  # the interpreter's limit is off: hold to its default
-        raise CliInputError(
-            f"dimension bound too large to print: more than {limit} digits"
-        )
-    return report
+        return tuple(int(x) for x in config["fund_dims"])
+    except (TypeError, ValueError, OverflowError):
+        raise CliInputError("config fund_dims must be a list of integers") from None
 
 
 def _envelope(args, label: str, experimental: bool, inputs: dict, results: dict):
@@ -273,18 +258,10 @@ def _walk_rows(report) -> list[dict]:
     return rows
 
 
-def _walk(cartan: CartanData, word, weight: int, order: int):
-    exponents = path_exponents(cartan, word, weight).exponents
-    need = max(exponents, default=0) + 2
-    if order < need:
-        raise CliInputError(f"series order {order} too small; need at least {need}")
-    return run_walk(cartan, word, weight, order)
-
-
 def _sset_tables(cartan: CartanData, word, order: int):
     """T and S sets from the walks of every fundamental; roots that do not
     split affinely make the tables not certified (exit 1)."""
-    reports = [_walk(cartan, word, i, order) for i in range(1, cartan.rank + 1)]
+    reports = [run_walk(cartan, word, i, order) for i in range(1, cartan.rank + 1)]
     try:
         t_sets = compute_t_sets(reports)
     except SymbolicRootsUnavailable as exc:
@@ -294,8 +271,6 @@ def _sset_tables(cartan: CartanData, word, order: int):
 
 def _cmd_path(args) -> tuple[int, dict]:
     label, cartan, word, experimental = _load_algebra(args)
-    if args.weight is not None and not 1 <= args.weight <= cartan.rank:
-        raise CliInputError(f"weight {args.weight} out of range 1..{cartan.rank}")
     weights = (
         [args.weight] if args.weight is not None else list(range(1, cartan.rank + 1))
     )
@@ -315,9 +290,7 @@ def _cmd_path(args) -> tuple[int, dict]:
 
 def _cmd_walk(args) -> tuple[int, dict]:
     label, cartan, word, experimental = _load_algebra(args)
-    if not 1 <= args.weight <= cartan.rank:
-        raise CliInputError(f"weight {args.weight} out of range 1..{cartan.rank}")
-    report = _walk(cartan, word, args.weight, args.order)
+    report = run_walk(cartan, word, args.weight, args.order)
     results = {
         "word": list(word),
         "weight": args.weight,
@@ -385,9 +358,9 @@ def _cmd_weyl_module(args) -> tuple[int, dict]:
     roots2 = _parse_root_list(args.pi2)
     _, s_sets = _sset_tables(cartan, word, args.order)
     spec = build_ordered_product(roots1, roots2, s_sets)
-    dims = _fund_dims(args, cartan)
+    dims = _fund_dims(args)
     dim_report = (
-        _dimension_report(spec.weight, dims, cartan) if dims is not None else None
+        dimension_bound(spec.weight, dims, cartan) if dims is not None else None
     )
     results = {
         "weight": list(spec.weight),
@@ -412,10 +385,10 @@ def _cmd_weyl_module(args) -> tuple[int, dict]:
 def _cmd_dim(args) -> tuple[int, dict]:
     label, cartan, word, experimental = _load_algebra(args)
     weight = _parse_int_list(args.weights, "weight")
-    dims = _fund_dims(args, cartan)
+    dims = _fund_dims(args)
     if dims is None:
         raise CliInputError("dim needs --fund-dims or a config with fund_dims")
-    report = _dimension_report(weight, dims, cartan)
+    report = dimension_bound(weight, dims, cartan)
     results = {
         "weight": list(report.weight),
         "fund_dims": list(report.fund_dims),
@@ -428,10 +401,7 @@ def _cmd_dim(args) -> tuple[int, dict]:
 
 def _cmd_verify(args) -> tuple[int, dict]:
     label, cartan, word, experimental = _load_algebra(args)
-    try:
-        checks = run_suite(args.suite)
-    except KeyError as exc:
-        raise CliInputError(str(exc)) from None
+    checks = run_suite(args.suite)
     results = {
         "suite": args.suite,
         "ok": all(c.ok for c in checks),
@@ -616,7 +586,7 @@ def _dispatch(args) -> int:
                 f"--order {args.order} outside {MIN_ORDER}..{MAX_ORDER}"
             )
         code, env = _HANDLERS[args.command](args)
-    except (CliInputError, InvalidCartanError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except _NotCertified as exc:

@@ -22,10 +22,10 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .exact import GaussianRational, SymbolicRootsUnavailable, _rational_roots
-from .rootsystem import CartanData, weyl_dim
+from .rootsystem import CartanData, InputError, weyl_dim
 from .walk import WalkReport
 
 __all__ = [
@@ -167,14 +167,8 @@ def compute_s_sets(t_sets: Iterable[TSet], cartan: CartanData) -> list[SSet]:
     return out
 
 
-def _as_sset_map(s_sets) -> Mapping[tuple[int, int], SSet]:
-    if isinstance(s_sets, Mapping):
-        return s_sets
-    return {(s.b, s.c): s for s in s_sets}
-
-
 def check_cyclicity(
-    factors: Sequence[TensorFactor], s_sets, mode: str
+    factors: Sequence[TensorFactor], s_sets: Iterable[SSet], mode: str
 ) -> CyclicityReport:
     """Test the ordered product against the forbidden-difference sets.
 
@@ -193,7 +187,7 @@ def check_cyclicity(
     if canonical is None:
         raise ValueError(f"unknown mode {mode!r}")
     highest_weight = canonical == MODE_HIGHEST_WEIGHT
-    smap = _as_sset_map(s_sets)
+    smap = {(s.b, s.c): s for s in s_sets}
     at_param: dict[tuple[int, Fraction, Fraction], list[int]] = {}
     at_node: dict[int, list[int]] = {}
     for j, f in enumerate(factors, start=1):
@@ -273,30 +267,37 @@ def dimension_bound(
     (m_1..m_l), with the classical Weyl-formula fundamental dimensions
     reported alongside for reference.
 
-    A product that could not be printed under the interpreter's int-to-str
-    digit limit (CPython's default where the limit is off or absent) raises
-    ValueError before it is built: it has at least
+    Out-of-range arguments raise InputError, and so does a product that
+    could not be printed under the interpreter's int-to-str digit limit
+    (CPython's default where the limit is off or absent).  Most such
+    products are rejected before they are built: one has at least
     sum_i m_i (bit_length(D_i) - 1) + 1 bits, and 2^(b-1) >= 10^limit once
-    b - 1 reaches the bit length of 10^limit.
+    b - 1 reaches the bit length of 10^limit.  The rest are compared with
+    10^limit once built.
     """
     lam = tuple(int(x) for x in weight)
     dims = tuple(int(x) for x in fund_dims)
     if len(lam) != cartan.rank or len(dims) != cartan.rank:
-        raise ValueError("weight and dimension tuples must match the rank")
+        raise InputError("weight and dimension tuples must match the rank")
     if any(x < 0 for x in lam):
-        raise ValueError("weight must be dominant")
+        raise InputError("weight must be dominant")
     if any(x <= 0 for x in dims):
-        raise ValueError("fundamental dimensions must be positive")
+        raise InputError("fundamental dimensions must be positive")
     limit = _digit_limit()
+    ceiling = 10**limit
     min_bits = sum(m * (d.bit_length() - 1) for d, m in zip(dims, lam)) + 1
-    if min_bits - 1 >= (10**limit).bit_length():
-        raise ValueError(
+    if min_bits - 1 >= ceiling.bit_length():
+        raise InputError(
             f"dimension bound too large to print: at least {min_bits} bits, "
             f"more than {limit} digits"
         )
     bound = 1
     for d, m in zip(dims, lam):
         bound *= d**m
+    if bound >= ceiling:
+        raise InputError(
+            f"dimension bound too large to print: more than {limit} digits"
+        )
     reference = tuple(
         weyl_dim(cartan, cartan.fundamental(i)) for i in range(1, cartan.rank + 1)
     )

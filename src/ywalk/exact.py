@@ -18,10 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "GaussianRational",
     "ParamPoly",
     "UniPoly",

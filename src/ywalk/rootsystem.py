@@ -16,6 +16,7 @@ from typing import Sequence
 
 __all__ = [
     "CartanData",
+    "InputError",
     "InvalidCartanError",
     "PathExponents",
     "BUILTIN_ALGEBRAS",
@@ -37,7 +38,12 @@ ReducedWord = tuple[int, ...]
 _GROUP_GUARD = 10**6
 
 
-class InvalidCartanError(ValueError):
+class InputError(ValueError):
+    """A caller's argument is out of range for a library entry point; the
+    command line reports it as an input error (exit code 2)."""
+
+
+class InvalidCartanError(InputError):
     """The supplied matrix/symmetrizer pair is not finite-type Cartan data."""
 
 
@@ -59,7 +65,7 @@ class CartanData:
 
     def fundamental(self, i: int) -> Weight:
         if not 1 <= i <= self.rank:
-            raise ValueError(f"fundamental index {i} out of range 1..{self.rank}")
+            raise InputError(f"fundamental index {i} out of range 1..{self.rank}")
         return tuple(1 if k == i - 1 else 0 for k in range(self.rank))
 
 
@@ -203,7 +209,7 @@ def path_exponents(
     The word must be a reduced word of the longest element.
     """
     if not is_reduced_word_of_longest(cartan, word):
-        raise ValueError("word is not a reduced word of the longest element")
+        raise InputError("word is not a reduced word of the longest element")
     current = cartan.fundamental(fundamental)
     exps = [0] * len(word)
     for j in range(len(word), 0, -1):

@@ -15,6 +15,7 @@ from fractions import Fraction
 from .cyclicity import compute_s_sets, compute_t_sets, q_exponent_image
 from .exact import ParamPoly, series_exp, series_log, series_rescale
 from .rootsystem import (
+    InputError,
     builtin_cartan,
     path_exponents,
     weyl_dim,
@@ -231,5 +232,5 @@ def run_suite(name: str) -> list[CheckResult]:
             out.extend(SUITES[key]())
         return out
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}")
+        raise InputError(f"unknown suite {name!r}")
     return SUITES[name]()

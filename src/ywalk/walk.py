@@ -47,7 +47,7 @@ from .exact import (
     power_sums_to_monic,
     shift_log_series,
 )
-from .rootsystem import CartanData, lowest_weight, path_exponents
+from .rootsystem import CartanData, InputError, lowest_weight, path_exponents
 
 __all__ = [
     "CrosscheckError",
@@ -307,12 +307,13 @@ def run_walk(
     positive step the transported node series is compared with the
     lowest-vector form rebuilt from the step's roots.  At the end the
     weight must be the lowest weight and every node series a lowest-vector
-    series for that weight.  A mismatch raises CrosscheckError.
+    series for that weight.  A mismatch raises CrosscheckError.  An order
+    below the largest path exponent + 2 raises InputError.
     """
     exps = path_exponents(cartan, word, fundamental)
     max_m = max(exps.exponents) if exps.exponents else 0
     if order < max_m + 2:
-        raise ValueError(
+        raise InputError(
             f"series order {order} too small; need at least {max_m + 2}"
         )
     state = init_walk(cartan, fundamental, order)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from ywalk import (
@@ -77,3 +79,19 @@ def g2_t_sets(g2_reports):
 @pytest.fixture(scope="session")
 def g2_s_sets(g2, g2_t_sets):
     return compute_s_sets(g2_t_sets, g2)
+
+
+@pytest.fixture(scope="session")
+def largest_printable_power():
+    """(base, limit) -> the largest m with base^m < 10^limit, the largest
+    power of base that prints in at most limit digits."""
+
+    def largest(base, limit):
+        m = int(limit / math.log10(base))
+        while base ** (m + 1) < 10**limit:
+            m += 1
+        while base**m >= 10**limit:
+            m -= 1
+        return m
+
+    return largest

@@ -13,9 +13,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ywalk import cli, validate_cartan, walk
-from ywalk.cli import CliInputError, main, parse_factors, parse_gaussian
+from ywalk import (
+    InputError,
+    InvalidCartanError,
+    cli,
+    path_exponents,
+    validate_cartan,
+    walk,
+)
+from ywalk.cli import MAX_FACTORS, CliInputError, main, parse_factors, parse_gaussian
+from ywalk.cyclicity import TensorFactor, check_cyclicity, dimension_bound
 from ywalk.exact import GaussianRational
+from ywalk.verify import EXPECTED_S, EXPECTED_T, G2_WORD, run_suite
+from ywalk.walk import run_walk
 
 
 def run_cli(capsys, *argv):
@@ -91,11 +101,10 @@ def test_walk_command_rows(capsys):
 def test_tables_command(capsys):
     code, env = run_json(capsys, "tables")
     assert code == 0
+    t_sets = {(t["b"], t["c"]): tuple(t["roots"]) for t in env["results"]["t_sets"]}
+    assert t_sets == EXPECTED_T
     s_sets = {(s["b"], s["c"]): s["values"] for s in env["results"]["s_sets"]}
-    assert s_sets[(1, 1)] == ["3", "4", "5", "6"]
-    assert s_sets[(1, 2)] == ["1/2", "3/2", "5/2", "7/2", "9/2"]
-    assert s_sets[(2, 1)] == ["9/2", "13/2"]
-    assert s_sets[(2, 2)] == ["1", "3", "4", "6"]
+    assert s_sets == {bc: [str(v) for v in values] for bc, values in EXPECTED_S.items()}
 
 
 def test_path_command(capsys):
@@ -200,6 +209,58 @@ def test_dimension_bound_with_the_digit_limit_off_exits_two(capsys):
     finally:
         if setter:
             setter(old)
+
+
+@pytest.mark.parametrize("limit_off", [False, True], ids=["limit-on", "limit-off"])
+def test_dimension_bound_at_the_exact_digit_limit_exits_two(
+    capsys, largest_printable_power, limit_off
+):
+    # 15^m and 15^(m+1) both pass the bit-length pre-check; only the exact
+    # comparison with 10^limit tells them apart
+    setter = getattr(sys, "set_int_max_str_digits", None)
+    old = sys.get_int_max_str_digits() if setter else None
+    if setter and limit_off:
+        setter(0)
+    try:
+        limit = (sys.get_int_max_str_digits() if setter else 0) or 4300
+        m = largest_printable_power(15, limit)
+        code, out = run_cli(capsys, "dim", "--weights", f"{m},0", "--fund-dims", "15,7")
+        assert code == 0 and f"bound: {15**m}\n" in out
+        assert main(["dim", "--weights", f"{m + 1},0", "--fund-dims", "15,7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: dimension bound too large to print: more than {limit} digits"
+        ]
+    finally:
+        if setter:
+            setter(old)
+
+
+def test_library_input_checks_raise_input_error(g2, g2_s_sets):
+    assert issubclass(CliInputError, InputError)
+    assert issubclass(InvalidCartanError, InputError)
+    checks = {
+        "fundamental index": lambda: g2.fundamental(3),
+        "word not reduced": lambda: path_exponents(g2, (1, 1), 1),
+        "order too small": lambda: run_walk(g2, G2_WORD, 1, 4),
+        "dimension length": lambda: dimension_bound((1, 0), (14,), g2),
+        "weight not dominant": lambda: dimension_bound((-1, 0), (14, 7), g2),
+        "dimension not positive": lambda: dimension_bound((1, 0), (0, 7), g2),
+        "bound past the bit length": lambda: dimension_bound((10**12, 0), (14, 7), g2),
+        "unknown suite": lambda: run_suite("nosuch"),
+    }
+    for name, check in checks.items():
+        try:
+            check()
+        except InputError:
+            continue
+        pytest.fail(f"{name}: no InputError")
+    # an S-set table without a node pair is an internal fault (exit 3)
+    factors = [TensorFactor(node, GaussianRational(F(0))) for node in (1, 3)]
+    with pytest.raises(ValueError, match="no S set for node pair") as info:
+        check_cyclicity(factors, g2_s_sets, "hw")
+    assert not isinstance(info.value, InputError)
 
 
 def test_argparse_usage_error_exits_two(capsys):
@@ -413,15 +474,32 @@ def test_a40_path_through_main(capsys, tmp_path):
 
 
 def test_long_factor_list(capsys):
-    # 2000 factors, about 4M ordered pairs for a pairwise check
-    spec = ",".join(f"{1 + k % 2}:{100 * k}" for k in range(2000))
+    # a list at the --factors ceiling is checked in full: the last factor
+    # sits 3 in S(1,1) above the first (the library itself takes longer
+    # lists, see test_long_structured_list)
+    spec = ",".join(f"{1 + k % 2}:{100 * k}" for k in range(MAX_FACTORS - 1))
     code, env = run_json(capsys, "cyclicity", "--factors", spec, "--mode", "irr")
     assert code == 0 and env["results"]["violations"] == []
     spec += ",1:3"
     code, env = run_json(capsys, "cyclicity", "--factors", spec, "--mode", "irr")
     assert code == 1
     assert env["results"]["violations"] == [
-        {"i": 1, "j": 2001, "difference": "3", "s_value": "3"}
+        {"i": 1, "j": MAX_FACTORS, "difference": "3", "s_value": "3"}
+    ]
+
+
+def test_factor_list_past_the_ceiling_exits_two(capsys, monkeypatch):
+    def no_check(*args, **kwargs):
+        raise AssertionError("a cyclicity check started")
+
+    monkeypatch.setattr(cli, "check_cyclicity", no_check)
+    # dense: each 1:0 / 1:3 pair is a violation, so the list would grow as n^2
+    spec = ",".join(["1:0", "1:3"] * (MAX_FACTORS // 2) + ["1:0"])
+    assert main(["cyclicity", "--factors", spec, "--mode", "irr"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {MAX_FACTORS + 1} factors listed; at most {MAX_FACTORS}"
     ]
 
 

@@ -21,21 +21,10 @@ from ywalk.cyclicity import (
     dimension_bound,
     q_exponent_image,
 )
-from ywalk.exact import GaussianRational, SymbolicRootsUnavailable
+from ywalk.exact import GaussianRational, ParamPoly, SymbolicRootsUnavailable
+from ywalk.rootsystem import InputError
+from ywalk.verify import EXPECTED_S, EXPECTED_T
 from ywalk.walk import StepRecord, WalkReport, run_walk
-
-EXPECTED_T = {
-    (1, 1): ((F(1, 3), F(0)), (F(1, 3), F(1, 3)), (F(1, 3), F(2, 3)), (F(1, 3), F(1))),
-    (1, 2): tuple((F(1), F(n, 2)) for n in (-1, 1, 3, 5, 7)),
-    (2, 1): ((F(1, 3), F(1, 2)), (F(1, 3), F(7, 6))),
-    (2, 2): tuple((F(1), F(n)) for n in (0, 2, 3, 5)),
-}
-EXPECTED_S = {
-    (1, 1): (F(3), F(4), F(5), F(6)),
-    (1, 2): (F(1, 2), F(3, 2), F(5, 2), F(7, 2), F(9, 2)),
-    (2, 1): (F(9, 2), F(13, 2)),
-    (2, 2): (F(1), F(3), F(4), F(6)),
-}
 
 
 def gauss(re, im=0):
@@ -43,7 +32,10 @@ def gauss(re, im=0):
 
 
 def test_t_sets_match_expected(g2, g2_reports):
-    t_sets = {(t.b, t.c): t.roots for t in compute_t_sets(g2_reports)}
+    t_sets = {
+        (t.b, t.c): tuple(str(ParamPoly((beta, alpha))) for alpha, beta in t.roots)
+        for t in compute_t_sets(g2_reports)
+    }
     assert t_sets == EXPECTED_T
 
 
@@ -355,6 +347,18 @@ def test_dimension_bound_past_the_digit_limit_is_never_built(g2):
     assert len(str(dimension_bound((m, 0), (16, 1), g2).bound)) <= limit
     with pytest.raises(ValueError, match="too large to print"):
         dimension_bound((m + 1, 0), (16, 1), g2)
+
+
+def test_dimension_bound_at_the_exact_digit_limit(g2, largest_printable_power):
+    # 15^m has 3m + 1 bits at least, so the bit-length pre-check passes
+    # both m and m + 1; the exact comparison with 10^limit decides
+    limit = sys.get_int_max_str_digits() or 4300
+    m = largest_printable_power(15, limit)
+    if limit == 4300:
+        assert m == 3656
+    assert len(str(dimension_bound((m, 0), (15, 7), g2).bound)) <= limit
+    with pytest.raises(InputError, match="too large to print"):
+        dimension_bound((m + 1, 0), (15, 7), g2)
 
 
 def test_q_exponent_image_diagonal(g2, g2_s_sets):
