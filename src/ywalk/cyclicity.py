@@ -105,8 +105,6 @@ class CyclicityReport:
 class WeylModuleSpec:
     """An ordered tensor product realizing a pair of root multisets."""
 
-    pi1_roots: tuple[GaussianRational, ...]
-    pi2_roots: tuple[GaussianRational, ...]
     factors: tuple[TensorFactor, ...]
     weight: tuple[int, int]
     report: CyclicityReport
@@ -246,8 +244,6 @@ def build_ordered_product(
     factors.sort(key=lambda f: (-f.param.re, -f.param.im, f.node))
     report = check_cyclicity(factors, s_sets, MODE_HIGHEST_WEIGHT)
     return WeylModuleSpec(
-        pi1_roots=tuple(roots1),
-        pi2_roots=tuple(roots2),
         factors=tuple(factors),
         weight=(len(roots1), len(roots2)),
         report=report,

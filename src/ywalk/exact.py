@@ -410,15 +410,22 @@ def shift_log_series(p: Sequence, shift, order: int) -> list[Fraction]:
 
 
 def _divisors(n: int) -> list[int]:
+    """Positive divisors of n != 0, ascending, from the prime factorization
+    of |n| by trial division; a large prime factor P still costs about
+    sqrt(P) steps."""
     n = abs(n)
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
+    out = [1]
+    p = 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out = [x * p**k for x in out for k in range(e + 1)]
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out += [x * n for x in out]
     return sorted(out)
 
 

@@ -35,8 +35,6 @@ __all__ = [
 Weight = tuple[int, ...]
 ReducedWord = tuple[int, ...]
 
-_GROUP_GUARD = 10**6
-
 
 class InputError(ValueError):
     """A caller's argument is out of range for a library entry point; the
@@ -220,27 +218,24 @@ def path_exponents(
 
 
 def positive_roots(cartan: CartanData) -> list[tuple[int, ...]]:
-    """All positive roots, in simple-root coordinates."""
+    """All positive roots, in simple-root coordinates.
+
+    Along a reduced word r_1..r_N of w0, the roots
+    s_{r_1}..s_{r_{j-1}}(alpha_{r_j}) are the N positive roots, each once
+    (Bourbaki VI 1.6, Cor. 2).  The prefix w is kept as its columns
+    w(alpha_k); right-multiplying by s_r subtracts a_{rk} times column r
+    from column k, and so negates column r itself (a_rr = 2).
+    """
     l = cartan.rank
-
-    def reflect_root(v: tuple[int, ...], i: int) -> tuple[int, ...]:
-        pairing = sum(cartan.a[i][j] * v[j] for j in range(l))
-        return tuple(v[j] - (pairing if j == i else 0) for j in range(l))
-
-    roots = {tuple(1 if j == i else 0 for j in range(l)) for i in range(l)}
-    frontier = list(roots)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(l):
-                w = reflect_root(v, i)
-                if w not in roots:
-                    roots.add(w)
-                    nxt.append(w)
-        frontier = nxt
-        if len(roots) > _GROUP_GUARD:
-            raise InvalidCartanError("root system enumeration exceeded the guard size")
-    return sorted(v for v in roots if all(c >= 0 for c in v))
+    cols = [tuple(int(j == k) for j in range(l)) for k in range(l)]
+    roots = []
+    for r in weyl_longest(cartan):
+        col_r = cols[r - 1]
+        roots.append(col_r)
+        for k, a_rk in enumerate(cartan.a[r - 1]):
+            if a_rk:
+                cols[k] = tuple(x - a_rk * y for x, y in zip(cols[k], col_r))
+    return sorted(roots)
 
 
 def weyl_dim(cartan: CartanData, weight: Sequence[int]) -> int:
@@ -248,9 +243,9 @@ def weyl_dim(cartan: CartanData, weight: Sequence[int]) -> int:
     dimension formula evaluated exactly."""
     lam = tuple(int(x) for x in weight)
     if len(lam) != cartan.rank:
-        raise ValueError("weight length must equal the rank")
+        raise InputError("weight length must equal the rank")
     if any(x < 0 for x in lam):
-        raise ValueError("weight must be dominant")
+        raise InputError("weight must be dominant")
     total = Fraction(1)
     for root in positive_roots(cartan):
         num = sum(c * d * (m + 1) for c, d, m in zip(root, cartan.d, lam))

@@ -91,7 +91,6 @@ class WalkState:
     order: int
     series: list[list[Fraction]]
     weight: tuple[int, ...]
-    cursor: int = 0  # number of path steps applied so far
 
     def coefficient(self, node: int, k: int) -> ParamPoly:
         """Eigenvalue of H_{node,k} on the current extremal vector, in a."""
@@ -252,7 +251,6 @@ def apply_step(state: WalkState, node: int, m: int, p: Sequence[Fraction]) -> Wa
         raise ValueError("power-sum degree does not match the step exponent")
     if len(p) <= state.order:
         raise ValueError("power sums must be extended through the series order")
-    state.cursor += 1
     if m == 0:
         return state
     c = node

@@ -17,11 +17,29 @@ from ywalk.verify import G2_WORD
 E_EDGES = ((1, 3), (3, 4), (2, 4), (4, 5), (5, 6), (6, 7), (7, 8))
 
 
-def simply_laced(rank, edges):
+def finite_type_cartan(name):
+    """Bourbaki-labelled Cartan data of a finite type named like "b3", "e7"."""
+    kind, rank = name[0], int(name[1:])
+    if kind == "g":
+        return builtin_cartan("g2")
+    chain = [(i, i + 1) for i in range(1, rank)]
+    edges = {"d": chain[:-1] + [(rank - 2, rank)], "e": E_EDGES[: rank - 1]}
     a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-    for i, j in edges:
+    for i, j in edges.get(kind, chain):
         a[i - 1][j - 1] = a[j - 1][i - 1] = -1
-    return validate_cartan(a, [1] * rank)
+    d = [1] * rank
+    if kind in "bcf":
+        # the double bond, as (short node, long node), and the long nodes
+        short, long = {"b": (rank, rank - 1), "c": (rank - 1, rank), "f": (3, 2)}[kind]
+        long_nodes = {"b": range(1, rank), "c": (rank,), "f": (1, 2)}[kind]
+        a[short - 1][long - 1] = -2
+        d = [2 if k in long_nodes else 1 for k in range(1, rank + 1)]
+    return validate_cartan(a, d)
+
+
+@pytest.fixture(scope="session")
+def finite_type():
+    return finite_type_cartan
 
 
 @pytest.fixture(scope="session")
@@ -41,29 +59,27 @@ def a2():
 
 @pytest.fixture(scope="session")
 def b2():
-    return validate_cartan(((2, -1), (-2, 2)), (2, 1))
+    return finite_type_cartan("b2")
 
 
 @pytest.fixture(scope="session")
 def b3():
-    return validate_cartan(((2, -1, 0), (-1, 2, -1), (0, -2, 2)), (2, 2, 1))
+    return finite_type_cartan("b3")
 
 
 @pytest.fixture(scope="session")
 def f4():
-    return validate_cartan(
-        ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -2, 2, -1), (0, 0, -1, 2)), (2, 2, 1, 1)
-    )
+    return finite_type_cartan("f4")
 
 
 @pytest.fixture(scope="session")
 def e6():
-    return simply_laced(6, E_EDGES[:5])
+    return finite_type_cartan("e6")
 
 
 @pytest.fixture(scope="session")
 def e8():
-    return simply_laced(8, E_EDGES)
+    return finite_type_cartan("e8")
 
 
 @pytest.fixture(scope="session")

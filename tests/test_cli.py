@@ -20,6 +20,7 @@ from ywalk import (
     path_exponents,
     validate_cartan,
     walk,
+    weyl_dim,
 )
 from ywalk.cli import MAX_FACTORS, CliInputError, main, parse_factors, parse_gaussian
 from ywalk.cyclicity import TensorFactor, check_cyclicity, dimension_bound
@@ -249,6 +250,8 @@ def test_library_input_checks_raise_input_error(g2, g2_s_sets):
         "dimension not positive": lambda: dimension_bound((1, 0), (0, 7), g2),
         "bound past the bit length": lambda: dimension_bound((10**12, 0), (14, 7), g2),
         "unknown suite": lambda: run_suite("nosuch"),
+        "Weyl weight length": lambda: weyl_dim(g2, (1,)),
+        "Weyl weight not dominant": lambda: weyl_dim(g2, (-1, 0)),
     }
     for name, check in checks.items():
         try:

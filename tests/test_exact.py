@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 import math
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -434,40 +435,71 @@ def test_roots_affine_reexpansion_matches_input(d, intercepts):
     assert rebuilt == poly
 
 
+def _divisors_reference(n):
+    """Positive divisors of n != 0, from its prime factorization."""
+    n, primes = abs(n), {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            primes[p] = primes.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        primes[n] = 1
+    return [
+        math.prod(p**k for p, k in zip(primes, ks))
+        for ks in product(*(range(e + 1) for e in primes.values()))
+    ]
+
+
+def test_divisors_match_reference():
+    # every n up to 3000, then powers, a product of two primes near 10^6
+    # and a prime near 10^12 (both sides trial-divide up to 10^6)
+    cases = list(range(1, 3001)) + [
+        2**40, 3**20 * 5**7, 999_983 * 1_000_003, 999_999_999_989, 720_720**2
+    ]
+    for n in cases:
+        assert _divisors(n) == _divisors(-n) == sorted(_divisors_reference(n)), n
+
+
 def _rational_roots_reference(coeffs):
-    """Strip zero roots, then find the least rational root and deflate,
-    re-enumerating the candidates after every root found."""
+    """Strip zero roots, then test every candidate n/q of the rational root
+    theorem in lowest terms and divide each root out as often as it
+    divides.  (q - n) must divide p(1) and (q + n) must divide p(-1) for
+    an integer polynomial p, which skips most candidates before they are
+    evaluated."""
     cs = [F(c) for c in coeffs]
     roots = []
-    while len(cs) > 1:
-        if cs[0] == 0:
-            roots.append(F(0))
-            cs = cs[1:]
-            continue
-        scale = math.lcm(*(c.denominator for c in cs))
-        ints = [int(c * scale) for c in cs]
-        candidates = set()
-        for num in _divisors(ints[0]):
-            for den in _divisors(ints[-1]):
-                candidates.add(F(num, den))
-                candidates.add(F(-num, den))
-        found = None
-        for cand in sorted(candidates):
-            acc = F(0)
-            for c in reversed(cs):
-                acc = acc * cand + c
-            if acc == 0:
-                found = cand
-                break
-        if found is None:
-            return None
-        roots.append(found)
-        quot = [F(0)] * (len(cs) - 1)
-        carry = F(0)
-        for k in range(len(cs) - 1, 0, -1):
-            quot[k - 1] = cs[k] + carry
-            carry = quot[k - 1] * found
-        cs = quot
+    while len(cs) > 1 and cs[0] == 0:
+        roots.append(F(0))
+        cs = cs[1:]
+    if len(cs) == 1:
+        return roots
+    scale = math.lcm(*(c.denominator for c in cs))
+    ints = [int(c * scale) for c in cs]
+    at_one, at_minus_one = sum(ints), sum(c * (-1) ** k for k, c in enumerate(ints))
+    dens = _divisors_reference(ints[-1])
+    for n in _divisors_reference(ints[0]):
+        for q in dens:
+            if math.gcd(n, q) != 1:
+                continue
+            for num in (n, -n):
+                if (q - num and at_one % (q - num)) or (
+                    q + num and at_minus_one % (q + num)
+                ):
+                    continue
+                cand = F(num, q)
+                while len(cs) > 1:
+                    acc, quot = F(0), []
+                    for c in reversed(cs):
+                        acc = acc * cand + c
+                        quot.append(acc)
+                    if acc != 0:
+                        break
+                    roots.append(cand)
+                    cs = quot[-2::-1]
+    if len(cs) > 1:
+        return None
     return sorted(roots)
 
 

@@ -143,6 +143,55 @@ def test_positive_root_count(g2, a1, a2):
     assert len(positive_roots(a2)) == 3
 
 
+def _positive_roots_reference(cartan):
+    """Breadth-first closure of the simple roots under the simple
+    reflections, then the positive half: a search over the whole root
+    system, independent of any reduced word."""
+    l = cartan.rank
+
+    def reflect_root(v, i):
+        pairing = sum(cartan.a[i][j] * v[j] for j in range(l))
+        return tuple(v[j] - (pairing if j == i else 0) for j in range(l))
+
+    roots = {tuple(1 if j == i else 0 for j in range(l)) for i in range(l)}
+    frontier = list(roots)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in range(l):
+                w = reflect_root(v, i)
+                if w not in roots:
+                    roots.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return sorted(v for v in roots if all(c >= 0 for c in v))
+
+
+# |positive roots|: n(n+1)/2 in type A_n, n^2 in B_n and C_n, n(n-1) in D_n
+POSITIVE_ROOT_COUNTS = {
+    **{f"a{n}": n * (n + 1) // 2 for n in range(1, 9)},
+    **{f"b{n}": n * n for n in range(2, 5)},
+    **{f"c{n}": n * n for n in range(2, 5)},
+    **{f"d{n}": n * (n - 1) for n in range(4, 8)},
+    "e6": 36, "e7": 63, "e8": 120, "f4": 24, "g2": 6,
+}
+
+
+@pytest.mark.parametrize("name", sorted(POSITIVE_ROOT_COUNTS))
+def test_positive_roots_match_the_root_system_search(finite_type, name):
+    cartan = finite_type(name)
+    roots = positive_roots(cartan)
+    assert roots == _positive_roots_reference(cartan)
+    assert len(roots) == POSITIVE_ROOT_COUNTS[name]
+
+
+def test_positive_roots_reject_affine_data():
+    # A_1^(1), built without validation: the longest word does not exist
+    affine = CartanData(2, ((2, -2), (-2, 2)), (1, 1))
+    with pytest.raises(InvalidCartanError):
+        positive_roots(affine)
+
+
 def test_weyl_dim_g2(g2):
     assert weyl_dim(g2, (0, 1)) == 7
     assert weyl_dim(g2, (1, 0)) == 14
@@ -235,7 +284,7 @@ def test_descent_signs_match_the_length_and_image_rule(request, name, reduced):
     # lengths |positive roots| - 1 .. |positive roots| + 2; only the sign
     # test rejects a word of length + 2 that still sends rho to -rho
     cartan = request.getfixturevalue(name)
-    n = len(positive_roots(cartan))
+    n = len(_positive_roots_reference(cartan))
     accepted = 0
     for length in range(n - 1, n + 3):
         for word in product(range(cartan.rank + 2), repeat=length):

@@ -310,10 +310,13 @@ def _corrupt_after_last_step():
     """apply_step that adds 1 at u^-5 of node 2 once the last step is done,
     after every per-step crosscheck that could see it."""
     original = walk.apply_step
+    calls = 0
 
     def corrupted(state, node, m, p):
+        nonlocal calls
         original(state, node, m, p)
-        if state.cursor == len(G2_WORD):
+        calls += 1
+        if calls == len(G2_WORD):
             _bump(state, 2, 5)
         return state
 
