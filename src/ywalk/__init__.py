@@ -30,9 +30,6 @@ from .rootsystem import (
     weyl_order,
 )
 from .sl2 import (
-    EvalModule,
-    GeneratorLabel,
-    act,
     check_relations,
     extremal_series_check,
     symmetrized_insertion_check,

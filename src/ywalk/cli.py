@@ -214,10 +214,11 @@ def _fund_dims(args) -> tuple[int, ...] | None:
     config = _load_config(args)
     if "fund_dims" not in config:
         return None
-    try:
-        return tuple(int(x) for x in config["fund_dims"])
-    except (TypeError, ValueError, OverflowError):
-        raise CliInputError("config fund_dims must be a list of integers") from None
+    dims = config["fund_dims"]
+    # type(), not isinstance(): bool is a subclass of int
+    if not isinstance(dims, list) or any(type(x) is not int for x in dims):
+        raise CliInputError("config fund_dims must be a list of integers")
+    return tuple(dims)
 
 
 def _envelope(args, label: str, experimental: bool, inputs: dict, results: dict):

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exact import GaussianRational, SymbolicRootsUnavailable, _rational_roots
-from .rootsystem import CartanData, InputError, weyl_dim
+from .rootsystem import CartanData, InputError, _weyl_dims, positive_roots
 from .walk import WalkReport
 
 __all__ = [
@@ -294,9 +294,8 @@ def dimension_bound(
         raise InputError(
             f"dimension bound too large to print: more than {limit} digits"
         )
-    reference = tuple(
-        weyl_dim(cartan, cartan.fundamental(i)) for i in range(1, cartan.rank + 1)
-    )
+    fundamentals = (cartan.fundamental(i) for i in range(1, cartan.rank + 1))
+    reference = tuple(_weyl_dims(positive_roots(cartan), cartan.d, fundamentals))
     return DimensionReport(
         weight=lam, fund_dims=dims, bound=bound, reference_fund_dims=reference
     )

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Sequence
+from math import gcd, prod
+from typing import Iterable, Sequence
 
 __all__ = [
     "CartanData",
@@ -246,10 +246,27 @@ def weyl_dim(cartan: CartanData, weight: Sequence[int]) -> int:
         raise InputError("weight length must equal the rank")
     if any(x < 0 for x in lam):
         raise InputError("weight must be dominant")
-    total = Fraction(1)
-    for root in positive_roots(cartan):
-        num = sum(c * d * (m + 1) for c, d, m in zip(root, cartan.d, lam))
-        den = sum(c * d for c, d in zip(root, cartan.d))
-        total *= Fraction(num, den)
-    assert total.denominator == 1
-    return int(total)
+    [dim] = _weyl_dims(positive_roots(cartan), cartan.d, [lam])
+    return dim
+
+
+def _weyl_dims(
+    roots: Sequence[Weight], d: Weight, weights: Iterable[Weight]
+) -> list[int]:
+    """Weyl dimension of each dominant weight: the product over the positive
+    roots alpha of (lam + rho, alpha) / (rho, alpha), with
+    (omega_i, alpha_j) = d_j delta_ij, as one exact division of integer
+    products.  (rho, alpha) and its product are shared by all weights."""
+    heights = [sum(c * dj for c, dj in zip(root, d)) for root in roots]
+    den = prod(heights)
+    dims = []
+    for lam in weights:
+        support = [(j, dj * m) for j, (dj, m) in enumerate(zip(d, lam)) if m]
+        num = prod(
+            h + sum(root[j] * w for j, w in support)
+            for root, h in zip(roots, heights)
+        )
+        dim, rest = divmod(num, den)
+        assert rest == 0
+        dims.append(dim)
+    return dims

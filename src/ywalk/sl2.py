@@ -7,36 +7,30 @@ The (m+1)-dimensional module V_m(a) carries generator actions
     h_k  w_s = ((s+a-1)^k s (m-s+1) - (s+a)^k (s+1)(m-s)) w_s
 
 on the basis w_0..w_m, with a an exact rational.  Each generator is a
-weighted shift, an :class:`Operator`; compositions of generators are
-weighted shifts too, so every operator identity is checked exactly on
-their weights.  The reports returned by the check functions either
-confirm an identity or carry the first violation found.
+weighted shift, an :class:`Operator`, read through :func:`operator`;
+compositions of generators are weighted shifts too, so every operator
+identity is checked exactly on their weights.  The reports returned by the
+check functions either confirm an identity or carry the first violation
+found.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .exact import UniPoly, series_from_poly_ratio
 
 __all__ = [
-    "GeneratorLabel",
-    "EvalModule",
-    "ModuleVector",
     "Operator",
     "CheckReport",
-    "act",
+    "operator",
     "check_relations",
     "symmetrized_insertion_check",
     "extremal_series_check",
 ]
-
-ModuleVector = tuple[Fraction, ...]
-
-DEFAULT_MAX_LEVEL = 8
 
 
 class Operator(NamedTuple):
@@ -49,50 +43,21 @@ class Operator(NamedTuple):
     weights: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class GeneratorLabel:
-    """One generator of the rank-1 algebra: kind in {'x+', 'x-', 'h'}."""
-
-    kind: str
-    level: int
-
-    def __post_init__(self):
-        if self.kind not in ("x+", "x-", "h"):
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.level < 0:
-            raise ValueError("generator level must be non-negative")
+def _checked(m: int, a, level: int = 0) -> Fraction:
+    """The evaluation point of V_m(a) as a Fraction, once m and the
+    generator level are known to be in range."""
+    if m < 1:
+        raise ValueError("m must be positive")
+    if level < 0:
+        raise ValueError("generator level must be non-negative")
+    return Fraction(a)
 
 
-@dataclass(frozen=True)
-class EvalModule:
-    """The module V_m(a) with basis w_0..w_m."""
-
-    m: int
-    a: Fraction
-    max_level: int = DEFAULT_MAX_LEVEL
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be positive")
-        object.__setattr__(self, "a", Fraction(self.a))
-
-    @property
-    def dim(self) -> int:
-        return self.m + 1
-
-    def basis_vector(self, s: int) -> ModuleVector:
-        return tuple(Fraction(1 if t == s else 0) for t in range(self.dim))
-
-    def highest(self) -> ModuleVector:
-        return self.basis_vector(self.m)
-
-    def operator(self, g: GeneratorLabel) -> Operator:
-        # h levels up to 2*max_level are needed by the [x+_r, x-_s] = h_{r+s}
-        # relation check.
-        limit = self.max_level * (2 if g.kind == "h" else 1)
-        if g.level > limit:
-            raise ValueError(f"level {g.level} exceeds configured bound {limit}")
-        return _operator(self.m, self.a, g.kind, g.level)
+def operator(m: int, a, kind: str, level: int) -> Operator:
+    """The generator kind_level (kind in {'x+', 'x-', 'h'}) on V_m(a)."""
+    if kind not in ("x+", "x-", "h"):
+        raise ValueError(f"unknown generator kind {kind!r}")
+    return _operator(m, _checked(m, a, level), kind, level)
 
 
 @lru_cache(maxsize=None)
@@ -111,16 +76,6 @@ def _operator(m: int, a: Fraction, kind: str, k: int) -> Operator:
         for s in range(m + 1)
     )
     return Operator(0, tuple(weights))
-
-
-def act(mod: EvalModule, g: GeneratorLabel, v: ModuleVector) -> ModuleVector:
-    """Exact action of one generator on a coordinate vector."""
-    shift, weights = mod.operator(g)
-    out = [Fraction(0)] * mod.dim
-    for s, w in enumerate(weights):
-        if w:
-            out[s + shift] += w * v[s]
-    return tuple(out)
 
 
 def _compose(x: Operator, y: Operator) -> Operator:
@@ -167,18 +122,9 @@ def check_relations(m: int, a, max_level: int = 3) -> CheckReport:
     levels r, s up to max_level (h levels reach 2*max_level through the
     [x+_r, x-_s] = h_{r+s} family).
     """
-    mod = EvalModule(m, Fraction(a), max_level=max(max_level, DEFAULT_MAX_LEVEL))
+    a = _checked(m, a)
     report = CheckReport()
-
-    def h(k):
-        return mod.operator(GeneratorLabel("h", k))
-
-    def xp(k):
-        return mod.operator(GeneratorLabel("x+", k))
-
-    def xm(k):
-        return mod.operator(GeneratorLabel("x-", k))
-
+    h, xp, xm = (partial(_operator, m, a, kind) for kind in ("h", "x+", "x-"))
     for r in range(max_level + 1):
         for s in range(max_level + 1):
             comm = _commutator(h(r), h(s))
@@ -225,28 +171,27 @@ def check_relations(m: int, a, max_level: int = 3) -> CheckReport:
 def symmetrized_insertion_check(m: int, a, k: int) -> CheckReport:
     """Check that one level-k lowering generator inserted in all positions of
     (x-_0)^m acts on the highest vector as the k-th power sum of the root
-    string a, a+1, ..., a+m-1."""
-    mod = EvalModule(m, Fraction(a))
-    report = CheckReport()
-    x0 = GeneratorLabel("x-", 0)
-    xk = GeneratorLabel("x-", k)
-    top = mod.highest()
-    lhs = tuple(Fraction(0) for _ in range(mod.dim))
-    for t in range(m):
-        vec = top
-        for _ in range(m - 1 - t):
-            vec = act(mod, x0, vec)
-        vec = act(mod, xk, vec)
-        for _ in range(t):
-            vec = act(mod, x0, vec)
-        lhs = tuple(u + v for u, v in zip(lhs, vec))
+    string a, a+1, ..., a+m-1.
 
-    power_sum = sum((Fraction(a) + t - 1) ** k for t in range(1, m + 1))
-    bottom = top
+    Both sides are weighted shifts by -m, read at the highest vector w_m:
+    the sum over t of (x-_0)^t x-_k (x-_0)^(m-1-t) against the power sum
+    times (x-_0)^m.
+    """
+    a = _checked(m, a, k)
+    report = CheckReport()
+    x0 = _operator(m, a, "x-", 0)
+    xk = _operator(m, a, "x-", k)
+    lowered = [Operator(0, (Fraction(1),) * (m + 1))]
     for _ in range(m):
-        bottom = act(mod, x0, bottom)
-    rhs = tuple(power_sum * c for c in bottom)
-    if all(c == 0 for c in bottom):
+        lowered.append(_compose(x0, lowered[-1]))
+    lhs = sum(
+        _compose(lowered[t], _compose(xk, lowered[m - 1 - t])).weights[m]
+        for t in range(m)
+    )
+    power_sum = sum((a + t - 1) ** k for t in range(1, m + 1))
+    bottom = lowered[m].weights[m]
+    rhs = power_sum * bottom
+    if bottom == 0:
         report.record("(x-_0)^m annihilated the highest vector")
     if lhs != rhs:
         report.record(
@@ -256,22 +201,15 @@ def symmetrized_insertion_check(m: int, a, k: int) -> CheckReport:
     return report
 
 
-def _eigen_series(mod: EvalModule, s: int, order: int) -> list[Fraction]:
-    """Coefficients of 1 + sum_k (h_k eigenvalue on w_s) u^{-k-1}, truncated."""
-    return [Fraction(1)] + [
-        mod.operator(GeneratorLabel("h", k)).weights[s] for k in range(order)
-    ]
-
-
 def extremal_series_check(m: int, a, order: int = 8) -> CheckReport:
-    """Compare the h(u) eigenvalue series of the highest and lowest basis
-    vectors with the polynomial-ratio forms pi(u+1)/pi(u) and
-    pi(u-1)/pi(u), pi(u) = prod_t (u - (a+t))."""
-    mod = EvalModule(m, Fraction(a), max_level=max(order, DEFAULT_MAX_LEVEL))
+    """Compare the h(u) eigenvalue series 1 + sum_k (h_k eigenvalue) u^{-k-1}
+    of the highest and lowest basis vectors with the polynomial-ratio forms
+    pi(u+1)/pi(u) and pi(u-1)/pi(u), pi(u) = prod_t (u - (a+t))."""
+    a = _checked(m, a)
     report = CheckReport()
-    pi = UniPoly.from_roots(Fraction(a) + t for t in range(m))
+    pi = UniPoly.from_roots(a + t for t in range(m))
     for name, s, shift in (("highest", m, 1), ("lowest", 0, -1)):
-        got = _eigen_series(mod, s, order)
+        got = [Fraction(1), *(_operator(m, a, "h", k).weights[s] for k in range(order))]
         expected = series_from_poly_ratio(pi.shift(shift), pi, order)
         if got != expected:
             report.record(

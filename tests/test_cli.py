@@ -371,6 +371,26 @@ def _config_case(data, message):
             _config_case(b'{"fund_dims": [Infinity, 7]}', "list of integers"),
             id="config-infinity",
         ),
+        pytest.param(
+            _config_case(b'{"fund_dims": "14"}', "list of integers"),
+            id="config-string",
+        ),
+        pytest.param(
+            _config_case(b'{"fund_dims": {"14": 0, "7": 0}}', "list of integers"),
+            id="config-object",
+        ),
+        pytest.param(
+            _config_case(b'{"fund_dims": [14.9, 7]}', "list of integers"),
+            id="config-float",
+        ),
+        pytest.param(
+            _config_case(b'{"fund_dims": [true, 7]}', "list of integers"),
+            id="config-bool",
+        ),
+        pytest.param(
+            _config_case(b'{"fund_dims": ["14", 7]}', "list of integers"),
+            id="config-string-entry",
+        ),
     ],
 )
 def test_input_cases_exit_two_with_one_line(capsys, tmp_path, case):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ywalk import cyclicity, rootsystem
 from ywalk.cyclicity import (
     MODE_HIGHEST_WEIGHT,
     MODE_IRREDUCIBLE,
@@ -338,6 +339,23 @@ def test_dimension_bound(g2):
         dimension_bound((-1, 0), (14, 7), g2)
     with pytest.raises(ValueError):
         dimension_bound((1, 0), (0, 7), g2)
+
+
+def test_dimension_bound_reads_the_positive_roots_once(finite_type, monkeypatch):
+    f4 = finite_type("f4")
+    calls = []
+    real = rootsystem.positive_roots
+
+    def counted(cartan):
+        calls.append(cartan)
+        return real(cartan)
+
+    # every module that may look the name up, whether or not it imports it
+    for mod in (rootsystem, cyclicity):
+        monkeypatch.setattr(mod, "positive_roots", counted, raising=False)
+    report = dimension_bound((1, 0, 0, 1), (52, 1274, 273, 26), f4)
+    assert report.reference_fund_dims == (52, 1274, 273, 26)
+    assert len(calls) == 1
 
 
 def test_dimension_bound_past_the_digit_limit_is_never_built(g2):

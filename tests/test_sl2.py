@@ -11,12 +11,10 @@ from ywalk import sl2
 from ywalk.cli import main
 from ywalk.exact import UniPoly, series_from_poly_ratio
 from ywalk.sl2 import (
-    EvalModule,
-    GeneratorLabel,
     Operator,
-    act,
     check_relations,
     extremal_series_check,
+    operator,
     symmetrized_insertion_check,
 )
 from ywalk.verify import SAMPLE_A
@@ -46,38 +44,35 @@ def dense_commutator(x: list[list[F]], y: list[list[F]]) -> list[list[F]]:
 
 
 def test_act_raising_example():
+    # x+_1 w_1 = (1+a) * 2 * w_2 on V_2(a)
     for a in SAMPLE_A:
-        mod = EvalModule(2, a)
-        out = act(mod, GeneratorLabel("x+", 1), mod.basis_vector(1))
-        assert out == tuple((1 + a) * 2 * c for c in mod.basis_vector(2))
+        op = operator(2, a, "x+", 1)
+        assert op.shift == 1
+        assert op.weights[1] == (1 + a) * 2
 
 
 def test_act_h0_is_weight_grading():
     # substituting k=0 collapses the diagonal action to 2s - m
     for m in (1, 2, 3):
-        mod = EvalModule(m, F(5, 3))
-        for s in range(m + 1):
-            out = act(mod, GeneratorLabel("h", 0), mod.basis_vector(s))
-            assert out == tuple((2 * s - m) * c for c in mod.basis_vector(s))
+        op = operator(m, F(5, 3), "h", 0)
+        assert op == Operator(0, tuple(F(2 * s - m) for s in range(m + 1)))
 
 
 def test_act_lowering_kills_bottom():
-    mod = EvalModule(3, F(1))
     for k in range(4):
-        assert all(
-            c == 0 for c in act(mod, GeneratorLabel("x-", k), mod.basis_vector(0))
-        )
-    assert all(c == 0 for c in act(mod, GeneratorLabel("x+", 2), mod.highest()))
+        assert operator(3, F(1), "x-", k).weights[0] == 0
+    assert operator(3, F(1), "x+", 2).weights[3] == 0
 
 
 def test_generator_label_validation():
-    with pytest.raises(ValueError):
-        GeneratorLabel("y", 0)
-    with pytest.raises(ValueError):
-        GeneratorLabel("h", -1)
-    mod = EvalModule(1, F(0), max_level=2)
-    with pytest.raises(ValueError):
-        mod.operator(GeneratorLabel("x+", 3))
+    with pytest.raises(ValueError, match="kind"):
+        operator(1, F(0), "y", 0)
+    with pytest.raises(ValueError, match="non-negative"):
+        operator(1, F(0), "h", -1)
+    with pytest.raises(ValueError, match="positive"):
+        operator(0, F(0), "h", 0)
+    # an integer a is read as an exact rational
+    assert all(type(w) is F for w in operator(2, 1, "x+", 3).weights)
 
 
 def test_h_matrices_commute():
@@ -87,9 +82,8 @@ def test_h_matrices_commute():
 
 def test_commutator_gives_h():
     # [x+_1, x-_2] = h_3 checked directly on V_3(1/2)
-    mod = EvalModule(3, F(1, 2))
     xp, xm, h3 = (
-        dense(mod.operator(GeneratorLabel(kind, k)), mod.dim)
+        dense(operator(3, F(1, 2), kind, k), 4)
         for kind, k in (("x+", 1), ("x-", 2), ("h", 3))
     )
     assert dense_commutator(xp, xm) == h3
@@ -98,20 +92,18 @@ def test_commutator_gives_h():
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("a", SAMPLE_A[2:])
 def test_composition_matches_dense_product(m, a):
-    mod = EvalModule(m, a)
-    gens = [GeneratorLabel(kind, k) for kind in KINDS for k in range(4)]
+    gens = [(kind, k) for kind in KINDS for k in range(4)]
     for g1, g2 in product(gens, repeat=2):
-        x, y = mod.operator(g1), mod.operator(g2)
+        x, y = operator(m, a, *g1), operator(m, a, *g2)
         composed = sl2._compose(x, y)
         assert composed.shift == x.shift + y.shift
-        assert dense(composed, mod.dim) == dense_product(
-            dense(x, mod.dim), dense(y, mod.dim)
+        assert dense(composed, m + 1) == dense_product(
+            dense(x, m + 1), dense(y, m + 1)
         ), (g1, g2)
 
 
 def test_adding_operators_of_different_shifts_raises():
-    mod = EvalModule(2, F(1))
-    xp, h = (mod.operator(GeneratorLabel(kind, 1)) for kind in ("x+", "h"))
+    xp, h = (operator(2, F(1), kind, 1) for kind in ("x+", "h"))
     assert sl2._add(xp, xp).shift == 1
     with pytest.raises(ValueError, match="shifts"):
         sl2._add(xp, h)
@@ -140,6 +132,14 @@ def test_relations_catch_one_raising_weight_off(monkeypatch, capsys):
     assert main(["verify", "--suite", "sl2", "--format", "text"]) == 3
     lines = capsys.readouterr().out.splitlines()
     assert any(line.startswith("FAIL") and "relations m=3" in line for line in lines)
+
+
+def test_symmetrized_insertion_catch_one_lowering_weight_off(monkeypatch):
+    monkeypatch.setattr(sl2, "_operator", _one_weight_off("x-", 1, 3, 2))
+    report = symmetrized_insertion_check(3, F(1), 1)
+    assert not report.ok
+    assert report.failures[0].startswith("symmetrized insertion mismatch")
+    assert symmetrized_insertion_check(3, F(1), 2).ok
 
 
 def test_extremal_series_catch_one_h_weight_off(monkeypatch):
@@ -181,8 +181,7 @@ def test_symmetrized_insertion_short_node_instance():
 def test_extremal_series_v1_lowest():
     # V_1(b): h_k eigenvalue on w_0 is -b^k, summing to (u-(b+1))/(u-b)
     b = F(5, 3)
-    mod = EvalModule(1, b, max_level=8)
-    h = [mod.operator(GeneratorLabel("h", k)) for k in range(8)]
+    h = [operator(1, b, "h", k) for k in range(8)]
     coeffs = [F(1)] + [op.weights[0] for op in h]
     expected = series_from_poly_ratio(
         UniPoly.from_roots([b + 1]), UniPoly.from_roots([b]), 8
@@ -195,8 +194,7 @@ def test_extremal_series_v1_lowest():
 def test_extremal_series_highest_telescopes():
     # V_m(a) highest vector series collapses to (u-(a-1))/(u-(a+m-1))
     m, a = 3, F(1)
-    mod = EvalModule(m, a, max_level=8)
-    h = [mod.operator(GeneratorLabel("h", k)) for k in range(8)]
+    h = [operator(m, a, "h", k) for k in range(8)]
     coeffs = [F(1)] + [op.weights[m] for op in h]
     expected = series_from_poly_ratio(
         UniPoly.from_roots([a - 1]), UniPoly.from_roots([a + m - 1]), 8

@@ -24,7 +24,7 @@ from ywalk.exact import (
     series_rescale,
 )
 from ywalk.rootsystem import CartanData, lowest_weight, path_exponents, weyl_longest
-from ywalk.sl2 import EvalModule, GeneratorLabel
+from ywalk.sl2 import operator
 from ywalk.walk import (
     CrosscheckError,
     WalkState,
@@ -181,10 +181,9 @@ def test_run_walk_rank_one(a1):
 def test_rank_one_series_agree_with_matrix_module(a1):
     for a_val in SAMPLE_A:
         state = init_walk(a1, 1, 8)
-        mod = EvalModule(1, a_val, max_level=8)
 
         def module_series(s):
-            h = [mod.operator(GeneratorLabel("h", k)).weights[s] for k in range(8)]
+            h = [operator(1, a_val, "h", k).weights[s] for k in range(8)]
             return series_log([F(1)] + h)
 
         def walk_series():
