@@ -5,7 +5,6 @@ from .exact import (
     A,
     GaussianRational,
     ParamPoly,
-    SymbolicRootsUnavailable,
     UniPoly,
     power_sums_to_monic,
     series_exp,
@@ -57,7 +56,6 @@ from .cyclicity import (
     compute_t_sets,
     dimension_bound,
     q_exponent_image,
-    row_roots,
 )
 
 __version__ = "0.1.0"

@@ -24,9 +24,8 @@ from .cyclicity import (
     compute_s_sets,
     compute_t_sets,
     dimension_bound,
-    row_roots,
 )
-from .exact import GaussianRational, ParamPoly, SymbolicRootsUnavailable
+from .exact import GaussianRational, ParamPoly
 from .rootsystem import (
     BUILTIN_ALGEBRAS,
     CartanData,
@@ -65,10 +64,6 @@ _CERTIFIED = {("g2", G2_WORD), ("a1", (1,))}
 
 class CliInputError(InputError):
     """Malformed command-line input (exit code 2)."""
-
-
-class _NotCertified(Exception):
-    """Command-level condition that maps to exit code 1."""
 
 
 def parse_gaussian(text: str) -> GaussianRational:
@@ -241,10 +236,7 @@ def _intercept_str(root: tuple[Fraction, Fraction]) -> str:
 def _walk_rows(report) -> list[dict]:
     rows = []
     for rec in report.rows():
-        try:
-            roots = [_intercept_str(r) for r in row_roots(rec.row, rec.rescale)]
-        except SymbolicRootsUnavailable:
-            roots = None
+        slope = Fraction(1, rec.rescale)
         rows.append(
             {
                 "step": rec.step,
@@ -252,7 +244,7 @@ def _walk_rows(report) -> list[dict]:
                 "exponent": rec.exponent,
                 "rescale": rec.rescale,
                 "polynomial": str(rec.poly),
-                "roots": roots,
+                "roots": [_intercept_str((slope, beta)) for beta in rec.roots],
                 "crosscheck": rec.crosscheck_ok,
             }
         )
@@ -260,13 +252,9 @@ def _walk_rows(report) -> list[dict]:
 
 
 def _sset_tables(cartan: CartanData, word, order: int):
-    """T and S sets from the walks of every fundamental; roots that do not
-    split affinely make the tables not certified (exit 1)."""
+    """T and S sets from the walks of every fundamental."""
     reports = [run_walk(cartan, word, i, order) for i in range(1, cartan.rank + 1)]
-    try:
-        t_sets = compute_t_sets(reports)
-    except SymbolicRootsUnavailable as exc:
-        raise _NotCertified(f"symbolic roots unavailable: {exc}") from None
+    t_sets = compute_t_sets(reports)
     return t_sets, compute_s_sets(t_sets, cartan)
 
 
@@ -446,7 +434,7 @@ def _render_text(env: dict) -> str:
         header = f"{'step':>4} {'node':>4} {'exp':>3} {'rescale':>7}  polynomial / roots"
         lines.append(header)
         for row in results["rows"]:
-            roots = ", ".join(row["roots"]) if row["roots"] else "(unavailable)"
+            roots = ", ".join(row["roots"])
             check = "ok" if row["crosscheck"] else "FAILED"
             lines.append(
                 f"{row['step']:>4} {row['node']:>4} {row['exponent']:>3} "
@@ -590,9 +578,6 @@ def _dispatch(args) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except _NotCertified as exc:
-        print(f"not certified: {exc}", file=sys.stderr)
-        return EXIT_NOT_CERTIFIED
     except CrosscheckError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -3,7 +3,8 @@
 From completed walks this layer collects, per (source weight b, acting
 node c), the symbolic roots of every step polynomial: the T set.  A walk
 at a is the walk at a = 0 with every unscaled root moved by a, so each
-root is a/d_c + beta with beta a root of the row at a = 0, and the single
+root is a/d_c + beta with beta one of the record's ``roots`` (the row's
+roots at a = 0, split by the walk record itself), and the single
 condition "spectral difference never lands one past a root" reduces to a
 finite set of forbidden rational differences, the S set
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exact import GaussianRational, SymbolicRootsUnavailable, _rational_roots
+from .exact import GaussianRational
 from .rootsystem import CartanData, InputError, _weyl_dims, positive_roots
 from .walk import WalkReport
 
@@ -36,7 +37,6 @@ __all__ = [
     "CyclicityReport",
     "WeylModuleSpec",
     "DimensionReport",
-    "row_roots",
     "compute_t_sets",
     "compute_s_sets",
     "check_cyclicity",
@@ -118,27 +118,10 @@ class DimensionReport:
     reference_fund_dims: tuple[int, ...]
 
 
-def row_roots(row: Sequence[Fraction], d: int) -> list[tuple[Fraction, Fraction]]:
-    """Roots a/d + beta of a walk row at a node with symmetrizer d, as
-    sorted (1/d, beta) pairs with multiplicity.
-
-    ``row`` holds the row's ascending coefficients at a = 0, whose roots
-    are the betas, so the row splits over the rationals exactly when it
-    does at a = 0; otherwise SymbolicRootsUnavailable.
-    """
-    betas = _rational_roots(row)
-    if betas is None:
-        raise SymbolicRootsUnavailable(
-            "specialization a=0 does not split over the rationals"
-        )
-    return [(Fraction(1, d), beta) for beta in betas]
-
-
 def compute_t_sets(reports: Iterable[WalkReport]) -> list[TSet]:
     """Collect, for every (source fundamental, acting node) pair, the union
-    of step-polynomial roots across the walk, deduplicated.
-
-    SymbolicRootsUnavailable propagates from a row that does not split.
+    of step-polynomial roots across the walk, deduplicated, as (1/d_c, beta)
+    pairs.  CrosscheckError propagates from a row that does not split.
     """
     reports = list(reports)
     if not reports:
@@ -150,7 +133,8 @@ def compute_t_sets(reports: Iterable[WalkReport]) -> list[TSet]:
             collected: set[tuple[Fraction, Fraction]] = set()
             for rec in rep.rows():
                 if rec.node == c:
-                    collected.update(row_roots(rec.row, rec.rescale))
+                    slope = Fraction(1, rec.rescale)
+                    collected.update((slope, beta) for beta in rec.roots)
             out.append(TSet(b=rep.fundamental, c=c, roots=tuple(sorted(collected))))
     return out
 

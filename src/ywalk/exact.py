@@ -22,7 +22,6 @@ __all__ = [
     "GaussianRational",
     "ParamPoly",
     "UniPoly",
-    "SymbolicRootsUnavailable",
     "A",
     "series_from_poly_ratio",
     "series_log",
@@ -31,10 +30,6 @@ __all__ = [
     "power_sums_to_monic",
     "shift_log_series",
 ]
-
-
-class SymbolicRootsUnavailable(Exception):
-    """A root multiset affine in the parameter could not be recovered."""
 
 
 def _horner(coeffs: Sequence, x) -> Fraction:
@@ -60,7 +55,7 @@ class GaussianRational:
     re: Fraction
     im: Fraction = Fraction(0)
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
         object.__setattr__(self, "re", _frac(self.re))
         object.__setattr__(self, "im", _frac(self.im))
 

@@ -122,9 +122,10 @@ BUILTIN_ALGEBRAS: dict[str, tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]
 
 
 def builtin_cartan(name: str) -> CartanData:
+    """Cartan data of a builtin algebra; an unknown name raises InputError."""
     key = name.lower()
     if key not in BUILTIN_ALGEBRAS:
-        raise KeyError(f"unknown builtin algebra {name!r}")
+        raise InputError(f"unknown builtin algebra {name!r}")
     a, d = BUILTIN_ALGEBRAS[key]
     return validate_cartan(a, d)
 

@@ -28,7 +28,7 @@ from .sl2 import (
     extremal_series_check,
     symmetrized_insertion_check,
 )
-from .walk import apply_step, extract_step_poly, init_walk, run_walk
+from .walk import CrosscheckError, apply_step, extract_step_poly, init_walk, run_walk
 
 __all__ = [
     "CheckResult",
@@ -78,11 +78,18 @@ class CheckResult:
     detail: str = ""
 
 
+def _require(ok: bool, message: str):
+    """Fail the running check; unlike assert, this holds under python -O."""
+    if not ok:
+        raise AssertionError(message)
+
+
 def _check(results: list[CheckResult], name: str, fn):
+    """Run one check; a failed requirement or a walk fault is its FAIL."""
     try:
         fn()
         results.append(CheckResult(name, True))
-    except AssertionError as exc:
+    except (AssertionError, CrosscheckError) as exc:
         results.append(CheckResult(name, False, str(exc)))
 
 
@@ -94,7 +101,7 @@ def _suite_sl2() -> list[CheckResult]:
 
             def run(m=m, a=a):
                 report = check_relations(m, a, max_level=3)
-                assert report.ok, "; ".join(report.failures[:3])
+                _require(report.ok, "; ".join(report.failures[:3]))
 
             _check(results, name, run)
     for m in range(1, 5):
@@ -104,7 +111,7 @@ def _suite_sl2() -> list[CheckResult]:
 
                 def run(m=m, a=a, k=k):
                     report = symmetrized_insertion_check(m, a, k)
-                    assert report.ok, "; ".join(report.failures)
+                    _require(report.ok, "; ".join(report.failures))
 
                 _check(results, name, run)
     for m in range(1, 5):
@@ -113,7 +120,7 @@ def _suite_sl2() -> list[CheckResult]:
 
             def run(m=m, a=a):
                 report = extremal_series_check(m, a, order=8)
-                assert report.ok, "; ".join(report.failures)
+                _require(report.ok, "; ".join(report.failures))
 
             _check(results, name, run)
     return results
@@ -138,13 +145,15 @@ def _rank1_against_matrices():
 
     for a_val in SAMPLE_A:
         state = init_walk(a1, 1, 8)
-        assert walk_series_at(state, a_val) == module_log_series(a_val, 1), (
-            "top-vector series disagrees with the matrix module"
+        _require(
+            walk_series_at(state, a_val) == module_log_series(a_val, 1),
+            "top-vector series disagrees with the matrix module",
         )
         sums = extract_step_poly(state, 1, 1)
         apply_step(state, 1, 1, sums)
-        assert walk_series_at(state, a_val) == module_log_series(a_val, 0), (
-            "bottom-vector series disagrees with the matrix module"
+        _require(
+            walk_series_at(state, a_val) == module_log_series(a_val, 0),
+            "bottom-vector series disagrees with the matrix module",
         )
 
 
@@ -154,8 +163,8 @@ def _suite_walk() -> list[CheckResult]:
 
     def crosschecked(weight):
         report = run_walk(g2, G2_WORD, weight, 8)
-        assert all(r.crosscheck_ok for r in report.rows()), "crosscheck failed"
-        assert len(report.rows()) == 5, "expected 5 table rows"
+        _require(all(r.crosscheck_ok for r in report.rows()), "crosscheck failed")
+        _require(len(report.rows()) == 5, "expected 5 table rows")
 
     _check(results, "walk weight 1 crosschecks", lambda: crosschecked(1))
     _check(results, "walk weight 2 crosschecks", lambda: crosschecked(2))
@@ -165,18 +174,17 @@ def _suite_walk() -> list[CheckResult]:
         for node, m in ((2, 0), (1, 1), (2, 3)):
             sums = extract_step_poly(state, node, m)
             apply_step(state, node, m, sums)
-        assert state.coefficient(1, 1) == ParamPoly((0, 6)), "H_{1,1} != 6a"
-        assert state.coefficient(1, 2) == ParamPoly((6, 0, 6)), "H_{1,2} != 6a^2+6"
+        _require(state.coefficient(1, 1) == ParamPoly((0, 6)), "H_{1,1} != 6a")
+        _require(state.coefficient(1, 2) == ParamPoly((6, 0, 6)), "H_{1,2} != 6a^2+6")
         rescaled = series_exp(series_rescale(_lifted_series(state, 1), 3))
-        assert rescaled[2] == ParamPoly((2, Fraction(2, 3))), (
-            "rescaled h_1 coefficient != 2a/3 + 2"
+        _require(
+            rescaled[2] == ParamPoly((2, Fraction(2, 3))),
+            "rescaled h_1 coefficient != 2a/3 + 2",
         )
         sums = extract_step_poly(state, 1, 2)
         apply_step(state, 1, 2, sums)
         h2 = series_exp(_lifted_series(state, 2))
-        assert h2[2] == ParamPoly((Fraction(21, 2), 3)), (
-            "h_{2,1} != 3a + 21/2"
-        )
+        _require(h2[2] == ParamPoly((Fraction(21, 2), 3)), "h_{2,1} != 3a + 21/2")
 
     _check(results, "intermediate eigenvalue anchors", anchors)
     _check(results, "rank-1 walk matches matrix modules", _rank1_against_matrices)
@@ -193,25 +201,31 @@ def _suite_tables() -> list[CheckResult]:
         s_sets = compute_s_sets(t_sets, g2)
         for t in t_sets:
             shown = tuple(str(ParamPoly((beta, alpha))) for alpha, beta in t.roots)
-            assert shown == EXPECTED_T[(t.b, t.c)], f"T({t.b},{t.c}) = {shown}"
+            _require(shown == EXPECTED_T[(t.b, t.c)], f"T({t.b},{t.c}) = {shown}")
         for s in s_sets:
-            assert s.values == EXPECTED_S[(s.b, s.c)], f"S({s.b},{s.c}) = {s.values}"
-            assert all(v > 0 for v in s.values), "S values must be positive"
+            _require(s.values == EXPECTED_S[(s.b, s.c)], f"S({s.b},{s.c}) = {s.values}")
+            _require(all(v > 0 for v in s.values), "S values must be positive")
         for s in s_sets:
             if s.b == s.c:
-                assert q_exponent_image(s) == EXPECTED_Q_DIAGONAL[(s.b, s.c)], (
-                    f"q image of S({s.b},{s.b}) unexpected"
+                _require(
+                    q_exponent_image(s) == EXPECTED_Q_DIAGONAL[(s.b, s.c)],
+                    f"q image of S({s.b},{s.b}) unexpected",
                 )
 
     _check(results, "flagship T/S tables and q-images", tables)
 
     def root_data():
-        assert weyl_order(g2) == 12 and weyl_longest(g2) == G2_WORD, (
-            "longest-element data changed"
+        _require(
+            weyl_order(g2) == 12 and weyl_longest(g2) == G2_WORD,
+            "longest-element data changed",
         )
-        assert path_exponents(g2, G2_WORD, 1).exponents == (1, 3, 2, 3, 1, 0)
-        assert path_exponents(g2, G2_WORD, 2).exponents == (0, 1, 1, 2, 1, 1)
-        assert weyl_dim(g2, (1, 0)) == 14 and weyl_dim(g2, (0, 1)) == 7
+        for b, exps in ((1, (1, 3, 2, 3, 1, 0)), (2, (0, 1, 1, 2, 1, 1))):
+            found = path_exponents(g2, G2_WORD, b).exponents
+            _require(found == exps, f"weight {b} path exponents {found}")
+        _require(
+            weyl_dim(g2, (1, 0)) == 14 and weyl_dim(g2, (0, 1)) == 7,
+            "fundamental Weyl dimensions changed",
+        )
 
     _check(results, "root-system fixtures", root_data)
     return results

@@ -28,6 +28,12 @@ with every root moved by a.  The walk therefore runs on Fraction values at
 a = 0 and keeps its StepRecords there.  A record's ``poly`` moves the row's
 roots by a/d when it is read, and ``WalkState.coefficient`` lifts the
 series coefficients through ``_lift``.
+
+A record's ``roots``, read on first use like ``poly``, is the one place a
+row is split.  Every row of finite-type data splits over the rationals: the
+l-weights of a fundamental module are monomials with rational spectral
+shifts (Frenkel-Mukhin, Comm. Math. Phys. 216, 2001).  So a row that does
+not split is a walk fault.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from .exact import (
     UniPoly,
     _horner,
     _newton_extend,
+    _rational_roots,
     power_sums_to_monic,
     shift_log_series,
 )
@@ -130,6 +137,20 @@ class StepRecord:
                 )
         return lifted
 
+    @cached_property
+    def roots(self) -> tuple[Fraction, ...]:
+        """The roots beta of the row (in u/d_node, at a = 0), ascending with
+        multiplicity; the associated polynomial's roots are a/d_node + beta.
+        A row that does not split over the rationals raises CrosscheckError.
+        """
+        betas = _rational_roots(self.row)
+        if betas is None:
+            raise CrosscheckError(
+                f"row at step {self.step} (node {self.node}, exponent "
+                f"{self.exponent}) does not split over the rationals"
+            )
+        return tuple(betas)
+
 
 @dataclass(frozen=True)
 class WalkReport:
@@ -150,11 +171,10 @@ class WalkReport:
 def init_walk(cartan: CartanData, fundamental: int, order: int = DEFAULT_ORDER) -> WalkState:
     """State at the top vector of the fundamental module with label
     ``fundamental``: H-series log((u-(a-d))/(u-a)) at that node, zero
-    elsewhere."""
-    if not 1 <= fundamental <= cartan.rank:
-        raise ValueError(f"fundamental index {fundamental} out of range")
+    elsewhere.  An out-of-range label or an order below 2 raises InputError."""
+    weight = cartan.fundamental(fundamental)
     if order < 2:
-        raise ValueError("series order must be at least 2")
+        raise InputError("series order must be at least 2")
     series = [[Fraction(0)] * (order + 1) for _ in range(cartan.rank)]
     # the single root a sits at 0
     series[fundamental - 1] = shift_log_series(
@@ -165,7 +185,7 @@ def init_walk(cartan: CartanData, fundamental: int, order: int = DEFAULT_ORDER) 
         fundamental=fundamental,
         order=order,
         series=series,
-        weight=cartan.fundamental(fundamental),
+        weight=weight,
     )
 
 

@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 from ywalk import (
     InputError,
     InvalidCartanError,
+    builtin_cartan,
     cli,
     path_exponents,
     validate_cartan,
+    verify,
     walk,
     weyl_dim,
 )
@@ -26,7 +28,7 @@ from ywalk.cli import MAX_FACTORS, CliInputError, main, parse_factors, parse_gau
 from ywalk.cyclicity import TensorFactor, check_cyclicity, dimension_bound
 from ywalk.exact import GaussianRational
 from ywalk.verify import EXPECTED_S, EXPECTED_T, G2_WORD, run_suite
-from ywalk.walk import run_walk
+from ywalk.walk import init_walk, run_walk
 
 
 def run_cli(capsys, *argv):
@@ -161,6 +163,44 @@ def test_verify_command(capsys):
     assert all(check["ok"] for check in env["results"]["checks"])
 
 
+def test_verify_fails_a_corrupted_table_under_optimize():
+    # python -O strips assert statements; the checks must still fail
+    script = (
+        "import sys\n"
+        "from ywalk import cli, verify\n"
+        "verify.EXPECTED_S[(1, 1)] = ()\n"
+        "sys.exit(cli.main(['verify', '--suite', 'tables']))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 3
+    assert "FAIL flagship T/S tables and q-images" in result.stdout
+    assert "suite tables: 1/2 passed" in result.stdout
+
+
+def test_verify_lists_a_walk_fault_as_failed_checks(capsys, monkeypatch):
+    def faulty_walk(*args, **kwargs):
+        raise walk.CrosscheckError("lowest-vector crosscheck failed at step 3")
+
+    monkeypatch.setattr(verify, "run_walk", faulty_walk)
+    code, env = run_json(capsys, "verify", "--suite", "all")
+    assert code == 3
+    checks = {c["name"]: c for c in env["results"]["checks"]}
+    assert len(checks) == 118  # 112 sl2 checks, 4 walk checks, 2 tables checks
+    failed = {name for name, c in checks.items() if not c["ok"]}
+    assert failed == {
+        "walk weight 1 crosschecks",
+        "walk weight 2 crosschecks",
+        "flagship T/S tables and q-images",
+    }
+    for name in failed:
+        assert checks[name]["detail"] == "lowest-vector crosscheck failed at step 3"
+
+
 # ---------------------------------------------------------------- errors
 
 
@@ -252,6 +292,9 @@ def test_library_input_checks_raise_input_error(g2, g2_s_sets):
         "unknown suite": lambda: run_suite("nosuch"),
         "Weyl weight length": lambda: weyl_dim(g2, (1,)),
         "Weyl weight not dominant": lambda: weyl_dim(g2, (-1, 0)),
+        "walk fundamental index": lambda: init_walk(g2, 3),
+        "walk series order": lambda: init_walk(g2, 1, 1),
+        "unknown builtin algebra": lambda: builtin_cartan("e8"),
     }
     for name, check in checks.items():
         try:
@@ -411,6 +454,26 @@ def test_unextended_power_sums_exit_three(capsys, monkeypatch):
     assert captured.err.splitlines() == [
         "internal error: ValueError('series order 8 needs p_1..p_7, have p_1..p_1')"
     ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["walk", "--weight", "1"],
+        ["tables"],
+        ["cyclicity", "--factors", "1:0,2:1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_row_that_does_not_split_exits_three(capsys, monkeypatch, argv):
+    # a walk row without rational roots is a walk fault, not "not certified"
+    monkeypatch.setattr(walk, "_rational_roots", lambda coeffs: None)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("internal invariant violation: row at step ")
+    assert line.endswith("does not split over the rationals")
 
 
 def test_dropped_s_set_exits_three(capsys, monkeypatch):

@@ -22,10 +22,10 @@ from ywalk.cyclicity import (
     dimension_bound,
     q_exponent_image,
 )
-from ywalk.exact import GaussianRational, ParamPoly, SymbolicRootsUnavailable
+from ywalk.exact import GaussianRational, ParamPoly
 from ywalk.rootsystem import InputError
 from ywalk.verify import EXPECTED_S, EXPECTED_T
-from ywalk.walk import StepRecord, WalkReport, run_walk
+from ywalk.walk import CrosscheckError, StepRecord, WalkReport, run_walk
 
 
 def gauss(re, im=0):
@@ -56,7 +56,7 @@ def test_rank_one_sets(a1):
 
 
 def test_t_sets_propagate_unavailable_roots(g2, g2_reports):
-    # a record whose polynomial has no rational-affine splitting
+    # a record whose row has no rational roots is a walk fault
     base = g2_reports[0]
     bad = StepRecord(
         step=1,
@@ -75,7 +75,7 @@ def test_t_sets_propagate_unavailable_roots(g2, g2_reports):
         order=base.order,
         records=(bad,),
     )
-    with pytest.raises(SymbolicRootsUnavailable):
+    with pytest.raises(CrosscheckError, match="row at step 1 .* does not split"):
         compute_t_sets([fake])
 
 

@@ -15,7 +15,6 @@ from ywalk.exact import (
     A,
     GaussianRational,
     ParamPoly,
-    SymbolicRootsUnavailable,
     UniPoly,
     _divisors,
     _newton_extend,
@@ -27,7 +26,7 @@ from ywalk.exact import (
     series_rescale,
     shift_log_series,
 )
-from ywalk.cyclicity import row_roots
+from ywalk.walk import CrosscheckError, StepRecord
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 param_polys = st.lists(rationals, min_size=0, max_size=3).map(ParamPoly)
@@ -399,26 +398,37 @@ def test_extend_power_sums():
 # ------------------------------------------------------------ affine roots
 
 
+def row_record(row, d: int) -> StepRecord:
+    """A hand-built walk record at step 1 with the given row at a = 0."""
+    return StepRecord(
+        step=1,
+        node=1,
+        exponent=len(row) - 1,
+        row=tuple(row),
+        rescale=d,
+        power_sums=(),
+        crosscheck_ok=True,
+    )
+
+
 def test_roots_affine_paper_pair():
     poly = UniPoly.from_roots([(A + 1) / 3, (A + 2) / 3])
-    assert row_roots(at(poly, 0), 3) == [
-        (F(1, 3), F(1, 3)),
-        (F(1, 3), F(2, 3)),
-    ]
+    assert row_record(at(poly, 0), 3).roots == (F(1, 3), F(2, 3))
 
 
 def test_roots_affine_by_inspection():
     # u^2 - 2au + (a^2 - 1) = (u - (a-1))(u - (a+1))
     poly = UniPoly([A * A - 1, -2 * A, 1])
-    assert row_roots(at(poly, 0), 1) == [(F(1), F(-1)), (F(1), F(1))]
+    assert row_record(at(poly, 0), 1).roots == (F(-1), F(1))
 
 
 def test_roots_affine_unavailable():
+    record = row_record([F(1), F(0), F(1)], 1)  # u^2 + 1
     with pytest.raises(
-        SymbolicRootsUnavailable,
-        match="specialization a=0 does not split over the rationals",
+        CrosscheckError,
+        match=r"row at step 1 \(node 1, exponent 2\) does not split over the rationals",
     ):
-        row_roots([F(1), F(0), F(1)], 1)  # u^2 + 1
+        record.roots
 
 
 @settings(max_examples=60, deadline=None)
@@ -429,9 +439,9 @@ def test_roots_affine_unavailable():
 def test_roots_affine_reexpansion_matches_input(d, intercepts):
     # walk rows have roots a/d + beta; the a = 0 split must give them back
     poly = UniPoly.from_roots(ParamPoly((beta, F(1, d))) for beta in intercepts)
-    found = row_roots(at(poly, 0), d)
-    assert found == sorted((F(1, d), beta) for beta in intercepts)
-    rebuilt = UniPoly.from_roots(ParamPoly((beta, alpha)) for alpha, beta in found)
+    found = row_record(at(poly, 0), d).roots
+    assert found == tuple(sorted(intercepts))
+    rebuilt = UniPoly.from_roots(ParamPoly((beta, F(1, d))) for beta in found)
     assert rebuilt == poly
 
 
@@ -503,6 +513,10 @@ def _rational_roots_reference(coeffs):
     return sorted(roots)
 
 
+class NoSplit(Exception):
+    """The reference split found no rational-affine roots."""
+
+
 def _split_reference(q):
     """Split every specialization at a = 0..deg(q), interpolate from the
     first two, verify by re-expansion."""
@@ -515,20 +529,13 @@ def _split_reference(q):
     for a0 in range(n + 1):
         rs = _rational_roots_reference(at(q, F(a0)))
         if rs is None:
-            raise SymbolicRootsUnavailable(f"specialization a={a0} does not split")
+            raise NoSplit(f"specialization a={a0} does not split")
         table.append(rs)
     candidates = [(r1 - r0, r0) for r0, r1 in zip(table[0], table[1])]
     rebuilt = UniPoly.from_roots(ParamPoly((beta, alpha)) for alpha, beta in candidates)
     if rebuilt != q:
-        raise SymbolicRootsUnavailable("affine interpolation failed verification")
+        raise NoSplit("affine interpolation failed verification")
     return sorted(candidates)
-
-
-def _split_outcome(split, *args):
-    try:
-        return split(*args)
-    except SymbolicRootsUnavailable:
-        return SymbolicRootsUnavailable
 
 
 @settings(max_examples=60, deadline=None)
