@@ -55,6 +55,7 @@ from .cyclicity import (
     compute_s_sets,
     compute_t_sets,
     dimension_bound,
+    format_root,
     q_exponent_image,
 )
 

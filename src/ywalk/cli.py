@@ -1,9 +1,11 @@
 """Command-line surface: walks, tables, cyclicity checks, ordered products.
 
 Every subcommand shares the same option set (algebra, reduced word,
-truncation order, output format) and emits one envelope with stable field
-names; ``--format json`` prints it verbatim, ``--format text`` renders the
-same data for reading.  Exit codes: 0 success, 1 condition not certified,
+truncation order, output format).  ``_dispatch`` resolves the algebra and
+word once, hands them to the subcommand's handler, and wraps the handler's
+inputs and results in one envelope with stable field names; ``--format
+json`` prints it verbatim, ``--format text`` renders the same data for
+reading.  Exit codes: 0 success, 1 condition not certified,
 2 input error, 3 internal invariant violation or any other internal fault.
 """
 
@@ -24,8 +26,9 @@ from .cyclicity import (
     compute_s_sets,
     compute_t_sets,
     dimension_bound,
+    format_root,
 )
-from .exact import GaussianRational, ParamPoly
+from .exact import GaussianRational
 from .rootsystem import (
     BUILTIN_ALGEBRAS,
     CartanData,
@@ -37,7 +40,7 @@ from .rootsystem import (
     validate_cartan,
     weyl_longest,
 )
-from .verify import G2_WORD, run_suite
+from .verify import G2_WORD, SUITES, run_suite
 from .walk import DEFAULT_ORDER, CrosscheckError, run_walk
 
 __all__ = ["main", "parse_factors", "parse_gaussian"]
@@ -62,24 +65,20 @@ _GAUSSIAN_RE = re.compile(rf"^({_RATIONAL})(?:([+-]\d+(?:/\d+)?)i)?$")
 _CERTIFIED = {("g2", G2_WORD), ("a1", (1,))}
 
 
-class CliInputError(InputError):
-    """Malformed command-line input (exit code 2)."""
-
-
 def parse_gaussian(text: str) -> GaussianRational:
     """Parse ``[-]p[/q][(+|-)r[/s]i]`` into an exact Gaussian rational."""
     match = _GAUSSIAN_RE.match(text.strip())
     if not match:
-        raise CliInputError(f"malformed rational parameter {text!r}")
+        raise InputError(f"malformed rational parameter {text!r}")
     re_part, im_part = match.groups()
     try:
         return GaussianRational(
             Fraction(re_part), Fraction(im_part) if im_part else Fraction(0)
         )
     except ZeroDivisionError:
-        raise CliInputError(f"zero denominator in parameter {text!r}") from None
+        raise InputError(f"zero denominator in parameter {text!r}") from None
     except ValueError as exc:  # an integer past the str-conversion digit limit
-        raise CliInputError(f"bad parameter: {exc}") from None
+        raise InputError(f"bad parameter: {exc}") from None
 
 
 def parse_factors(spec: str, rank: int) -> list[TensorFactor]:
@@ -87,21 +86,21 @@ def parse_factors(spec: str, rank: int) -> list[TensorFactor]:
     them; whitespace is ignored."""
     tokens = spec.split(",")
     if len(tokens) > MAX_FACTORS:
-        raise CliInputError(f"{len(tokens)} factors listed; at most {MAX_FACTORS}")
+        raise InputError(f"{len(tokens)} factors listed; at most {MAX_FACTORS}")
     factors = []
     for token in tokens:
         token = token.strip()
         if not token:
-            raise CliInputError("empty factor token")
+            raise InputError("empty factor token")
         node_text, _, param_text = token.partition(":")
         if not param_text:
-            raise CliInputError(f"factor {token!r} is not of the form node:param")
+            raise InputError(f"factor {token!r} is not of the form node:param")
         try:
             node = int(node_text)
         except ValueError:
-            raise CliInputError(f"bad node index {node_text!r}") from None
+            raise InputError(f"bad node index {node_text!r}") from None
         if not 1 <= node <= rank:
-            raise CliInputError(f"node {node} out of range 1..{rank}")
+            raise InputError(f"node {node} out of range 1..{rank}")
         factors.append(TensorFactor(node, parse_gaussian(param_text)))
     return factors
 
@@ -117,7 +116,7 @@ def _parse_int_list(spec: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in spec.split(","))
     except ValueError:
-        raise CliInputError(f"bad {what} list {spec!r}") from None
+        raise InputError(f"bad {what} list {spec!r}") from None
 
 
 def _load_custom_algebra(path: Path) -> tuple[CartanData, tuple[int, ...] | None]:
@@ -129,7 +128,7 @@ def _load_custom_algebra(path: Path) -> tuple[CartanData, tuple[int, ...] | None
     try:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise CliInputError(f"cannot read algebra file: {exc}") from None
+        raise InputError(f"cannot read algebra file: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -138,7 +137,7 @@ def _load_custom_algebra(path: Path) -> tuple[CartanData, tuple[int, ...] | None
         try:
             values = [int(f) for f in fields]
         except ValueError:
-            raise CliInputError(f"{path}:{lineno}: non-integer entry") from None
+            raise InputError(f"{path}:{lineno}: non-integer entry") from None
         if keyword == "row":
             rows.append(values)
         elif keyword == "diag":
@@ -146,18 +145,18 @@ def _load_custom_algebra(path: Path) -> tuple[CartanData, tuple[int, ...] | None
         elif keyword == "word":
             word = tuple(values)
         else:
-            raise CliInputError(f"{path}:{lineno}: unknown keyword {keyword!r}")
+            raise InputError(f"{path}:{lineno}: unknown keyword {keyword!r}")
     if not rows or diag is None:
-        raise CliInputError(f"{path}: need 'row' lines and one 'diag' line")
+        raise InputError(f"{path}: need 'row' lines and one 'diag' line")
     try:
         cartan = validate_cartan(rows, diag)
     except InvalidCartanError as exc:
-        raise CliInputError(f"{path}: {exc}") from None
+        raise InputError(f"{path}: {exc}") from None
     return cartan, word
 
 
-def _load_algebra(args) -> tuple[str, CartanData, tuple[int, ...], bool]:
-    """Resolve --algebra/--word into (label, cartan, word, experimental)."""
+def _load_algebra(args) -> tuple[str, CartanData, tuple[int, ...]]:
+    """Resolve --algebra/--word into (label, cartan, word)."""
     name = args.algebra.lower()
     file_word: tuple[int, ...] | None = None
     if name in BUILTIN_ALGEBRAS:
@@ -170,7 +169,7 @@ def _load_algebra(args) -> tuple[str, CartanData, tuple[int, ...], bool]:
         except OSError:  # e.g. a name too long for the file system
             found = False
         if not found:
-            raise CliInputError(
+            raise InputError(
                 f"unknown algebra {args.algebra!r} (not builtin, not a file)"
             )
         cartan, file_word = _load_custom_algebra(path)
@@ -182,11 +181,8 @@ def _load_algebra(args) -> tuple[str, CartanData, tuple[int, ...], bool]:
     else:
         word = weyl_longest(cartan)
     if not is_reduced_word_of_longest(cartan, word):
-        raise CliInputError(
-            f"word {word} is not a reduced word of the longest element"
-        )
-    experimental = (label, word) not in _CERTIFIED
-    return label, cartan, word, experimental
+        raise InputError(f"word {word} is not a reduced word of the longest element")
+    return label, cartan, word
 
 
 def _load_config(args) -> dict:
@@ -197,9 +193,9 @@ def _load_config(args) -> dict:
     except (OSError, ValueError, RecursionError) as exc:
         # ValueError: undecodable bytes, malformed JSON, or an integer past
         # the str-conversion digit limit; RecursionError: nesting too deep
-        raise CliInputError(f"cannot read config: {exc}") from None
+        raise InputError(f"cannot read config: {exc}") from None
     if not isinstance(data, dict):
-        raise CliInputError("config must be a JSON object")
+        raise InputError("config must be a JSON object")
     return data
 
 
@@ -212,25 +208,8 @@ def _fund_dims(args) -> tuple[int, ...] | None:
     dims = config["fund_dims"]
     # type(), not isinstance(): bool is a subclass of int
     if not isinstance(dims, list) or any(type(x) is not int for x in dims):
-        raise CliInputError("config fund_dims must be a list of integers")
+        raise InputError("config fund_dims must be a list of integers")
     return tuple(dims)
-
-
-def _envelope(args, label: str, experimental: bool, inputs: dict, results: dict):
-    return {
-        "command": args.command,
-        "algebra": label,
-        "engine_version": __version__,
-        "order": args.order,
-        "experimental": experimental,
-        "inputs": inputs,
-        "results": results,
-    }
-
-
-def _intercept_str(root: tuple[Fraction, Fraction]) -> str:
-    alpha, beta = root
-    return str(ParamPoly((beta, alpha)))
 
 
 def _walk_rows(report) -> list[dict]:
@@ -244,7 +223,7 @@ def _walk_rows(report) -> list[dict]:
                 "exponent": rec.exponent,
                 "rescale": rec.rescale,
                 "polynomial": str(rec.poly),
-                "roots": [_intercept_str((slope, beta)) for beta in rec.roots],
+                "roots": [format_root(slope, beta) for beta in rec.roots],
                 "crosscheck": rec.crosscheck_ok,
             }
         )
@@ -258,8 +237,7 @@ def _sset_tables(cartan: CartanData, word, order: int):
     return t_sets, compute_s_sets(t_sets, cartan)
 
 
-def _cmd_path(args) -> tuple[int, dict]:
-    label, cartan, word, experimental = _load_algebra(args)
+def _cmd_path(args, cartan: CartanData, word) -> tuple[int, dict, dict]:
     weights = (
         [args.weight] if args.weight is not None else list(range(1, cartan.rank + 1))
     )
@@ -273,12 +251,10 @@ def _cmd_path(args) -> tuple[int, dict]:
             for i in weights
         ],
     }
-    inputs = {"weight": args.weight}
-    return EXIT_OK, _envelope(args, label, experimental, inputs, results)
+    return EXIT_OK, {"weight": args.weight}, results
 
 
-def _cmd_walk(args) -> tuple[int, dict]:
-    label, cartan, word, experimental = _load_algebra(args)
+def _cmd_walk(args, cartan: CartanData, word) -> tuple[int, dict, dict]:
     report = run_walk(cartan, word, args.weight, args.order)
     results = {
         "word": list(word),
@@ -286,21 +262,15 @@ def _cmd_walk(args) -> tuple[int, dict]:
         "variable_note": "polynomials are in the rescaled variable u/d(node)",
         "rows": _walk_rows(report),
     }
-    inputs = {"weight": args.weight}
-    return EXIT_OK, _envelope(args, label, experimental, inputs, results)
+    return EXIT_OK, {"weight": args.weight}, results
 
 
-def _cmd_tables(args) -> tuple[int, dict]:
-    label, cartan, word, experimental = _load_algebra(args)
+def _cmd_tables(args, cartan: CartanData, word) -> tuple[int, dict, dict]:
     t_sets, s_sets = _sset_tables(cartan, word, args.order)
     results = {
         "word": list(word),
         "t_sets": [
-            {
-                "b": t.b,
-                "c": t.c,
-                "roots": [_intercept_str(r) for r in t.roots],
-            }
+            {"b": t.b, "c": t.c, "roots": [format_root(*r) for r in t.roots]}
             for t in t_sets
         ],
         "s_sets": [
@@ -308,11 +278,10 @@ def _cmd_tables(args) -> tuple[int, dict]:
             for s in s_sets
         ],
     }
-    return EXIT_OK, _envelope(args, label, experimental, {}, results)
+    return EXIT_OK, {}, results
 
 
-def _cmd_cyclicity(args) -> tuple[int, dict]:
-    label, cartan, word, experimental = _load_algebra(args)
+def _cmd_cyclicity(args, cartan: CartanData, word) -> tuple[int, dict, dict]:
     factors = parse_factors(args.factors, cartan.rank)
     _, s_sets = _sset_tables(cartan, word, args.order)
     report = check_cyclicity(factors, s_sets, args.mode)
@@ -335,14 +304,12 @@ def _cmd_cyclicity(args) -> tuple[int, dict]:
         ],
         "mode": args.mode,
     }
-    code = EXIT_OK if report.certified else EXIT_NOT_CERTIFIED
-    return code, _envelope(args, label, experimental, inputs, results)
+    return (EXIT_OK if report.certified else EXIT_NOT_CERTIFIED), inputs, results
 
 
-def _cmd_weyl_module(args) -> tuple[int, dict]:
-    label, cartan, word, experimental = _load_algebra(args)
+def _cmd_weyl_module(args, cartan: CartanData, word) -> tuple[int, dict, dict]:
     if cartan.rank != 2:
-        raise CliInputError("weyl-module expects a rank-2 algebra")
+        raise InputError("weyl-module expects a rank-2 algebra")
     roots1 = _parse_root_list(args.pi1)
     roots2 = _parse_root_list(args.pi2)
     _, s_sets = _sset_tables(cartan, word, args.order)
@@ -367,16 +334,14 @@ def _cmd_weyl_module(args) -> tuple[int, dict]:
         "pi1_roots": [str(r) for r in roots1],
         "pi2_roots": [str(r) for r in roots2],
     }
-    code = EXIT_OK if spec.report.certified else EXIT_NOT_CERTIFIED
-    return code, _envelope(args, label, experimental, inputs, results)
+    return (EXIT_OK if spec.report.certified else EXIT_NOT_CERTIFIED), inputs, results
 
 
-def _cmd_dim(args) -> tuple[int, dict]:
-    label, cartan, word, experimental = _load_algebra(args)
+def _cmd_dim(args, cartan: CartanData, word) -> tuple[int, dict, dict]:
     weight = _parse_int_list(args.weights, "weight")
     dims = _fund_dims(args)
     if dims is None:
-        raise CliInputError("dim needs --fund-dims or a config with fund_dims")
+        raise InputError("dim needs --fund-dims or a config with fund_dims")
     report = dimension_bound(weight, dims, cartan)
     results = {
         "weight": list(report.weight),
@@ -384,12 +349,10 @@ def _cmd_dim(args) -> tuple[int, dict]:
         "bound": report.bound,
         "reference_fund_dims": list(report.reference_fund_dims),
     }
-    inputs = {"weights": args.weights}
-    return EXIT_OK, _envelope(args, label, experimental, inputs, results)
+    return EXIT_OK, {"weights": args.weights}, results
 
 
-def _cmd_verify(args) -> tuple[int, dict]:
-    label, cartan, word, experimental = _load_algebra(args)
+def _cmd_verify(args, cartan: CartanData, word) -> tuple[int, dict, dict]:
     checks = run_suite(args.suite)
     results = {
         "suite": args.suite,
@@ -398,8 +361,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
             {"name": c.name, "ok": c.ok, "detail": c.detail} for c in checks
         ],
     }
-    code = EXIT_OK if results["ok"] else EXIT_INTERNAL
-    return code, _envelope(args, label, experimental, {"suite": args.suite}, results)
+    return (EXIT_OK if results["ok"] else EXIT_INTERNAL), {"suite": args.suite}, results
 
 
 _HANDLERS = {
@@ -562,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("verify", help="run the self-check suites")
-    p.add_argument("--suite", choices=("all", "sl2", "walk", "tables"), default="all")
+    p.add_argument("--suite", choices=("all", *SUITES), default="all")
     _add_common(p)
 
     return parser
@@ -571,16 +533,24 @@ def build_parser() -> argparse.ArgumentParser:
 def _dispatch(args) -> int:
     try:
         if not MIN_ORDER <= args.order <= MAX_ORDER:
-            raise CliInputError(
-                f"--order {args.order} outside {MIN_ORDER}..{MAX_ORDER}"
-            )
-        code, env = _HANDLERS[args.command](args)
+            raise InputError(f"--order {args.order} outside {MIN_ORDER}..{MAX_ORDER}")
+        label, cartan, word = _load_algebra(args)
+        code, inputs, results = _HANDLERS[args.command](args, cartan, word)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CrosscheckError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    env = {
+        "command": args.command,
+        "algebra": label,
+        "engine_version": __version__,
+        "order": args.order,
+        "experimental": (label, word) not in _CERTIFIED,
+        "inputs": inputs,
+        "results": results,
+    }
     if args.format == "json":
         print(json.dumps(env, indent=2, sort_keys=True))
     else:

@@ -10,6 +10,10 @@ finite set of forbidden rational differences, the S set
 
     S(b, c) = { d_c * (1 + intercept) : a/d_c + intercept in T(b, c) }.
 
+``format_root(slope, intercept)`` prints a T root as a polynomial in a,
+for instance ``1/3*a + 2/3``; the CLI, ``verify`` and the tables atlas all
+print T roots through it.
+
 An ordered tensor product of fundamental modules is certified highest
 weight when no ordered pair (i < j) of factors has difference
 a_j - a_i in S(b_i, b_j), and certified irreducible when the same holds
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exact import GaussianRational
+from .exact import GaussianRational, ParamPoly
 from .rootsystem import CartanData, InputError, _weyl_dims, positive_roots
 from .walk import WalkReport
 
@@ -39,6 +43,7 @@ __all__ = [
     "DimensionReport",
     "compute_t_sets",
     "compute_s_sets",
+    "format_root",
     "check_cyclicity",
     "build_ordered_product",
     "dimension_bound",
@@ -65,6 +70,11 @@ class TSet:
     b: int
     c: int
     roots: tuple[tuple[Fraction, Fraction], ...]  # (slope, intercept), sorted
+
+
+def format_root(slope: Fraction, intercept: Fraction) -> str:
+    """A T root slope*a + intercept as printed, e.g. ``1/3*a + 2/3``."""
+    return str(ParamPoly((intercept, slope)))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclicity import compute_s_sets, compute_t_sets, q_exponent_image
+from .cyclicity import compute_s_sets, compute_t_sets, format_root, q_exponent_image
 from .exact import ParamPoly, series_exp, series_log, series_rescale
 from .rootsystem import (
     InputError,
@@ -84,46 +84,45 @@ def _require(ok: bool, message: str):
         raise AssertionError(message)
 
 
-def _check(results: list[CheckResult], name: str, fn):
-    """Run one check; a failed requirement or a walk fault is its FAIL."""
+def _check(name: str, fn) -> CheckResult:
+    """Run one check.  A failed requirement, a walk fault or an InputError
+    is its FAIL: verify's inputs are constants, so each is an internal fault."""
     try:
         fn()
-        results.append(CheckResult(name, True))
-    except (AssertionError, CrosscheckError) as exc:
-        results.append(CheckResult(name, False, str(exc)))
+    except (AssertionError, CrosscheckError, InputError) as exc:
+        return CheckResult(name, False, str(exc))
+    return CheckResult(name, True)
+
+
+def _reported(fn, *args, shown=None, **kwargs):
+    """A check that fails with the first ``shown`` failures of fn's report."""
+
+    def check():
+        report = fn(*args, **kwargs)
+        _require(report.ok, "; ".join(report.failures[:shown]))
+
+    return check
 
 
 def _suite_sl2() -> list[CheckResult]:
-    results: list[CheckResult] = []
-    for m in range(1, 5):
-        for a in SAMPLE_A:
-            name = f"relations m={m} a={a}"
-
-            def run(m=m, a=a):
-                report = check_relations(m, a, max_level=3)
-                _require(report.ok, "; ".join(report.failures[:3]))
-
-            _check(results, name, run)
-    for m in range(1, 5):
-        for a in SAMPLE_A:
-            for k in range(5):
-                name = f"symmetrized insertion m={m} a={a} k={k}"
-
-                def run(m=m, a=a, k=k):
-                    report = symmetrized_insertion_check(m, a, k)
-                    _require(report.ok, "; ".join(report.failures))
-
-                _check(results, name, run)
-    for m in range(1, 5):
-        for a in SAMPLE_A:
-            name = f"extremal series m={m} a={a}"
-
-            def run(m=m, a=a):
-                report = extremal_series_check(m, a, order=8)
-                _require(report.ok, "; ".join(report.failures))
-
-            _check(results, name, run)
-    return results
+    grid = [(m, a) for m in range(1, 5) for a in SAMPLE_A]
+    cases = [
+        (f"relations m={m} a={a}",
+         _reported(check_relations, m, a, max_level=3, shown=3))
+        for m, a in grid
+    ]
+    cases += [
+        (f"symmetrized insertion m={m} a={a} k={k}",
+         _reported(symmetrized_insertion_check, m, a, k))
+        for m, a in grid
+        for k in range(5)
+    ]
+    cases += [
+        (f"extremal series m={m} a={a}",
+         _reported(extremal_series_check, m, a, order=8))
+        for m, a in grid
+    ]
+    return [_check(name, check) for name, check in cases]
 
 
 def _lifted_series(state, node: int) -> list[ParamPoly]:
@@ -158,16 +157,12 @@ def _rank1_against_matrices():
 
 
 def _suite_walk() -> list[CheckResult]:
-    results: list[CheckResult] = []
     g2 = builtin_cartan("g2")
 
     def crosschecked(weight):
         report = run_walk(g2, G2_WORD, weight, 8)
         _require(all(r.crosscheck_ok for r in report.rows()), "crosscheck failed")
         _require(len(report.rows()) == 5, "expected 5 table rows")
-
-    _check(results, "walk weight 1 crosschecks", lambda: crosschecked(1))
-    _check(results, "walk weight 2 crosschecks", lambda: crosschecked(2))
 
     def anchors():
         state = init_walk(g2, 1, 8)
@@ -186,13 +181,15 @@ def _suite_walk() -> list[CheckResult]:
         h2 = series_exp(_lifted_series(state, 2))
         _require(h2[2] == ParamPoly((Fraction(21, 2), 3)), "h_{2,1} != 3a + 21/2")
 
-    _check(results, "intermediate eigenvalue anchors", anchors)
-    _check(results, "rank-1 walk matches matrix modules", _rank1_against_matrices)
-    return results
+    return [
+        _check("walk weight 1 crosschecks", lambda: crosschecked(1)),
+        _check("walk weight 2 crosschecks", lambda: crosschecked(2)),
+        _check("intermediate eigenvalue anchors", anchors),
+        _check("rank-1 walk matches matrix modules", _rank1_against_matrices),
+    ]
 
 
 def _suite_tables() -> list[CheckResult]:
-    results: list[CheckResult] = []
     g2 = builtin_cartan("g2")
 
     def tables():
@@ -200,7 +197,7 @@ def _suite_tables() -> list[CheckResult]:
         t_sets = compute_t_sets(reports)
         s_sets = compute_s_sets(t_sets, g2)
         for t in t_sets:
-            shown = tuple(str(ParamPoly((beta, alpha))) for alpha, beta in t.roots)
+            shown = tuple(format_root(*r) for r in t.roots)
             _require(shown == EXPECTED_T[(t.b, t.c)], f"T({t.b},{t.c}) = {shown}")
         for s in s_sets:
             _require(s.values == EXPECTED_S[(s.b, s.c)], f"S({s.b},{s.c}) = {s.values}")
@@ -211,8 +208,6 @@ def _suite_tables() -> list[CheckResult]:
                     q_exponent_image(s) == EXPECTED_Q_DIAGONAL[(s.b, s.c)],
                     f"q image of S({s.b},{s.b}) unexpected",
                 )
-
-    _check(results, "flagship T/S tables and q-images", tables)
 
     def root_data():
         _require(
@@ -227,8 +222,10 @@ def _suite_tables() -> list[CheckResult]:
             "fundamental Weyl dimensions changed",
         )
 
-    _check(results, "root-system fixtures", root_data)
-    return results
+    return [
+        _check("flagship T/S tables and q-images", tables),
+        _check("root-system fixtures", root_data),
+    ]
 
 
 SUITES = {
@@ -240,10 +237,7 @@ SUITES = {
 
 def run_suite(name: str) -> list[CheckResult]:
     if name == "all":
-        out: list[CheckResult] = []
-        for key in ("sl2", "walk", "tables"):
-            out.extend(SUITES[key]())
-        return out
+        return [check for suite in SUITES.values() for check in suite()]
     if name not in SUITES:
         raise InputError(f"unknown suite {name!r}")
     return SUITES[name]()

@@ -101,6 +101,7 @@ class WalkState:
 
     def coefficient(self, node: int, k: int) -> ParamPoly:
         """Eigenvalue of H_{node,k} on the current extremal vector, in a."""
+        _check_node(self.cartan, node)
         # n times the u^{-n} coefficient of a log-ratio of monic polynomials
         # of equal degree is a signed power sum of their roots with count 0
         q = [n * c for n, c in enumerate(self.series[node - 1][: k + 2])]
@@ -189,6 +190,12 @@ def init_walk(cartan: CartanData, fundamental: int, order: int = DEFAULT_ORDER) 
     )
 
 
+def _check_node(cartan: CartanData, node: int):
+    """The step-level entry points take a node label in 1..rank."""
+    if not 1 <= node <= cartan.rank:
+        raise InputError(f"node {node} out of range 1..{cartan.rank}")
+
+
 def _check_weight_bookkeeping(state: WalkState):
     # H_{i,0} must equal d_i times the i-th coordinate of the current weight
     for i in range(1, state.cartan.rank + 1):
@@ -229,6 +236,7 @@ def extract_step_poly(state: WalkState, node: int, m: int) -> list[Fraction]:
     rebuilt from the extended power sums and compared against the state as
     a highest-weight consistency check.
     """
+    _check_node(state.cartan, node)
     if m < 0:
         raise ValueError("step exponent must be non-negative")
     if m + 1 > state.order:
@@ -267,6 +275,7 @@ def apply_step(state: WalkState, node: int, m: int, p: Sequence[Fraction]) -> Wa
     common denominator D, (k+1) 2^k D times the update is the integer
     sum_{s<=k, k+s even} (d_i a_{i,node})^{k+1-s} C(k+1,s) 2^s P_s.
     """
+    _check_node(state.cartan, node)
     if p[0] != m:
         raise ValueError("power-sum degree does not match the step exponent")
     if len(p) <= state.order:

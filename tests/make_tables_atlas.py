@@ -19,8 +19,7 @@ import json
 from pathlib import Path
 
 from conftest import finite_type_cartan
-from ywalk import compute_s_sets, compute_t_sets, run_walk, weyl_longest
-from ywalk.exact import ParamPoly
+from ywalk import compute_s_sets, compute_t_sets, format_root, run_walk, weyl_longest
 
 ORDER = 8
 TYPES = (
@@ -42,7 +41,7 @@ def tables(name: str) -> dict:
     return {
         "word": list(word),
         "t": {
-            f"{t.b},{t.c}": [str(ParamPoly((beta, alpha))) for alpha, beta in t.roots]
+            f"{t.b},{t.c}": [format_root(*r) for r in t.roots]
             for t in t_sets
         },
         "s": {

@@ -24,11 +24,11 @@ from ywalk import (
     walk,
     weyl_dim,
 )
-from ywalk.cli import MAX_FACTORS, CliInputError, main, parse_factors, parse_gaussian
+from ywalk.cli import MAX_FACTORS, main, parse_factors, parse_gaussian
 from ywalk.cyclicity import TensorFactor, check_cyclicity, dimension_bound
 from ywalk.exact import GaussianRational
 from ywalk.verify import EXPECTED_S, EXPECTED_T, G2_WORD, run_suite
-from ywalk.walk import init_walk, run_walk
+from ywalk.walk import apply_step, extract_step_poly, init_walk, run_walk
 
 
 def run_cli(capsys, *argv):
@@ -54,7 +54,7 @@ def test_parse_gaussian_forms():
 
 @pytest.mark.parametrize("bad", ["", "i", "1+", "1i", "3/2+2", "one", "1//2"])
 def test_parse_gaussian_rejects(bad):
-    with pytest.raises(CliInputError):
+    with pytest.raises(InputError):
         parse_gaussian(bad)
 
 
@@ -67,11 +67,11 @@ def test_parse_factors():
 
 
 def test_parse_factors_node_range():
-    with pytest.raises(CliInputError):
+    with pytest.raises(InputError):
         parse_factors("3:0", rank=2)
-    with pytest.raises(CliInputError):
+    with pytest.raises(InputError):
         parse_factors("1:0,,2:1", rank=2)
-    with pytest.raises(CliInputError):
+    with pytest.raises(InputError):
         parse_factors("1", rank=2)
 
 
@@ -201,6 +201,27 @@ def test_verify_lists_a_walk_fault_as_failed_checks(capsys, monkeypatch):
         assert checks[name]["detail"] == "lowest-vector crosscheck failed at step 3"
 
 
+def test_verify_lists_an_input_error_as_failed_checks(capsys, monkeypatch):
+    # verify's inputs are constants: an InputError inside a check is an
+    # internal fault (exit 3), not a user error (exit 2)
+    def rejecting_walk(*args, **kwargs):
+        raise InputError("series order 8 too small; need at least 9")
+
+    monkeypatch.setattr(verify, "run_walk", rejecting_walk)
+    code, env = run_json(capsys, "verify", "--suite", "all")
+    assert code == 3
+    checks = {c["name"]: c for c in env["results"]["checks"]}
+    assert len(checks) == 118
+    failed = {name for name, c in checks.items() if not c["ok"]}
+    assert failed == {
+        "walk weight 1 crosschecks",
+        "walk weight 2 crosschecks",
+        "flagship T/S tables and q-images",
+    }
+    for name in failed:
+        assert checks[name]["detail"] == "series order 8 too small; need at least 9"
+
+
 # ---------------------------------------------------------------- errors
 
 
@@ -279,8 +300,9 @@ def test_dimension_bound_at_the_exact_digit_limit_exits_two(
 
 
 def test_library_input_checks_raise_input_error(g2, g2_s_sets):
-    assert issubclass(CliInputError, InputError)
     assert issubclass(InvalidCartanError, InputError)
+    state = init_walk(g2, 2, 8)
+    sums = extract_step_poly(state, 2, 1)
     checks = {
         "fundamental index": lambda: g2.fundamental(3),
         "word not reduced": lambda: path_exponents(g2, (1, 1), 1),
@@ -295,6 +317,12 @@ def test_library_input_checks_raise_input_error(g2, g2_s_sets):
         "walk fundamental index": lambda: init_walk(g2, 3),
         "walk series order": lambda: init_walk(g2, 1, 1),
         "unknown builtin algebra": lambda: builtin_cartan("e8"),
+        "step extraction node 0": lambda: extract_step_poly(state, 0, 1),
+        "step extraction node 3": lambda: extract_step_poly(state, 3, 1),
+        "step transport node 0": lambda: apply_step(state, 0, 1, sums),
+        "step transport node 3": lambda: apply_step(state, 3, 1, sums),
+        "eigenvalue node 0": lambda: state.coefficient(0, 1),
+        "eigenvalue node 3": lambda: state.coefficient(3, 1),
     }
     for name, check in checks.items():
         try:
