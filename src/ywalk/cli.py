@@ -1,12 +1,14 @@
 """Command-line surface: walks, tables, cyclicity checks, ordered products.
 
-Every subcommand shares the same option set (algebra, reduced word,
-truncation order, output format).  ``_dispatch`` resolves the algebra and
-word once, hands them to the subcommand's handler, and wraps the handler's
-inputs and results in one envelope with stable field names; ``--format
-json`` prints it verbatim, ``--format text`` renders the same data for
-reading.  Exit codes: 0 success, 1 condition not certified,
-2 input error, 3 internal invariant violation or any other internal fault.
+Each subcommand takes only the options its handler reads, out of algebra,
+reduced word, truncation order and output format; one it does not read is
+fixed at its default (``verify`` always runs its pinned G2 and A1 data at
+order 8).  ``_dispatch`` resolves the algebra and word once, hands them to
+the subcommand's handler, and wraps the handler's inputs and results in
+one envelope with stable field names; ``--format json`` prints it
+verbatim, ``--format text`` renders the same data for reading.  Exit
+codes: 0 success, 1 condition not certified, 2 input error, 3 internal
+invariant violation or any other internal fault.
 """
 
 from __future__ import annotations
@@ -185,31 +187,10 @@ def _load_algebra(args) -> tuple[str, CartanData, tuple[int, ...]]:
     return label, cartan, word
 
 
-def _load_config(args) -> dict:
-    if not args.config:
-        return {}
-    try:
-        data = json.loads(Path(args.config).read_text())
-    except (OSError, ValueError, RecursionError) as exc:
-        # ValueError: undecodable bytes, malformed JSON, or an integer past
-        # the str-conversion digit limit; RecursionError: nesting too deep
-        raise InputError(f"cannot read config: {exc}") from None
-    if not isinstance(data, dict):
-        raise InputError("config must be a JSON object")
-    return data
-
-
 def _fund_dims(args) -> tuple[int, ...] | None:
-    if getattr(args, "fund_dims", None):
-        return _parse_int_list(args.fund_dims, "fundamental-dimension")
-    config = _load_config(args)
-    if "fund_dims" not in config:
+    if not args.fund_dims:
         return None
-    dims = config["fund_dims"]
-    # type(), not isinstance(): bool is a subclass of int
-    if not isinstance(dims, list) or any(type(x) is not int for x in dims):
-        raise InputError("config fund_dims must be a list of integers")
-    return tuple(dims)
+    return _parse_int_list(args.fund_dims, "fundamental-dimension")
 
 
 def _walk_rows(report) -> list[dict]:
@@ -341,7 +322,7 @@ def _cmd_dim(args, cartan: CartanData, word) -> tuple[int, dict, dict]:
     weight = _parse_int_list(args.weights, "weight")
     dims = _fund_dims(args)
     if dims is None:
-        raise InputError("dim needs --fund-dims or a config with fund_dims")
+        raise InputError("dim needs --fund-dims")
     report = dimension_bound(weight, dims, cartan)
     results = {
         "weight": list(report.weight),
@@ -458,28 +439,32 @@ def _render_text(env: dict) -> str:
     return "\n".join(lines)
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument(
-        "--algebra",
+_SHARED_OPTIONS = {
+    "algebra": dict(
         default="g2",
         help="builtin name (g2, a1, a2) or path to a declarative algebra file",
-    )
-    parser.add_argument(
-        "--word",
-        default=None,
-        help="comma-separated reduced word of the longest element",
-    )
-    parser.add_argument(
-        "--order",
+    ),
+    "word": dict(
+        default=None, help="comma-separated reduced word of the longest element"
+    ),
+    "order": dict(
         type=int,
         default=DEFAULT_ORDER,
         help=f"series truncation order, {MIN_ORDER}..{MAX_ORDER} (default 8)",
-    )
+    ),
+}
+
+
+def _add_shared(parser: argparse.ArgumentParser, *names: str):
+    """Add the shared options a subcommand reads, then --format.  One it
+    does not read is fixed at its default, so ``_dispatch`` still sees it."""
+    for name, spec in _SHARED_OPTIONS.items():
+        if name in names:
+            parser.add_argument(f"--{name}", **spec)
+        else:
+            parser.set_defaults(**{name: spec["default"]})
     parser.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    parser.add_argument(
-        "--config", default=None, help="JSON config file (fund_dims override)"
     )
 
 
@@ -494,21 +479,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("path", help="reduced word and path exponents")
     p.add_argument("--weight", type=int, default=None)
-    _add_common(p)
+    _add_shared(p, "algebra", "word")
 
     p = sub.add_parser("walk", help="per-step associated polynomials")
     p.add_argument("--weight", type=int, required=True)
-    _add_common(p)
+    _add_shared(p, "algebra", "word", "order")
 
     p = sub.add_parser("tables", help="T and S sets for all node pairs")
-    _add_common(p)
+    _add_shared(p, "algebra", "word", "order")
 
     p = sub.add_parser("cyclicity", help="check an ordered tensor product")
     p.add_argument(
         "--factors", required=True, help='comma-separated node:param, e.g. "1:0,2:5/2"'
     )
     p.add_argument("--mode", choices=("hw", "irr"), default="hw")
-    _add_common(p)
+    _add_shared(p, "algebra", "word", "order")
 
     p = sub.add_parser(
         "weyl-module", help="ordered product realizing two root multisets"
@@ -516,16 +501,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi1", default="", help="comma-separated roots for node 1")
     p.add_argument("--pi2", default="", help="comma-separated roots for node 2")
     p.add_argument("--fund-dims", default=None, help="comma-separated dimensions")
-    _add_common(p)
+    _add_shared(p, "algebra", "word", "order")
 
     p = sub.add_parser("dim", help="product dimension bound")
     p.add_argument("--weights", required=True, help="comma-separated m_1,..,m_l")
     p.add_argument("--fund-dims", default=None, help="comma-separated dimensions")
-    _add_common(p)
+    _add_shared(p, "algebra")
 
     p = sub.add_parser("verify", help="run the self-check suites")
     p.add_argument("--suite", choices=("all", *SUITES), default="all")
-    _add_common(p)
+    _add_shared(p)
 
     return parser
 

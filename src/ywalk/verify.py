@@ -85,12 +85,16 @@ def _require(ok: bool, message: str):
 
 
 def _check(name: str, fn) -> CheckResult:
-    """Run one check.  A failed requirement, a walk fault or an InputError
-    is its FAIL: verify's inputs are constants, so each is an internal fault."""
+    """Run one check.  Any exception is its FAIL and the other checks still
+    run: verify's inputs are constants, so every exception is an internal
+    fault.  A failed requirement, a walk fault or an InputError reads as its
+    message, any other exception as its repr, which names its type."""
     try:
         fn()
     except (AssertionError, CrosscheckError, InputError) as exc:
         return CheckResult(name, False, str(exc))
+    except Exception as exc:
+        return CheckResult(name, False, repr(exc))
     return CheckResult(name, True)
 
 

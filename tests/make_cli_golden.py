@@ -1,11 +1,12 @@
 """Write tests/cli_golden.json: stdout, stderr and exit code of ``ywalk`` runs.
 
 The runs cover every subcommand in text and JSON, G2 on both reduced
-words, a1, a2, an F4 algebra file, input errors that exit 2, and
-``<command> --help`` for every subcommand (at COLUMNS=80, so the option
-lists are pinned too).  Each run calls ``ywalk.cli.main`` in-process from
-a scratch directory holding the input files below, so file names stay
-relative and no absolute path is stored.
+words, a1, a2, an F4 algebra file, input errors that exit 2 (an option
+the subcommand does not take among them), and ``<command> --help`` for
+every subcommand (at COLUMNS=80, so the option lists are pinned too).
+Each run calls ``ywalk.cli.main`` in-process from a scratch directory
+holding the input files below, so file names stay relative and no
+absolute path is stored.
 
 Run from the repository root:
 
@@ -39,11 +40,9 @@ def _algebra_file(name: str) -> str:
 
 
 def write_inputs(directory: Path):
-    """The algebra and config files the runs name, written into directory."""
+    """The algebra files the runs name, written into directory."""
     (directory / "f4.alg").write_text(_algebra_file("f4"))
     (directory / "bad.alg").write_text("row 2 -1\nrow -3 2\nrank 2\n")
-    (directory / "dims.json").write_text('{"fund_dims": [15, 7]}')
-    (directory / "list.json").write_text("[15, 7]")
 
 
 # queries printed in both formats
@@ -74,7 +73,6 @@ _TEXT_ONLY = [
     ["tables", "--algebra", "f4.alg"],
     ["verify", "--suite", "walk"],
     ["verify", "--suite", "tables"],
-    ["dim", "--weights", "2,0", "--config", "dims.json"],
     ["dim", "--algebra", "f4.alg", "--weights", "1,0,0,1",
      "--fund-dims", "52,1274,273,26"],
     ["--version"],
@@ -95,9 +93,16 @@ _INPUT_ERRORS = [
     ["path", "--algebra", "bad.alg"],
     ["weyl-module", "--algebra", "a1", "--pi1", "0"],
     ["dim", "--weights", "2,0"],
-    ["dim", "--weights", "2,0", "--config", "list.json"],
     ["dim", "--weights=-1,0", "--fund-dims", "14,7"],
     ["walk", "--format", "json"],  # --weight missing
+    # an option the subcommand does not read, one run per subcommand
+    ["path", "--order", "20"],
+    ["walk", "--weight", "1", "--config", "x.json"],
+    ["tables", "--config", "x.json"],
+    ["cyclicity", "--factors", "1:0", "--config", "x.json"],
+    ["weyl-module", "--pi1", "0", "--config", "x.json"],
+    ["dim", "--weights", "2,0", "--fund-dims", "15,7", "--word", "2,1,2,1,2,1"],
+    ["verify", "--suite", "tables", "--algebra", "a2"],
 ]
 
 

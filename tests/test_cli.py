@@ -144,18 +144,6 @@ def test_weyl_module_command(capsys):
     assert results["reference_fund_dims"] == [14, 7]
 
 
-def test_dim_command_with_config(capsys, tmp_path):
-    config = tmp_path / "dims.json"
-    config.write_text(json.dumps({"fund_dims": [15, 7]}))
-    code, env = run_json(
-        capsys, "dim", "--weights", "2,0", "--config", str(config)
-    )
-    assert code == 0
-    assert env["results"]["bound"] == 225
-    code, _ = run_cli(capsys, "dim", "--weights", "2,0")
-    assert code == 2  # no dimensions supplied anywhere
-
-
 def test_verify_command(capsys):
     code, env = run_json(capsys, "verify", "--suite", "tables")
     assert code == 0
@@ -182,44 +170,58 @@ def test_verify_fails_a_corrupted_table_under_optimize():
     assert "suite tables: 1/2 passed" in result.stdout
 
 
-def test_verify_lists_a_walk_fault_as_failed_checks(capsys, monkeypatch):
-    def faulty_walk(*args, **kwargs):
-        raise walk.CrosscheckError("lowest-vector crosscheck failed at step 3")
+# the three verify checks that call run_walk
+_RUN_WALK_CHECKS = (
+    "walk weight 1 crosschecks",
+    "walk weight 2 crosschecks",
+    "flagship T/S tables and q-images",
+)
 
-    monkeypatch.setattr(verify, "run_walk", faulty_walk)
+
+def _verify_with_run_walk_raising(capsys, monkeypatch, exc):
+    """``verify --suite all`` with ``verify.run_walk`` raising exc: the exit
+    code and the detail of each failed check, by name."""
+
+    def broken_walk(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(verify, "run_walk", broken_walk)
     code, env = run_json(capsys, "verify", "--suite", "all")
+    checks = env["results"]["checks"]
+    # every check is listed: 112 sl2 checks, 4 walk checks, 2 tables checks
+    assert len({c["name"] for c in checks}) == 118
+    return code, {c["name"]: c["detail"] for c in checks if not c["ok"]}
+
+
+def test_verify_lists_a_walk_fault_as_failed_checks(capsys, monkeypatch):
+    message = "lowest-vector crosscheck failed at step 3"
+    code, failed = _verify_with_run_walk_raising(
+        capsys, monkeypatch, walk.CrosscheckError(message)
+    )
     assert code == 3
-    checks = {c["name"]: c for c in env["results"]["checks"]}
-    assert len(checks) == 118  # 112 sl2 checks, 4 walk checks, 2 tables checks
-    failed = {name for name, c in checks.items() if not c["ok"]}
-    assert failed == {
-        "walk weight 1 crosschecks",
-        "walk weight 2 crosschecks",
-        "flagship T/S tables and q-images",
-    }
-    for name in failed:
-        assert checks[name]["detail"] == "lowest-vector crosscheck failed at step 3"
+    assert failed == dict.fromkeys(_RUN_WALK_CHECKS, message)
 
 
 def test_verify_lists_an_input_error_as_failed_checks(capsys, monkeypatch):
     # verify's inputs are constants: an InputError inside a check is an
     # internal fault (exit 3), not a user error (exit 2)
-    def rejecting_walk(*args, **kwargs):
-        raise InputError("series order 8 too small; need at least 9")
-
-    monkeypatch.setattr(verify, "run_walk", rejecting_walk)
-    code, env = run_json(capsys, "verify", "--suite", "all")
+    message = "series order 8 too small; need at least 9"
+    code, failed = _verify_with_run_walk_raising(
+        capsys, monkeypatch, InputError(message)
+    )
     assert code == 3
-    checks = {c["name"]: c for c in env["results"]["checks"]}
-    assert len(checks) == 118
-    failed = {name for name, c in checks.items() if not c["ok"]}
-    assert failed == {
-        "walk weight 1 crosschecks",
-        "walk weight 2 crosschecks",
-        "flagship T/S tables and q-images",
-    }
-    for name in failed:
-        assert checks[name]["detail"] == "series order 8 too small; need at least 9"
+    assert failed == dict.fromkeys(_RUN_WALK_CHECKS, message)
+
+
+def test_verify_lists_an_unexpected_exception_as_failed_checks(capsys, monkeypatch):
+    # any other exception fails its own check only, shown by its repr
+    code, failed = _verify_with_run_walk_raising(
+        capsys, monkeypatch, ZeroDivisionError("division by zero")
+    )
+    assert code == 3
+    assert failed == dict.fromkeys(
+        _RUN_WALK_CHECKS, "ZeroDivisionError('division by zero')"
+    )
 
 
 # ---------------------------------------------------------------- errors
@@ -243,13 +245,6 @@ def test_zero_denominator_factor_exits_two(capsys):
 def test_zero_denominator_root_exits_two(capsys):
     assert main(["weyl-module", "--pi1", "1/0"]) == 2
     assert "zero denominator" in capsys.readouterr().err
-
-
-def test_non_list_config_fund_dims_exits_two(capsys, tmp_path):
-    config = tmp_path / "dims.json"
-    config.write_text(json.dumps({"fund_dims": 5}))
-    assert main(["dim", "--weights", "2,0", "--config", str(config)]) == 2
-    assert "fund_dims" in capsys.readouterr().err
 
 
 def test_dimension_bound_with_the_digit_limit_off_exits_two(capsys):
@@ -342,6 +337,27 @@ def test_argparse_usage_error_exits_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "tables", "--algebra", "a2"],
+        ["verify", "--suite", "tables", "--word", "2,1,2,1,2,1"],
+        ["verify", "--suite", "tables", "--order", "20"],
+        ["path", "--order", "20"],
+        ["dim", "--weights", "1,0", "--fund-dims", "14,7", "--word", "1,2,1,2,1,2"],
+        ["dim", "--weights", "1,0", "--fund-dims", "14,7", "--order", "20"],
+        ["tables", "--config", "x.json"],
+    ],
+    ids=" ".join,
+)
+def test_option_a_subcommand_does_not_read_exits_two(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ywalk ")
+    assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
+
+
 @pytest.mark.parametrize("order", ["200000000", "1", "65"])
 def test_order_outside_range_exits_two(capsys, monkeypatch, order):
     def no_walk(*args, **kwargs):
@@ -408,15 +424,6 @@ def _algebra_name_too_long(tmp_path):
     return ["path", "--algebra", "x" * 5000], "unknown algebra"
 
 
-def _config_case(data, message):
-    def case(tmp_path):
-        config = tmp_path / "dims.json"
-        config.write_bytes(data)
-        return ["dim", "--weights", "1,0", "--config", str(config)], message
-
-    return case
-
-
 @pytest.mark.parametrize(
     "case",
     [
@@ -427,41 +434,6 @@ def _config_case(data, message):
         _bound_rejected_before_it_is_built,
         _weyl_module_bound_past_digit_limit,
         _algebra_name_too_long,
-        pytest.param(
-            _config_case(b'{"fund_dims": [14, 7]} \xff\xfe', "cannot read config"),
-            id="config-undecodable",
-        ),
-        pytest.param(
-            _config_case(b'{"fund_dims": [' + b"1" * 5000 + b", 7]}", "cannot read config"),
-            id="config-integer-past-digit-limit",
-        ),
-        pytest.param(
-            _config_case(b"[" * 100_000, "cannot read config"), id="config-deep-nesting"
-        ),
-        pytest.param(
-            _config_case(b'{"fund_dims": [Infinity, 7]}', "list of integers"),
-            id="config-infinity",
-        ),
-        pytest.param(
-            _config_case(b'{"fund_dims": "14"}', "list of integers"),
-            id="config-string",
-        ),
-        pytest.param(
-            _config_case(b'{"fund_dims": {"14": 0, "7": 0}}', "list of integers"),
-            id="config-object",
-        ),
-        pytest.param(
-            _config_case(b'{"fund_dims": [14.9, 7]}', "list of integers"),
-            id="config-float",
-        ),
-        pytest.param(
-            _config_case(b'{"fund_dims": [true, 7]}', "list of integers"),
-            id="config-bool",
-        ),
-        pytest.param(
-            _config_case(b'{"fund_dims": ["14", 7]}', "list of integers"),
-            id="config-string-entry",
-        ),
     ],
 )
 def test_input_cases_exit_two_with_one_line(capsys, tmp_path, case):
@@ -554,7 +526,7 @@ _ARGV = st.one_of(
         st.sampled_from(("hw", "irr")),
     ),
     st.builds(lambda p1, p2: ["weyl-module", f"--pi1={p1}", f"--pi2={p2}"], _ROOTS, _ROOTS),
-    st.builds(lambda order: ["path", f"--order={order}"], _ORDERS),
+    st.builds(lambda order: ["tables", f"--order={order}"], _ORDERS),
 )
 
 
