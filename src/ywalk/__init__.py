@@ -6,7 +6,6 @@ from .exact import (
     GaussianRational,
     ParamPoly,
     UniPoly,
-    power_sums_to_monic,
     series_exp,
     series_from_poly_ratio,
     series_log,

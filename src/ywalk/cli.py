@@ -468,6 +468,18 @@ def _add_shared(parser: argparse.ArgumentParser, *names: str):
     )
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which reports an option it does not take
+    itself, under its own usage line.  argparse would hand the option back
+    to the top-level parser, whose usage lists no subcommand options."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ywalk",
@@ -475,7 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
         "tensor-product cyclicity sets, and ordered Weyl-module products.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_SubcommandParser
+    )
 
     p = sub.add_parser("path", help="reduced word and path exponents")
     p.add_argument("--weight", type=int, default=None)

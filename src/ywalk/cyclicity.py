@@ -4,7 +4,7 @@ From completed walks this layer collects, per (source weight b, acting
 node c), the symbolic roots of every step polynomial: the T set.  A walk
 at a is the walk at a = 0 with every unscaled root moved by a, so each
 root is a/d_c + beta with beta one of the record's ``roots`` (the row's
-roots at a = 0, split by the walk record itself), and the single
+roots at a = 0, which the walk reads off its divisors), and the single
 condition "spectral difference never lands one past a root" reduces to a
 finite set of forbidden rational differences, the S set
 
@@ -131,7 +131,7 @@ class DimensionReport:
 def compute_t_sets(reports: Iterable[WalkReport]) -> list[TSet]:
     """Collect, for every (source fundamental, acting node) pair, the union
     of step-polynomial roots across the walk, deduplicated, as (1/d_c, beta)
-    pairs.  CrosscheckError propagates from a row that does not split.
+    pairs.
     """
     reports = list(reports)
     if not reports:

@@ -5,10 +5,11 @@ parameter ``a`` (:class:`ParamPoly`) serve as coefficients for polynomials
 (:class:`UniPoly`) in a second variable ``u``.  A truncated series in
 ``u^{-1}`` is a plain coefficient list whose entry k multiplies ``u^{-k}``,
 so its truncation order is its length minus one; every operation is exact
-through that order.  The series and power-sum helpers (Newton's
-identities) take lists of either scalar type; ``shift_log_series`` takes
-rational power sums and sums over the integers, since the walk runs it over
-Fraction at a = 0.
+through that order.  The series helpers take lists of either scalar type;
+``shift_log_series`` takes rational power sums and sums over the integers,
+since the walk runs it over Fraction at a = 0.  Nothing here converts power
+sums to a polynomial or finds the roots of one: the walk reads each step's
+roots off its divisors (see ``walk``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "series_log",
     "series_exp",
     "series_rescale",
-    "power_sums_to_monic",
     "shift_log_series",
 ]
 
@@ -336,44 +336,6 @@ def series_rescale(s: Sequence, d) -> list:
     return [c * d**-k for k, c in enumerate(s)]
 
 
-def _elementary_raw(m: int, values: Sequence) -> list:
-    """e_1..e_m via Newton's identities, from p_1..p_m (any exact scalars)."""
-    e: list = [1]
-    for k in range(1, m + 1):
-        acc = 0
-        for i in range(1, k + 1):
-            term = values[i - 1] * e[k - i]
-            acc = acc + term if i % 2 == 1 else acc - term
-        e.append(acc * Fraction(1, k))
-    return e[1:]
-
-
-def _newton_extend(m: int, values: Sequence, top_index: int) -> list:
-    """p_1..p_top_index from p_1..p_m via the Newton recurrence."""
-    if m == 0:
-        return [0] * top_index
-    e = _elementary_raw(m, values)
-    vals = list(values[:m])
-    while len(vals) < top_index:
-        k = len(vals) + 1
-        acc = 0
-        for i in range(1, m + 1):
-            term = e[i - 1] * (m if k - i == 0 else vals[k - i - 1])
-            acc = acc + term if i % 2 == 1 else acc - term
-        vals.append(acc)
-    return vals
-
-
-def power_sums_to_monic(m: int, values: Sequence) -> list:
-    """Ascending coefficients of the monic degree-m polynomial whose roots
-    have the power sums p_1..p_m = values (any exact scalars)."""
-    e = _elementary_raw(m, values)
-    coeffs = [0] * m + [Fraction(1)]
-    for k in range(1, m + 1):
-        coeffs[m - k] = e[k - 1] if k % 2 == 0 else -e[k - 1]
-    return coeffs
-
-
 def shift_log_series(p: Sequence, shift, order: int) -> list[Fraction]:
     """Coefficients of log(pi(u+shift)/pi(u)) at u^0..u^-order, for the
     monic pi whose rational roots have the power sums p = [p_0, p_1, ...],
@@ -402,80 +364,3 @@ def shift_log_series(p: Sequence, shift, order: int) -> list[Fraction]:
             acc += math.comb(k, j) * neg[k - j] * scaled[j]
         out.append(Fraction(-acc, k * den * sd**k))
     return out
-
-
-def _divisors(n: int) -> list[int]:
-    """Positive divisors of n != 0, ascending, from the prime factorization
-    of |n| by trial division; a large prime factor P still costs about
-    sqrt(P) steps."""
-    n = abs(n)
-    out = [1]
-    p = 2
-    while p * p <= n:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e:
-            out = [x * p**k for x in out for k in range(e + 1)]
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out += [x * n for x in out]
-    return sorted(out)
-
-
-def _rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction] | None:
-    """All roots of a monic polynomial over the rationals, with multiplicity.
-
-    Returns None when the polynomial does not split over the rationals.
-    Once zero roots are stripped and denominators cleared, every rational
-    root is n/q in lowest terms with n dividing the constant term, q the
-    leading one, and |n/q| within Cauchy's bound 1 + max|c_k/c_lead|.
-    Each such candidate is divided out, by exact integer synthetic
-    division by (q u - n), for as long as it leaves no remainder.
-    """
-    cs = [Fraction(c) for c in coeffs]
-    zeros = 0
-    while zeros < len(cs) - 1 and cs[zeros] == 0:
-        zeros += 1
-    cs = cs[zeros:]
-    roots = [Fraction(0)] * zeros
-    scale = math.lcm(*(c.denominator for c in cs))
-    ints = [c.numerator * (scale // c.denominator) for c in cs]
-    lead = abs(ints[-1])
-    reach = lead + max((abs(c) for c in ints[:-1]), default=0)
-    nums = _divisors(ints[0])
-    for q in _divisors(ints[-1]):
-        for n in nums:
-            if n * lead > q * reach:  # |n/q| > 1 + max|c_k|/|c_lead|
-                break
-            if math.gcd(n, q) != 1:
-                continue
-            for num in (n, -n):
-                while len(ints) > 1:
-                    quot = _divide_linear(ints, q, num)
-                    if quot is None:
-                        break
-                    roots.append(Fraction(num, q))
-                    ints = quot
-    if len(ints) > 1:
-        return None
-    return sorted(roots)
-
-
-def _divide_linear(ints: list[int], q: int, n: int) -> list[int] | None:
-    """Quotient of the integer polynomial ints (ascending) by (q u - n), or
-    None when the division leaves a remainder.  With gcd(n, q) = 1 the
-    quotient of a multiple of (q u - n) has integer coefficients (Gauss's
-    lemma), so any inexact step means n/q is not a root."""
-    quot = [0] * (len(ints) - 1)
-    carry = 0  # n times the quotient coefficient one degree up
-    for k in range(len(ints) - 1, 0, -1):
-        b, r = divmod(ints[k] + carry, q)
-        if r:
-            return None
-        quot[k - 1] = b
-        carry = n * b
-    if ints[0] + carry != 0:
-        return None
-    return quot

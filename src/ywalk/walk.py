@@ -1,39 +1,46 @@
-"""Eigenvalue-series transport along extremal-weight paths.
+"""Eigenvalue-series transport along extremal-weight paths, with the
+divisor of every node's l-weight kept beside its series.
 
 The walk starts at the top vector of a fundamental module, where the
 commuting-family log-series H_i(u) at the starting node equals
-log((u-(a-d_i))/(u-a)) and vanishes at every other node.  Processing the
-reduced word from its right end, each step (node c, exponent m):
+log((u-(a-d_i))/(u-a)) and vanishes at every other node.  At every vector
+the walk visits, exp H_i(u) is a ratio of monic polynomials: the extremal
+l-weight of Frenkel-Mukhin (Comm. Math. Phys. 216, 2001), moved along the
+word by the braid-group action on l-weights (Chari, IMRN 2002).  So the
+walk also keeps, per node, the divisor of exp H_i(u) at a = 0: each zero
+with its multiplicity, and each pole with minus its multiplicity.  Every
+point is a half-integer and is stored doubled, as an int.  The walk starts
+from [-d_b] - [0] at its node b.  Processing the reduced word from its
+right end, each step (node c, exponent m):
 
-* extracts the degree-m associated polynomial of the current node-c
-  restriction by solving the triangular Newton-type system that links the
-  series coefficients to the power sums of the polynomial's roots, then
+* reads the step's unscaled roots off the node-c divisor, which must be
+  the highest-weight divisor sum_r ([r - d_c] - [r]): the root y has
+  multiplicity R(y) = -sum_{j>=0} D_c(y + j d_c), and R >= 0 with sum m;
+  the node-c series must be the highest-weight series of those roots, so
+  the series is the crosscheck of the divisor; then
 
 * pushes the series at every node across (x-_{c,0})^m using the closed
   commutator form [H_{i,k}, x-_{c,l}], under which a symmetrized level-s
-  insertion contributes the s-th power sum of the step's unscaled roots.
+  insertion contributes the s-th power sum of the step's unscaled roots,
+  and moves every divisor by D_i -= sum_r ([r - x/2] - [r + x/2]), with
+  x = d_i a_{i,c}.
 
 Roots here are "unscaled": on the d_c-rescaled copy of the rank-1 algebra
 at node c the associated polynomial has roots (unscaled roots)/d_c, and a
 highest (resp. lowest) vector for that copy carries the series
 log(pi(u+d_c)/pi(u)) (resp. log(pi(u-d_c)/pi(u))) built from the unscaled
 monic pi.  The lowest-vector form is re-derived after every step from the
-extracted roots and compared against the transported series; any mismatch
+step's roots and compared against the transported series; any mismatch
 aborts the walk.
 
 The parameter a enters only as a translation: the shift automorphism
 x(u) -> x(u-b) of the Yangian sends V(a) to V(a+b) (Chari-Pressley, A Guide
 to Quantum Groups, 1994, ch. 12), so the walk at a is the walk at a = 0
 with every root moved by a.  The walk therefore runs on Fraction values at
-a = 0 and keeps its StepRecords there.  A record's ``poly`` moves the row's
-roots by a/d when it is read, and ``WalkState.coefficient`` lifts the
-series coefficients through ``_lift``.
-
-A record's ``roots``, read on first use like ``poly``, is the one place a
-row is split.  Every row of finite-type data splits over the rationals: the
-l-weights of a fundamental module are monomials with rational spectral
-shifts (Frenkel-Mukhin, Comm. Math. Phys. 216, 2001).  So a row that does
-not split is a walk fault.
+a = 0 and keeps its StepRecords there.  A record holds the step's roots
+beta = r/d_c in u/d_c; its ``row`` is their product prod (u - beta), and
+its ``poly`` moves that row by a/d when it is read.  ``WalkState.coefficient``
+lifts the series coefficients through ``_lift``.
 """
 
 from __future__ import annotations
@@ -44,16 +51,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .exact import (
-    A,
-    ParamPoly,
-    UniPoly,
-    _horner,
-    _newton_extend,
-    _rational_roots,
-    power_sums_to_monic,
-    shift_log_series,
-)
+from .exact import A, ParamPoly, UniPoly, _horner, shift_log_series
 from .rootsystem import CartanData, InputError, lowest_weight, path_exponents
 
 __all__ = [
@@ -62,7 +60,6 @@ __all__ = [
     "StepRecord",
     "WalkReport",
     "init_walk",
-    "solve_power_sums",
     "extract_step_poly",
     "apply_step",
     "run_walk",
@@ -86,11 +83,14 @@ def _lift(p: Sequence[Fraction]) -> list[ParamPoly]:
 
 @dataclass
 class WalkState:
-    """Mutable per-walk state at a = 0: one H_i(u) log-series per node.
+    """Mutable per-walk state at a = 0: one H_i(u) log-series and one
+    divisor of exp H_i(u) per node.
 
     series[i-1][k] is the u^{-k} coefficient of H_i(u), so series[i-1][k+1]
     is the eigenvalue of H_{i,k} on the current extremal vector at a = 0;
-    the constant term is always zero.
+    the constant term is always zero.  divisors[i-1] maps 2z to the
+    multiplicity of z (zeros positive, poles negative) and holds no zero
+    multiplicity.
     """
 
     cartan: CartanData
@@ -98,6 +98,7 @@ class WalkState:
     order: int
     series: list[list[Fraction]]
     weight: tuple[int, ...]
+    divisors: list[dict[int, int]]
 
     def coefficient(self, node: int, k: int) -> ParamPoly:
         """Eigenvalue of H_{node,k} on the current extremal vector, in a."""
@@ -115,10 +116,20 @@ class StepRecord:
     step: int  # position j in the reduced word (1-based)
     node: int
     exponent: int
-    row: tuple[Fraction, ...]  # monic row in u/d_node at a = 0, ascending
+    roots: tuple[Fraction, ...]  # row roots beta in u/d_node at a = 0, ascending
     rescale: int  # d_node
     power_sums: tuple[Fraction, ...]  # unscaled root power sums p_0..p_N at a = 0
     crosscheck_ok: bool | None  # None for zero-exponent steps
+
+    @cached_property
+    def row(self) -> tuple[Fraction, ...]:
+        """The monic row prod (u - beta) over the roots, in u/d_node at
+        a = 0, ascending; the associated polynomial's roots are
+        a/d_node + beta."""
+        row = [Fraction(1)]
+        for beta in self.roots:
+            row = [x - beta * y for x, y in zip([0] + row, row + [0])]
+        return tuple(row)
 
     @cached_property
     def poly(self) -> UniPoly:
@@ -137,20 +148,6 @@ class StepRecord:
                     f"row at step {self.step} did not move by a/{self.rescale}"
                 )
         return lifted
-
-    @cached_property
-    def roots(self) -> tuple[Fraction, ...]:
-        """The roots beta of the row (in u/d_node, at a = 0), ascending with
-        multiplicity; the associated polynomial's roots are a/d_node + beta.
-        A row that does not split over the rationals raises CrosscheckError.
-        """
-        betas = _rational_roots(self.row)
-        if betas is None:
-            raise CrosscheckError(
-                f"row at step {self.step} (node {self.node}, exponent "
-                f"{self.exponent}) does not split over the rationals"
-            )
-        return tuple(betas)
 
 
 @dataclass(frozen=True)
@@ -171,22 +168,25 @@ class WalkReport:
 
 def init_walk(cartan: CartanData, fundamental: int, order: int = DEFAULT_ORDER) -> WalkState:
     """State at the top vector of the fundamental module with label
-    ``fundamental``: H-series log((u-(a-d))/(u-a)) at that node, zero
-    elsewhere.  An out-of-range label or an order below 2 raises InputError."""
+    ``fundamental``: H-series log((u-(a-d))/(u-a)) and divisor [-d] - [0]
+    at that node, zero elsewhere.  An out-of-range label or an order below
+    2 raises InputError."""
     weight = cartan.fundamental(fundamental)
     if order < 2:
         raise InputError("series order must be at least 2")
+    d = cartan.di(fundamental)
     series = [[Fraction(0)] * (order + 1) for _ in range(cartan.rank)]
+    divisors: list[dict[int, int]] = [{} for _ in range(cartan.rank)]
     # the single root a sits at 0
-    series[fundamental - 1] = shift_log_series(
-        [1] + [0] * (order - 1), cartan.di(fundamental), order
-    )
+    series[fundamental - 1] = shift_log_series([1] + [0] * (order - 1), d, order)
+    divisors[fundamental - 1] = {-2 * d: 1, 0: -1}
     return WalkState(
         cartan=cartan,
         fundamental=fundamental,
         order=order,
         series=series,
         weight=weight,
+        divisors=divisors,
     )
 
 
@@ -207,34 +207,70 @@ def _check_weight_bookkeeping(state: WalkState):
             )
 
 
-def solve_power_sums(lam: Sequence[Fraction], shift, m: int) -> list[Fraction]:
-    """Solve (k+1) lam_{k+1} = -sum_{s<=k} C(k+1,s) (-shift)^{k+1-s} p_s for
-    p_0..p_m, where lam_{k+1} is the u^{-k-1} coefficient and p_0 = m.
+def _read_roots(state: WalkState, node: int, m: int) -> list[int]:
+    """The step's unscaled roots r, doubled and ascending with multiplicity,
+    read off the node's divisor D, which must be sum_r ([r - d] - [r]).
 
-    With shift = +d this recovers the root power sums of a highest-weight
-    series log(pi(u+d)/pi(u)); with shift = -d, those of a lowest-weight
-    series log(pi(u-d)/pi(u)).
+    The root y has multiplicity R(y) = -sum_{j>=0} D(y + j d), summed down
+    each class of points 2d apart.  CrosscheckError unless R >= 0, R
+    vanishes below each class (so D has that form) and sum R = m.
     """
-    shift = Fraction(shift)
-    if shift == 0:
-        raise ValueError("shift must be nonzero")
-    p = [Fraction(m)]
-    for k in range(1, m + 1):
-        acc = (k + 1) * lam[k + 1]
-        for s in range(k):
-            acc = acc + math.comb(k + 1, s) * (-shift) ** (k + 1 - s) * p[s]
-        p.append(acc / ((k + 1) * shift))
-    return p
+    divisor = state.divisors[node - 1]
+    gap = 2 * state.cartan.di(node)
+    classes: dict[int, list[int]] = {}
+    for z in divisor:
+        classes.setdefault(z % gap, []).append(z)
+    roots: list[int] = []
+    for points in classes.values():
+        low, y, mult = min(points), max(points), 0
+        while y >= low:
+            mult -= divisor.get(y, 0)
+            if mult < 0:
+                raise CrosscheckError(
+                    f"node {node} divisor gives root {Fraction(y, 2)} "
+                    f"multiplicity {mult}"
+                )
+            roots += [y] * mult
+            y -= gap
+        if mult:
+            raise CrosscheckError(
+                f"node {node} divisor is not a highest-weight divisor"
+            )
+    if len(roots) != m:
+        raise CrosscheckError(
+            f"node {node} divisor has {len(roots)} roots, not the exponent {m}"
+        )
+    return sorted(roots)
+
+
+def _power_sums(roots: Sequence[int], order: int) -> list[Fraction]:
+    """p_0..p_order of the roots z/2, given doubled."""
+    powers = [1] * len(roots)
+    out = [Fraction(len(roots))]
+    for k in range(1, order + 1):
+        powers = [x * z for x, z in zip(powers, roots)]
+        out.append(Fraction(sum(powers), 1 << k))
+    return out
+
+
+def _move_divisor(divisor: dict[int, int], roots: Sequence[int], x: int):
+    """D -= sum_r ([r - x/2] - [r + x/2]) for the doubled roots 2r."""
+    for z in roots:
+        for point, change in ((z - x, -1), (z + x, 1)):
+            mult = divisor.get(point, 0) + change
+            if mult:
+                divisor[point] = mult
+            else:
+                del divisor[point]
 
 
 def extract_step_poly(state: WalkState, node: int, m: int) -> list[Fraction]:
     """Power sums p_0..p_N (p_0 = m, N the series order) of the unscaled
     roots of the current node restriction's degree-m associated polynomial.
 
-    Solves (k+1) H_k = -sum_{s=0}^{k} C(k+1,s) (-d)^{k+1-s} p_s for p_1..p_m
-    and extends them through the truncation order.  The full series is then
-    rebuilt from the extended power sums and compared against the state as
-    a highest-weight consistency check.
+    The roots are read off the node's divisor (see ``_read_roots``).  The
+    node series must be the highest-weight series log(pi(u+d)/pi(u)) of
+    those roots, through order N; a mismatch raises CrosscheckError.
     """
     _check_node(state.cartan, node)
     if m < 0:
@@ -245,13 +281,14 @@ def extract_step_poly(state: WalkState, node: int, m: int) -> list[Fraction]:
         )
     if m == 0:
         # a zero weight coordinate at an extremal vector: the node
-        # restriction is trivial, so its series must vanish
+        # restriction is trivial, so its series and divisor must vanish
         if any(state.series[node - 1]):
             raise CrosscheckError(f"node {node} series is nonzero at a zero exponent")
+        if state.divisors[node - 1]:
+            raise CrosscheckError(f"node {node} divisor is nonzero at a zero exponent")
         return [Fraction(0)] * (state.order + 1)
     d = state.cartan.di(node)
-    p = solve_power_sums(state.series[node - 1], d, m)
-    p = p[:1] + _newton_extend(m, p[1:], state.order)
+    p = _power_sums(_read_roots(state, node, m), state.order)
     # highest-weight consistency: the node series must match the roots.
     if state.series[node - 1] != shift_log_series(p, d, state.order):
         raise CrosscheckError(
@@ -261,7 +298,7 @@ def extract_step_poly(state: WalkState, node: int, m: int) -> list[Fraction]:
 
 
 def apply_step(state: WalkState, node: int, m: int, p: Sequence[Fraction]) -> WalkState:
-    """Transport every node's series across (x-_{node,0})^m.
+    """Transport every node's series and divisor across (x-_{node,0})^m.
 
     p must carry the step's unscaled root power sums p_0..p_N (p_0 = m)
     extended through the truncation order N; the update at node i and
@@ -274,6 +311,10 @@ def apply_step(state: WalkState, node: int, m: int, p: Sequence[Fraction]) -> Wa
     The p_k term is the s = k term of the sum.  With p_s = P_s/D over a
     common denominator D, (k+1) 2^k D times the update is the integer
     sum_{s<=k, k+s even} (d_i a_{i,node})^{k+1-s} C(k+1,s) 2^s P_s.
+
+    The divisor at node i moves by D_i -= sum_r ([r - x/2] - [r + x/2]),
+    x = d_i a_{i,node}, over the roots r read off the node's divisor,
+    which is still the highest-weight divisor of the step.
     """
     _check_node(state.cartan, node)
     if p[0] != m:
@@ -284,6 +325,7 @@ def apply_step(state: WalkState, node: int, m: int, p: Sequence[Fraction]) -> Wa
         return state
     c = node
     n = state.order
+    roots = _read_roots(state, c, m)
     den = math.lcm(*(x.denominator for x in p[:n]))
     # 2^s P_s
     scaled = [x.numerator * (den // x.denominator) << s for s, x in enumerate(p[:n])]
@@ -298,6 +340,7 @@ def apply_step(state: WalkState, node: int, m: int, p: Sequence[Fraction]) -> Wa
             for s in range(k % 2, k + 1, 2):
                 acc += powers[k + 1 - s] * math.comb(k + 1, s) * scaled[s]
             row[k + 1] -= Fraction(acc, (k + 1) * den << k)
+        _move_divisor(state.divisors[i - 1], roots, dai)
     # weight drops by m * alpha_c; alpha_c has weight coordinates A[:, c]
     state.weight = tuple(
         w - m * state.cartan.aij(i, c)
@@ -305,20 +348,6 @@ def apply_step(state: WalkState, node: int, m: int, p: Sequence[Fraction]) -> Wa
     )
     _check_weight_bookkeeping(state)
     return state
-
-
-def _record(j: int, node: int, m: int, d: int, p, crosscheck) -> StepRecord:
-    """The step's record: its power sums and its row in u/d, at a = 0."""
-    row = power_sums_to_monic(m, [p[k] / Fraction(d) ** k for k in range(1, m + 1)])
-    return StepRecord(
-        step=j,
-        node=node,
-        exponent=m,
-        row=tuple(row),
-        rescale=d,
-        power_sums=tuple(p),
-        crosscheck_ok=crosscheck,
-    )
 
 
 def run_walk(
@@ -333,9 +362,10 @@ def run_walk(
     in which the lowering operators act on the top vector).  After every
     positive step the transported node series is compared with the
     lowest-vector form rebuilt from the step's roots.  At the end the
-    weight must be the lowest weight and every node series a lowest-vector
-    series for that weight.  A mismatch raises CrosscheckError.  An order
-    below the largest path exponent + 2 raises InputError.
+    weight must be the lowest weight, every node series a lowest-vector
+    series for that weight, and every divisor but the last acting node's
+    empty.  A mismatch raises CrosscheckError.  An order below the largest
+    path exponent + 2 raises InputError.
     """
     exps = path_exponents(cartan, word, fundamental)
     max_m = max(exps.exponents) if exps.exponents else 0
@@ -350,11 +380,13 @@ def run_walk(
     for j in range(len(exps.word), 0, -1):
         node = exps.word[j - 1]
         m = exps.exponents[j - 1]
+        d = cartan.di(node)
         p = extract_step_poly(state, node, m)
+        roots = tuple(Fraction(z, 2 * d) for z in _read_roots(state, node, m))
         apply_step(state, node, m, p)
         crosscheck: bool | None = None
         if m > 0:
-            expected = shift_log_series(p, -cartan.di(node), order)
+            expected = shift_log_series(p, -d, order)
             checked = {node: expected}
             crosscheck = state.series[node - 1] == expected
             if not crosscheck:
@@ -362,17 +394,19 @@ def run_walk(
                     f"lowest-vector crosscheck failed at step {j} "
                     f"(node {node}, exponent {m})"
                 )
-        records.append(_record(j, node, m, cartan.di(node), p, crosscheck))
+        records.append(StepRecord(j, node, m, roots, d, tuple(p), crosscheck))
     if state.weight != lowest_weight(cartan, cartan.fundamental(fundamental)):
         raise CrosscheckError(
             f"walk did not land on the lowest weight: ended at {state.weight}"
         )
     # the lowest weight w0(omega_i) = -omega_i* is nonzero only at the node
     # of the last positive step, whose series must be the one crosschecked
-    # there; at every other node the lowest-vector series is zero
+    # there; at every other node the lowest-vector series and divisor are zero
     for i in range(1, cartan.rank + 1):
         if state.series[i - 1] != checked.get(i, [0] * (order + 1)):
             raise CrosscheckError(f"node {i} series is not a lowest-vector series")
+        if i not in checked and state.divisors[i - 1]:
+            raise CrosscheckError(f"node {i} divisor is not a lowest-vector divisor")
     return WalkReport(
         cartan=cartan,
         fundamental=fundamental,

@@ -351,11 +351,14 @@ def test_argparse_usage_error_exits_two(capsys):
     ids=" ".join,
 )
 def test_option_a_subcommand_does_not_read_exits_two(capsys, argv):
+    # the subcommand's own parser reports it, with the options it does take
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("usage: ywalk ")
-    assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
+    assert captured.err.startswith(f"usage: ywalk {argv[0]} [-h] ")
+    assert captured.err.endswith(
+        f"ywalk {argv[0]}: error: unrecognized arguments: {' '.join(argv[-2:])}\n"
+    )
 
 
 @pytest.mark.parametrize("order", ["200000000", "1", "65"])
@@ -445,15 +448,24 @@ def test_input_cases_exit_two_with_one_line(capsys, tmp_path, case):
     assert line.startswith("error: ") and message in line
 
 
-def test_unextended_power_sums_exit_three(capsys, monkeypatch):
-    monkeypatch.setattr(walk, "_newton_extend", lambda m, values, top: list(values))
-    assert main(["walk", "--weight", "1"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "Traceback" not in captured.err
-    assert captured.err.splitlines() == [
-        "internal error: ValueError('series order 8 needs p_1..p_7, have p_1..p_1')"
-    ]
+def _reader_drops_a_root(monkeypatch):
+    real = walk._read_roots
+    monkeypatch.setattr(
+        walk, "_read_roots", lambda state, node, m: real(state, node, m)[1:]
+    )
+
+
+def _one_point_off_by_half(monkeypatch):
+    # after every divisor move, the highest point goes up by half a unit
+    real = walk._move_divisor
+
+    def moved(divisor, roots, x):
+        real(divisor, roots, x)
+        if divisor:
+            top = max(divisor)
+            divisor[top + 1] = divisor.pop(top)
+
+    monkeypatch.setattr(walk, "_move_divisor", moved)
 
 
 @pytest.mark.parametrize(
@@ -465,15 +477,19 @@ def test_unextended_power_sums_exit_three(capsys, monkeypatch):
     ],
     ids=lambda argv: argv[0],
 )
-def test_row_that_does_not_split_exits_three(capsys, monkeypatch, argv):
-    # a walk row without rational roots is a walk fault, not "not certified"
-    monkeypatch.setattr(walk, "_rational_roots", lambda coeffs: None)
+@pytest.mark.parametrize(
+    "fault",
+    [_reader_drops_a_root, _one_point_off_by_half],
+    ids=["dropped root", "half-shift"],
+)
+def test_divisor_fault_exits_three(capsys, monkeypatch, fault, argv):
+    # a divisor that disagrees with its series is a walk fault
+    fault(monkeypatch)
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     [line] = captured.err.splitlines()
-    assert line.startswith("internal invariant violation: row at step ")
-    assert line.endswith("does not split over the rationals")
+    assert line.startswith("internal invariant violation: node ")
 
 
 def test_dropped_s_set_exits_three(capsys, monkeypatch):

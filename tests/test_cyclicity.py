@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ywalk import cyclicity, rootsystem
+from ywalk import cyclicity, rootsystem, walk
 from ywalk.cyclicity import (
     MODE_HIGHEST_WEIGHT,
     MODE_IRREDUCIBLE,
@@ -24,8 +24,8 @@ from ywalk.cyclicity import (
 )
 from ywalk.exact import GaussianRational, ParamPoly
 from ywalk.rootsystem import InputError
-from ywalk.verify import EXPECTED_S, EXPECTED_T
-from ywalk.walk import CrosscheckError, StepRecord, WalkReport, run_walk
+from ywalk.verify import EXPECTED_S, EXPECTED_T, G2_WORD
+from ywalk.walk import CrosscheckError, run_walk
 
 
 def gauss(re, im=0):
@@ -55,28 +55,20 @@ def test_rank_one_sets(a1):
     assert s_sets[0].values == (F(1),)
 
 
-def test_t_sets_propagate_unavailable_roots(g2, g2_reports):
-    # a record whose row has no rational roots is a walk fault
-    base = g2_reports[0]
-    bad = StepRecord(
-        step=1,
-        node=2,
-        exponent=2,
-        row=(F(1), F(0), F(1)),
-        rescale=1,
-        power_sums=base.rows()[0].power_sums,
-        crosscheck_ok=True,
-    )
-    fake = WalkReport(
-        cartan=base.cartan,
-        fundamental=1,
-        word=base.word,
-        exponents=base.exponents,
-        order=base.order,
-        records=(bad,),
-    )
-    with pytest.raises(CrosscheckError, match="row at step 1 .* does not split"):
-        compute_t_sets([fake])
+def test_divisor_fault_stops_the_walk_before_t_sets(g2, monkeypatch):
+    # a start divisor [0] - [-3] in place of [-3] - [0] gives the first
+    # node-1 step a root of multiplicity -1: a walk fault, and no T set
+    real = walk.init_walk
+
+    def inverted(cartan, fundamental, order):
+        state = real(cartan, fundamental, order)
+        top = state.divisors[fundamental - 1]
+        state.divisors[fundamental - 1] = {z: -mult for z, mult in top.items()}
+        return state
+
+    monkeypatch.setattr(walk, "init_walk", inverted)
+    with pytest.raises(CrosscheckError, match="node 1 divisor gives root 0 multiplicity"):
+        compute_t_sets([run_walk(g2, G2_WORD, 1, 8)])
 
 
 def test_highest_weight_failing_pair(g2_s_sets):

@@ -8,7 +8,7 @@ import math
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ywalk.exact import (
@@ -16,17 +16,13 @@ from ywalk.exact import (
     GaussianRational,
     ParamPoly,
     UniPoly,
-    _divisors,
-    _newton_extend,
-    _rational_roots,
-    power_sums_to_monic,
     series_exp,
     series_from_poly_ratio,
     series_log,
     series_rescale,
     shift_log_series,
 )
-from ywalk.walk import CrosscheckError, StepRecord
+from ywalk.walk import StepRecord
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 param_polys = st.lists(rationals, min_size=0, max_size=3).map(ParamPoly)
@@ -354,57 +350,16 @@ def test_rescale_rejects_zero():
         series_rescale(pad([1], 2), 0)
 
 
-# ----------------------------------------------------- power-sum conversions
-
-
-def test_power_sums_to_monic_frozen():
-    assert power_sums_to_monic(2, (F(5), F(13))) == [6, -5, 1]  # roots 2, 3
-
-
-def test_power_sums_degree_zero():
-    assert power_sums_to_monic(0, ()) == [1]
-
-
-def test_power_sums_to_monic_symbolic():
-    p1 = 2 * A / 3 + 1
-    p2 = ((A + 1) ** 2 + (A + 2) ** 2) / 9
-    poly = UniPoly(power_sums_to_monic(2, (p1, p2)))
-    assert poly == UniPoly.from_roots([(A + 1) / 3, (A + 2) / 3])
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(rationals, min_size=0, max_size=6))
-def test_power_sums_roundtrip_random_multisets(roots):
-    m = len(roots)
-    sums = power_sums(roots, m)[1:]
-    assert UniPoly(power_sums_to_monic(m, sums)) == UniPoly.from_roots(roots)
-    # the same multiset over Fraction, as the walk calls it
-    at_zero = [p.evaluate(0) for p in sums]
-    assert power_sums_to_monic(m, at_zero) == at(UniPoly.from_roots(roots), 0)
-
-
-def test_extend_power_sums():
-    # the Newton recurrence over both scalar types
-    assert _newton_extend(2, [F(5), F(13)], 3) == [5, 13, 35]
-    assert _newton_extend(2, [ParamPoly.const(5), ParamPoly.const(13)], 3)[2] == 35
-    single = _newton_extend(1, [A + 2], 5)
-    for k in range(1, 6):
-        assert single[k - 1] == (A + 2) ** k
-    assert _newton_extend(1, [F(2)], 5) == [2**k for k in range(1, 6)]
-    empty = _newton_extend(0, [], 4)
-    assert all(p == ParamPoly() for p in empty)
-
-
 # ------------------------------------------------------------ affine roots
 
 
-def row_record(row, d: int) -> StepRecord:
-    """A hand-built walk record at step 1 with the given row at a = 0."""
+def roots_record(betas, d: int) -> StepRecord:
+    """A hand-built walk record at step 1 with the given roots at a = 0."""
     return StepRecord(
         step=1,
         node=1,
-        exponent=len(row) - 1,
-        row=tuple(row),
+        exponent=len(betas),
+        roots=tuple(betas),
         rescale=d,
         power_sums=(),
         crosscheck_ok=True,
@@ -413,22 +368,15 @@ def row_record(row, d: int) -> StepRecord:
 
 def test_roots_affine_paper_pair():
     poly = UniPoly.from_roots([(A + 1) / 3, (A + 2) / 3])
-    assert row_record(at(poly, 0), 3).roots == (F(1, 3), F(2, 3))
+    record = roots_record((F(1, 3), F(2, 3)), 3)
+    assert record.row == tuple(at(poly, 0))
+    assert record.poly == poly
 
 
 def test_roots_affine_by_inspection():
     # u^2 - 2au + (a^2 - 1) = (u - (a-1))(u - (a+1))
     poly = UniPoly([A * A - 1, -2 * A, 1])
-    assert row_record(at(poly, 0), 1).roots == (F(-1), F(1))
-
-
-def test_roots_affine_unavailable():
-    record = row_record([F(1), F(0), F(1)], 1)  # u^2 + 1
-    with pytest.raises(
-        CrosscheckError,
-        match=r"row at step 1 \(node 1, exponent 2\) does not split over the rationals",
-    ):
-        record.roots
+    assert roots_record((F(-1), F(1)), 1).poly == poly
 
 
 @settings(max_examples=60, deadline=None)
@@ -437,12 +385,12 @@ def test_roots_affine_unavailable():
     st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3), max_size=4),
 )
 def test_roots_affine_reexpansion_matches_input(d, intercepts):
-    # walk rows have roots a/d + beta; the a = 0 split must give them back
+    # walk rows have roots a/d + beta; the record's row and poly must be
+    # their products at a = 0 and in a
     poly = UniPoly.from_roots(ParamPoly((beta, F(1, d))) for beta in intercepts)
-    found = row_record(at(poly, 0), d).roots
-    assert found == tuple(sorted(intercepts))
-    rebuilt = UniPoly.from_roots(ParamPoly((beta, F(1, d))) for beta in found)
-    assert rebuilt == poly
+    record = roots_record(sorted(intercepts), d)
+    assert record.row == tuple(at(poly, 0))
+    assert record.poly == poly
 
 
 def _divisors_reference(n):
@@ -460,16 +408,6 @@ def _divisors_reference(n):
         math.prod(p**k for p, k in zip(primes, ks))
         for ks in product(*(range(e + 1) for e in primes.values()))
     ]
-
-
-def test_divisors_match_reference():
-    # every n up to 3000, then powers, a product of two primes near 10^6
-    # and a prime near 10^12 (both sides trial-divide up to 10^6)
-    cases = list(range(1, 3001)) + [
-        2**40, 3**20 * 5**7, 999_983 * 1_000_003, 999_999_999_989, 720_720**2
-    ]
-    for n in cases:
-        assert _divisors(n) == _divisors(-n) == sorted(_divisors_reference(n)), n
 
 
 def _rational_roots_reference(coeffs):
@@ -536,41 +474,3 @@ def _split_reference(q):
     if rebuilt != q:
         raise NoSplit("affine interpolation failed verification")
     return sorted(candidates)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.fractions(min_value=-60, max_value=60, max_denominator=6), max_size=5),
-    st.lists(
-        st.fractions(min_value=-60, max_value=60, max_denominator=6).filter(
-            lambda r: r.denominator > 1
-        ),
-        max_size=1,
-    ),
-    st.integers(min_value=2, max_value=3),
-    st.integers(min_value=0, max_value=3),
-    st.sampled_from(
-        (
-            (),
-            (F(1), F(0), F(1)),  # u^2 + 1
-            (F(-2), F(0), F(1)),  # u^2 - 2
-            (F(1), F(1), F(1)),  # u^2 + u + 1
-            (F(-1, 3), F(0), F(1)),  # u^2 - 1/3
-        )
-    ),
-)
-# over q = 2, the divisor 2 of the constant 6 of 2u^2 - 7u + 6 comes before
-# the numerator 3 and shares a factor with q
-@example([F(3, 2), F(2)], [], 2, 0, ())
-def test_rational_roots_match_reference(roots, repeated, times, zeros, quadratic):
-    # repeats come from the list itself and from one non-integer root
-    # repeated 2 or 3 times; zero roots are added explicitly
-    roots = roots + repeated * times
-    poly = UniPoly.from_roots(ParamPoly.const(r) for r in roots + [F(0)] * zeros)
-    if quadratic:
-        poly = poly * UniPoly(quadratic)
-    coeffs = at(poly, F(0))
-    found = _rational_roots(coeffs)
-    assert found == _rational_roots_reference(coeffs)
-    if not quadratic:
-        assert found == sorted(roots + [F(0)] * zeros)

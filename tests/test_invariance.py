@@ -1,0 +1,126 @@
+"""T and S tables that depend on neither the reduced word nor the node labels.
+
+These are observed invariants of the walk, not theorems the code proves.
+Random reduced words of the longest element come from the rho-descent of
+``weyl_longest`` with a random negative coordinate reflected at each step
+instead of the smallest; the seeds are fixed below.  A relabelling
+sigma of the nodes (new node k is old node sigma(k)) must carry S(b, c)
+to S(sigma(b), sigma(c)), and T(b, c) likewise.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from conftest import finite_type_cartan
+from ywalk import walk
+from ywalk.cyclicity import compute_s_sets, compute_t_sets
+from ywalk.rootsystem import (
+    PathExponents,
+    is_reduced_word_of_longest,
+    reflect,
+    validate_cartan,
+    weyl_longest,
+)
+from ywalk.walk import CrosscheckError, run_walk
+
+ORDER = 8
+WORDS_PER_TYPE = 5
+# random.Random(seed) draws the words of each type
+WORD_SEEDS = {"a5": 1, "b3": 2, "c4": 3, "d5": 4, "e6": 5, "f4": 6}
+# new node k is old node PERMUTATIONS[name][k - 1]
+PERMUTATIONS = {
+    "a5": (4, 3, 1, 5, 2),
+    "b3": (3, 1, 2),
+    "c4": (2, 4, 1, 3),
+    "d5": (5, 3, 4, 2, 1),
+    "e6": (1, 5, 2, 4, 6, 3),
+    "f4": (4, 3, 2, 1),
+    "g2": (2, 1),
+}
+
+
+def random_longest_word(cartan, rng: random.Random) -> tuple[int, ...]:
+    """A reduced word of w0: rho-descent from -rho that reflects a random
+    negative coordinate at each step."""
+    v = (-1,) * cartan.rank
+    word = []
+    while any(x < 0 for x in v):
+        i = rng.choice([k for k, x in enumerate(v, start=1) if x < 0])
+        word.append(i)
+        v = reflect(cartan, i, v)
+    return tuple(word)
+
+
+def tables(cartan, word):
+    """({(b, c): T roots}, {(b, c): S values}) from the walks on word."""
+    reports = [run_walk(cartan, word, b, ORDER) for b in range(1, cartan.rank + 1)]
+    t_sets = compute_t_sets(reports)
+    s_sets = compute_s_sets(t_sets, cartan)
+    return {(t.b, t.c): t.roots for t in t_sets}, {(s.b, s.c): s.values for s in s_sets}
+
+
+def check_word_independence(name):
+    cartan = finite_type_cartan(name)
+    lex = weyl_longest(cartan)
+    want = tables(cartan, lex)
+    rng = random.Random(WORD_SEEDS[name])
+    words = [random_longest_word(cartan, rng) for _ in range(WORDS_PER_TYPE)]
+    assert any(word != lex for word in words)
+    for word in words:
+        assert is_reduced_word_of_longest(cartan, word), word
+        assert tables(cartan, word) == want, f"{name} on {word}"
+
+
+@pytest.mark.parametrize("name", sorted(WORD_SEEDS))
+def test_tables_do_not_depend_on_the_reduced_word(name):
+    check_word_independence(name)
+
+
+def test_g2_tables_agree_on_both_reduced_words(g2):
+    words = {weyl_longest(g2), (2, 1, 2, 1, 2, 1)}
+    assert len(words) == 2
+    assert all(is_reduced_word_of_longest(g2, w) for w in words)
+    assert tables(g2, (1, 2, 1, 2, 1, 2)) == tables(g2, (2, 1, 2, 1, 2, 1))
+
+
+@pytest.mark.parametrize("name", sorted(PERMUTATIONS))
+def test_tables_permute_with_the_node_labels(name):
+    cartan = finite_type_cartan(name)
+    sigma = PERMUTATIONS[name]
+    assert sorted(sigma) == list(range(1, cartan.rank + 1))
+    relabelled = validate_cartan(
+        [[cartan.aij(i, j) for j in sigma] for i in sigma],
+        [cartan.di(i) for i in sigma],
+    )
+    want_t, want_s = tables(cartan, weyl_longest(cartan))
+    got_t, got_s = tables(relabelled, weyl_longest(relabelled))
+    nodes = range(1, cartan.rank + 1)
+    pairs = [(b, c) for b in nodes for c in nodes]
+    assert got_s == {(b, c): want_s[sigma[b - 1], sigma[c - 1]] for b, c in pairs}
+    assert got_t == {(b, c): want_t[sigma[b - 1], sigma[c - 1]] for b, c in pairs}
+
+
+def _exponents_from_the_left_end(cartan, word, fundamental):
+    """path_exponents with m_j read off s_{r_{j-1}}..s_{r_1}(omega), from the
+    wrong end of the word."""
+    current = cartan.fundamental(fundamental)
+    exps = []
+    for r in word:
+        exps.append(current[r - 1])
+        current = reflect(cartan, r, current)
+    return PathExponents(fundamental, tuple(word), tuple(exps))
+
+
+# Where w0 = -1 (B3, C4, F4, G2), exponents read from the left end of a word
+# are those of its reversal, which is also a reduced word of w0, so the
+# walk stays consistent and the tables stay right: no test can see it there.
+# On A5, D5 and E6 the walk's own crosschecks raise, on the lex-least word
+# already.
+@pytest.mark.parametrize("name", ("a5", "d5", "e6"))
+def test_exponents_from_the_wrong_end_fail_word_independence(monkeypatch, name):
+    monkeypatch.setattr(walk, "path_exponents", _exponents_from_the_left_end)
+    with pytest.raises((AssertionError, CrosscheckError)):
+        check_word_independence(name)

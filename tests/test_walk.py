@@ -32,7 +32,6 @@ from ywalk.walk import (
     extract_step_poly,
     init_walk,
     run_walk,
-    solve_power_sums,
 )
 from ywalk.verify import G2_WORD, SAMPLE_A
 from ywalk.verify import _lifted_series as lifted  # H_i(u) in a, via coefficient
@@ -53,8 +52,11 @@ def drive(g2, fundamental, steps):
 
 
 def poly_of(p, m, d) -> UniPoly:
-    """The table-row polynomial run_walk records for a=0 power sums p."""
-    return walk._record(1, 1, m, d, p, None).poly
+    """The table-row polynomial, in a, of the unscaled a = 0 power sums p,
+    rebuilt by the symbolic reference below."""
+    values = tuple(ParamPoly.const(p[k] / F(d) ** k) for k in range(1, m + 1))
+    rescaled = _RefSums(m, values)
+    return _ref_power_sums_to_monic(rescaled).shift(-A / d)
 
 
 def test_init_walk_series(g2):
@@ -92,6 +94,33 @@ def test_zero_exponent_step_needs_a_zero_series(g2):
     _bump(state, 2, 3)
     with pytest.raises(CrosscheckError):
         extract_step_poly(state, 2, 0)
+
+
+def test_zero_exponent_step_needs_an_empty_divisor(g2):
+    state = init_walk(g2, 1, 8)
+    state.divisors[1] = {-2: 1, 0: -1}
+    with pytest.raises(CrosscheckError, match="node 2 divisor is nonzero at a zero"):
+        extract_step_poly(state, 2, 0)
+
+
+@pytest.mark.parametrize(
+    "divisor, m, message",
+    [
+        # the start divisor [-3] - [0] of node 1 (d = 3), doubled, negated
+        ({-6: -1, 0: 1}, 1, "root 0 multiplicity -1"),
+        # a pole at 3/2 with no zero 3 below it
+        ({-6: 1, 0: -1, 3: -1}, 2, "not a highest-weight divisor"),
+        ({-6: 1, 0: -1}, 2, "has 1 roots, not the exponent 2"),
+        # moved by half a step: the series still has its root at 0
+        ({-5: 1, 1: -1}, 1, "series is not a degree-1 highest-weight series"),
+    ],
+    ids=["negative", "not highest weight", "root count", "series"],
+)
+def test_extraction_checks_the_divisor(g2, divisor, m, message):
+    state = init_walk(g2, 1, 8)
+    state.divisors[0] = divisor
+    with pytest.raises(CrosscheckError, match=f"node 1 .*{message}"):
+        extract_step_poly(state, 1, m)
 
 
 def test_zero_exponent_step_is_inert(g2):
@@ -132,15 +161,21 @@ def test_weight_bookkeeping_along_walk(g2):
 
 def test_reextraction_after_step_sees_the_same_roots(g2):
     # post-step the node series is the lowest-vector image of the same
-    # polynomial: solving with the negated shift recovers the power sums
+    # polynomial: solving with the negated shift recovers the power sums,
+    # and the node divisor is sum_r ([r + d] - [r])
     state = init_walk(g2, 1, 8)
     for node, m in STEPS_W1:
+        roots = walk._read_roots(state, node, m)
         sums = extract_step_poly(state, node, m)
         recorded = sums[: m + 1]
         apply_step(state, node, m, sums)
         if m:
-            again = solve_power_sums(state.series[node - 1], -g2.di(node), m)
+            d = g2.di(node)
+            again = _ref_solve_power_sums(state.series[node - 1], -d, m)
             assert again == recorded
+            assert state.divisors[node - 1] == _divisor(
+                [(z + 2 * d, 1) for z in roots] + [(z, -1) for z in roots]
+            )
 
 
 def test_run_walk_first_fundamental(g2):
@@ -263,6 +298,14 @@ def _docstring_transport(row, dai, p, order):
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
+def _divisor(points):
+    """The divisor of (doubled point, multiplicity) pairs, zeros dropped."""
+    out = {}
+    for z, mult in points:
+        out[z] = out.get(z, 0) + mult
+    return {z: mult for z, mult in out.items() if mult}
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=2, max_value=24), st.data())
 def test_apply_step_matches_its_docstring_formula(order, data):
@@ -276,13 +319,29 @@ def test_apply_step_matches_its_docstring_formula(order, data):
     weight = data.draw(st.tuples(*(st.integers(-4, 4) for _ in products)))
     tails = st.lists(small_rationals, min_size=order - 1, max_size=order - 1)
     series = [[F(0), F(w)] + data.draw(tails) for w in weight]
+    # node 1 holds the highest-weight divisor sum_r ([r - 1] - [r]) of m
+    # doubled roots r, the other nodes any divisor
+    roots = data.draw(st.lists(st.integers(-9, 9), min_size=m, max_size=m))
+    points = st.tuples(st.integers(-9, 9), st.integers(-2, 2))
+    divisors = [_divisor([(z - 2, 1) for z in roots] + [(z, -1) for z in roots])] + [
+        _divisor(data.draw(st.lists(points, max_size=4))) for _ in products[1:]
+    ]
     state = WalkState(
-        _Products(tuple(products)), 1, order, [list(r) for r in series], weight
+        _Products(tuple(products)),
+        1,
+        order,
+        [list(r) for r in series],
+        weight,
+        [dict(x) for x in divisors],
     )
     apply_step(state, 1, m, p)
     for row, dai, got in zip(series, products, state.series):
         assert got == _docstring_transport(row, dai, p, order)
     assert state.weight == tuple(w - m * a for w, a in zip(weight, products))
+    # D_i -= sum_r ([r - x/2] - [r + x/2]), x = d_i a_{i,1}, where d_i a_{i,1} != 0
+    for before, x, got in zip(divisors, products, state.divisors):
+        moved = [(z - x, -1) for z in roots] + [(z + x, 1) for z in roots]
+        assert got == (_divisor(list(before.items()) + moved) if x else before)
 
 
 # ------------------------------------------------------- crosscheck mutations
@@ -322,16 +381,16 @@ def _corrupt_after_last_step():
     return "apply_step", corrupted
 
 
-def _flipped_shift_solve():
-    """solve_power_sums reading a highest-weight series with shift -d."""
-    original = walk.solve_power_sums
-    return "solve_power_sums", lambda lam, shift, m: original(lam, -shift, m)
+def _wrong_half_shift():
+    """_move_divisor that moves every point by (x + 1)/2, not x/2."""
+    original = walk._move_divisor
+    return "_move_divisor", lambda divisor, roots, x: original(divisor, roots, x + 1)
 
 
 MUTATIONS = {
     "transport u^-2": lambda: _off_by_one_transport(2),
     "transport u^-8": lambda: _off_by_one_transport(8),
-    "solve shift sign": _flipped_shift_solve,
+    "divisor half-shift": _wrong_half_shift,
     "node 2 after the last step": _corrupt_after_last_step,
 }
 
