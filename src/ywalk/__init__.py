@@ -10,7 +10,6 @@ from .exact import (
     series_from_poly_ratio,
     series_log,
     series_rescale,
-    shift_log_series,
 )
 from .rootsystem import (
     BUILTIN_ALGEBRAS,

@@ -5,11 +5,9 @@ parameter ``a`` (:class:`ParamPoly`) serve as coefficients for polynomials
 (:class:`UniPoly`) in a second variable ``u``.  A truncated series in
 ``u^{-1}`` is a plain coefficient list whose entry k multiplies ``u^{-k}``,
 so its truncation order is its length minus one; every operation is exact
-through that order.  The series helpers take lists of either scalar type;
-``shift_log_series`` takes rational power sums and sums over the integers,
-since the walk runs it over Fraction at a = 0.  Nothing here converts power
-sums to a polynomial or finds the roots of one: the walk reads each step's
-roots off its divisors (see ``walk``).
+through that order.  The series helpers take lists of either scalar type.
+Nothing here converts power sums to a polynomial or finds the roots of
+one: the walk reads each step's roots off its divisors (see ``walk``).
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ __all__ = [
     "series_log",
     "series_exp",
     "series_rescale",
-    "shift_log_series",
 ]
 
 
@@ -335,32 +332,3 @@ def series_rescale(s: Sequence, d) -> list:
         raise ValueError("rescale factor must be nonzero")
     return [c * d**-k for k, c in enumerate(s)]
 
-
-def shift_log_series(p: Sequence, shift, order: int) -> list[Fraction]:
-    """Coefficients of log(pi(u+shift)/pi(u)) at u^0..u^-order, for the
-    monic pi whose rational roots have the power sums p = [p_0, p_1, ...],
-    p_0 the root count.  The u^0 coefficient is 0.
-
-    The u^{-k} coefficient is -(1/k) sum_{j<k} C(k,j) (-shift)^{k-j} p_j,
-    so p must carry p_0..p_{order-1}.  With shift = sn/sd and p_j = P_j/D
-    over a common denominator D, the sum is taken over the integers as
-    sum_j C(k,j) (-sn)^{k-j} sd^j P_j and divided once by k D sd^k.
-    """
-    shift = _frac(shift)
-    if len(p) < order:
-        raise ValueError(
-            f"series order {order} needs p_1..p_{order - 1}, have p_1..p_{len(p) - 1}"
-        )
-    ps = [_frac(x) for x in p[:order]]
-    den = math.lcm(*(x.denominator for x in ps))
-    sd = shift.denominator
-    # sd^j P_j, and the powers of -sn
-    scaled = [x.numerator * (den // x.denominator) * sd**j for j, x in enumerate(ps)]
-    neg = [(-shift.numerator) ** e for e in range(order + 1)]
-    out = [Fraction(0)]
-    for k in range(1, order + 1):
-        acc = 0
-        for j in range(k):
-            acc += math.comb(k, j) * neg[k - j] * scaled[j]
-        out.append(Fraction(-acc, k * den * sd**k))
-    return out

@@ -13,25 +13,24 @@ point is a half-integer and is stored doubled, as an int.  The walk starts
 from [-d_b] - [0] at its node b.  Processing the reduced word from its
 right end, each step (node c, exponent m):
 
-* reads the step's unscaled roots off the node-c divisor, which must be
+* reads the step's unscaled roots off the node-c divisor, once; it must be
   the highest-weight divisor sum_r ([r - d_c] - [r]): the root y has
   multiplicity R(y) = -sum_{j>=0} D_c(y + j d_c), and R >= 0 with sum m;
-  the node-c series must be the highest-weight series of those roots, so
-  the series is the crosscheck of the divisor; then
+  the node-c series must be the series of that divisor of the roots read,
+  so the series is the crosscheck of the divisor; then
 
 * pushes the series at every node across (x-_{c,0})^m using the closed
   commutator form [H_{i,k}, x-_{c,l}], under which a symmetrized level-s
-  insertion contributes the s-th power sum of the step's unscaled roots,
-  and moves every divisor by D_i -= sum_r ([r - x/2] - [r + x/2]), with
-  x = d_i a_{i,c}.
+  insertion contributes the s-th power sum of the same roots, and moves
+  every divisor by D_i -= sum_r ([r - x/2] - [r + x/2]), x = d_i a_{i,c}.
 
 Roots here are "unscaled": on the d_c-rescaled copy of the rank-1 algebra
-at node c the associated polynomial has roots (unscaled roots)/d_c, and a
-highest (resp. lowest) vector for that copy carries the series
-log(pi(u+d_c)/pi(u)) (resp. log(pi(u-d_c)/pi(u))) built from the unscaled
-monic pi.  The lowest-vector form is re-derived after every step from the
-step's roots and compared against the transported series; any mismatch
-aborts the walk.
+at node c the associated polynomial has roots (unscaled roots)/d_c.  A
+highest (resp. lowest) vector for that copy carries the divisor
+sum_r ([r - d_c] - [r]) (resp. sum_r ([r + d_c] - [r])), and every series
+the walk expects is the series of such a divisor (``_divisor_series``).
+After every step the lowest-vector series of the step's roots is compared
+against the transported series; any mismatch aborts the walk.
 
 The parameter a enters only as a translation: the shift automorphism
 x(u) -> x(u-b) of the Yangian sends V(a) to V(a+b) (Chari-Pressley, A Guide
@@ -51,7 +50,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .exact import A, ParamPoly, UniPoly, _horner, shift_log_series
+from .exact import A, ParamPoly, UniPoly, _horner
 from .rootsystem import CartanData, InputError, lowest_weight, path_exponents
 
 __all__ = [
@@ -118,7 +117,6 @@ class StepRecord:
     exponent: int
     roots: tuple[Fraction, ...]  # row roots beta in u/d_node at a = 0, ascending
     rescale: int  # d_node
-    power_sums: tuple[Fraction, ...]  # unscaled root power sums p_0..p_N at a = 0
     crosscheck_ok: bool | None  # None for zero-exponent steps
 
     @cached_property
@@ -178,8 +176,8 @@ def init_walk(cartan: CartanData, fundamental: int, order: int = DEFAULT_ORDER) 
     series = [[Fraction(0)] * (order + 1) for _ in range(cartan.rank)]
     divisors: list[dict[int, int]] = [{} for _ in range(cartan.rank)]
     # the single root a sits at 0
-    series[fundamental - 1] = shift_log_series([1] + [0] * (order - 1), d, order)
     divisors[fundamental - 1] = {-2 * d: 1, 0: -1}
+    series[fundamental - 1] = _divisor_series(divisors[fundamental - 1], order)
     return WalkState(
         cartan=cartan,
         fundamental=fundamental,
@@ -243,13 +241,36 @@ def _read_roots(state: WalkState, node: int, m: int) -> list[int]:
     return sorted(roots)
 
 
-def _power_sums(roots: Sequence[int], order: int) -> list[Fraction]:
-    """p_0..p_order of the roots z/2, given doubled."""
-    powers = [1] * len(roots)
-    out = [Fraction(len(roots))]
+def _divisor_series(divisor: dict[int, int], order: int) -> list[Fraction]:
+    """u^0..u^-order coefficients of log prod (u - z/2)^mult over a divisor
+    of degree 0, given by doubled points z: the u^{-k} coefficient is
+    -sum mult z^k / (k 2^k), summed over the integers."""
+    points = list(divisor)
+    terms = list(divisor.values())
+    out = [Fraction(0)]
     for k in range(1, order + 1):
-        powers = [x * z for x, z in zip(powers, roots)]
-        out.append(Fraction(sum(powers), 1 << k))
+        terms = [t * z for t, z in zip(terms, points)]
+        out.append(Fraction(-sum(terms), k << k))
+    return out
+
+
+def _root_divisor(roots: Sequence[int], shift: int) -> dict[int, int]:
+    """sum_r ([r + shift/2] - [r]) for the doubled roots 2r."""
+    divisor: dict[int, int] = {}
+    for z in roots:
+        for point, change in ((z + shift, 1), (z, -1)):
+            divisor[point] = divisor.get(point, 0) + change
+    return {z: mult for z, mult in divisor.items() if mult}
+
+
+def _doubled(roots: Sequence[Fraction], d: int) -> list[int]:
+    """The doubled unscaled roots 2 d beta of roots beta in u/d."""
+    out = []
+    for beta in roots:
+        z = 2 * d * beta
+        if z.denominator != 1:
+            raise ValueError(f"root {beta} times {d} is not a half-integer")
+        out.append(int(z))
     return out
 
 
@@ -264,13 +285,14 @@ def _move_divisor(divisor: dict[int, int], roots: Sequence[int], x: int):
                 del divisor[point]
 
 
-def extract_step_poly(state: WalkState, node: int, m: int) -> list[Fraction]:
-    """Power sums p_0..p_N (p_0 = m, N the series order) of the unscaled
-    roots of the current node restriction's degree-m associated polynomial.
+def extract_step_poly(state: WalkState, node: int, m: int) -> tuple[Fraction, ...]:
+    """The roots beta, in u/d at a = 0 and ascending with multiplicity, of
+    the current node restriction's degree-m associated polynomial: the
+    form ``StepRecord.roots`` holds and ``apply_step`` takes.
 
     The roots are read off the node's divisor (see ``_read_roots``).  The
     node series must be the highest-weight series log(pi(u+d)/pi(u)) of
-    those roots, through order N; a mismatch raises CrosscheckError.
+    the roots read, through order N; a mismatch raises CrosscheckError.
     """
     _check_node(state.cartan, node)
     if m < 0:
@@ -286,61 +308,65 @@ def extract_step_poly(state: WalkState, node: int, m: int) -> list[Fraction]:
             raise CrosscheckError(f"node {node} series is nonzero at a zero exponent")
         if state.divisors[node - 1]:
             raise CrosscheckError(f"node {node} divisor is nonzero at a zero exponent")
-        return [Fraction(0)] * (state.order + 1)
+        return ()
     d = state.cartan.di(node)
-    p = _power_sums(_read_roots(state, node, m), state.order)
+    roots = _read_roots(state, node, m)
     # highest-weight consistency: the node series must match the roots.
-    if state.series[node - 1] != shift_log_series(p, d, state.order):
+    highest = _divisor_series(_root_divisor(roots, -2 * d), state.order)
+    if state.series[node - 1] != highest:
         raise CrosscheckError(
             f"node {node} series is not a degree-{m} highest-weight series"
         )
-    return p
+    return tuple(Fraction(z, 2 * d) for z in roots)
 
 
-def apply_step(state: WalkState, node: int, m: int, p: Sequence[Fraction]) -> WalkState:
+def apply_step(
+    state: WalkState, node: int, m: int, roots: Sequence[Fraction]
+) -> WalkState:
     """Transport every node's series and divisor across (x-_{node,0})^m.
 
-    p must carry the step's unscaled root power sums p_0..p_N (p_0 = m)
-    extended through the truncation order N; the update at node i and
-    coefficient k subtracts
+    roots are the step's m roots beta in u/d at a = 0, as
+    ``extract_step_poly`` returns them; p_s is the s-th power sum of the
+    unscaled roots d beta (p_0 = m).  The update at node i and coefficient
+    k subtracts
 
         d_i a_{i,node} p_k
         + sum_{0<=s<=k-2, k+s even} 2^{s-k} (d_i a_{i,node})^{k+1-s}
               C(k+1,s)/(k+1) p_s
 
-    The p_k term is the s = k term of the sum.  With p_s = P_s/D over a
-    common denominator D, (k+1) 2^k D times the update is the integer
-    sum_{s<=k, k+s even} (d_i a_{i,node})^{k+1-s} C(k+1,s) 2^s P_s.
+    The p_k term is the s = k term of the sum.  With Z_s = 2^s p_s the
+    power sums of the doubled roots 2 d beta, (k+1) 2^k times the update
+    is the integer sum_{s<=k, k+s even} (d_i a_{i,node})^{k+1-s} C(k+1,s) Z_s.
 
     The divisor at node i moves by D_i -= sum_r ([r - x/2] - [r + x/2]),
-    x = d_i a_{i,node}, over the roots r read off the node's divisor,
-    which is still the highest-weight divisor of the step.
+    x = d_i a_{i,node}, over the same roots r = d beta.
     """
     _check_node(state.cartan, node)
-    if p[0] != m:
-        raise ValueError("power-sum degree does not match the step exponent")
-    if len(p) <= state.order:
-        raise ValueError("power sums must be extended through the series order")
+    if len(roots) != m:
+        raise ValueError("root count does not match the step exponent")
     if m == 0:
         return state
     c = node
     n = state.order
-    roots = _read_roots(state, c, m)
-    den = math.lcm(*(x.denominator for x in p[:n]))
-    # 2^s P_s
-    scaled = [x.numerator * (den // x.denominator) << s for s, x in enumerate(p[:n])]
+    doubled = _doubled(roots, state.cartan.di(c))
+    # Z_0..Z_{n-1}
+    sums = [m]
+    powers = [1] * m
+    for _ in range(1, n):
+        powers = [x * z for x, z in zip(powers, doubled)]
+        sums.append(sum(powers))
     for i in range(1, state.cartan.rank + 1):
         dai = state.cartan.di(i) * state.cartan.aij(i, c)
         if dai == 0:
             continue
-        powers = [dai**e for e in range(n + 1)]
+        dai_powers = [dai**e for e in range(n + 1)]
         row = state.series[i - 1]
         for k in range(n):
             acc = 0
             for s in range(k % 2, k + 1, 2):
-                acc += powers[k + 1 - s] * math.comb(k + 1, s) * scaled[s]
-            row[k + 1] -= Fraction(acc, (k + 1) * den << k)
-        _move_divisor(state.divisors[i - 1], roots, dai)
+                acc += dai_powers[k + 1 - s] * math.comb(k + 1, s) * sums[s]
+            row[k + 1] -= Fraction(acc, (k + 1) << k)
+        _move_divisor(state.divisors[i - 1], doubled, dai)
     # weight drops by m * alpha_c; alpha_c has weight coordinates A[:, c]
     state.weight = tuple(
         w - m * state.cartan.aij(i, c)
@@ -361,10 +387,11 @@ def run_walk(
     Steps are processed from the right end of the reduced word (the order
     in which the lowering operators act on the top vector).  After every
     positive step the transported node series is compared with the
-    lowest-vector form rebuilt from the step's roots.  At the end the
-    weight must be the lowest weight, every node series a lowest-vector
-    series for that weight, and every divisor but the last acting node's
-    empty.  A mismatch raises CrosscheckError.  An order below the largest
+    lowest-vector series of the step's roots.  At the end the weight must
+    be the lowest weight, the last acting node must carry the lowest-vector
+    divisor sum_r ([r + d] - [r]) of its last roots and that divisor's
+    series, and every other node an empty divisor and a zero series.  A
+    mismatch raises CrosscheckError.  An order below the largest
     path exponent + 2 raises InputError.
     """
     exps = path_exponents(cartan, word, fundamental)
@@ -376,36 +403,35 @@ def run_walk(
     state = init_walk(cartan, fundamental, order)
     _check_weight_bookkeeping(state)
     records: list[StepRecord] = []
-    checked: dict[int, list[Fraction]] = {}  # {node: series} of the latest crosscheck
+    last_node, lowest = 0, {}  # the last positive step's node and lowest divisor
     for j in range(len(exps.word), 0, -1):
         node = exps.word[j - 1]
         m = exps.exponents[j - 1]
         d = cartan.di(node)
-        p = extract_step_poly(state, node, m)
-        roots = tuple(Fraction(z, 2 * d) for z in _read_roots(state, node, m))
-        apply_step(state, node, m, p)
+        roots = extract_step_poly(state, node, m)
+        apply_step(state, node, m, roots)
         crosscheck: bool | None = None
         if m > 0:
-            expected = shift_log_series(p, -d, order)
-            checked = {node: expected}
-            crosscheck = state.series[node - 1] == expected
+            last_node, lowest = node, _root_divisor(_doubled(roots, d), 2 * d)
+            crosscheck = state.series[node - 1] == _divisor_series(lowest, order)
             if not crosscheck:
                 raise CrosscheckError(
                     f"lowest-vector crosscheck failed at step {j} "
                     f"(node {node}, exponent {m})"
                 )
-        records.append(StepRecord(j, node, m, roots, d, tuple(p), crosscheck))
+        records.append(StepRecord(j, node, m, roots, d, crosscheck))
     if state.weight != lowest_weight(cartan, cartan.fundamental(fundamental)):
         raise CrosscheckError(
             f"walk did not land on the lowest weight: ended at {state.weight}"
         )
     # the lowest weight w0(omega_i) = -omega_i* is nonzero only at the node
-    # of the last positive step, whose series must be the one crosschecked
-    # there; at every other node the lowest-vector series and divisor are zero
+    # of the last positive step, whose divisor must still be the lowest
+    # divisor of that step's roots; every other divisor is empty
     for i in range(1, cartan.rank + 1):
-        if state.series[i - 1] != checked.get(i, [0] * (order + 1)):
+        divisor = lowest if i == last_node else {}
+        if state.series[i - 1] != _divisor_series(divisor, order):
             raise CrosscheckError(f"node {i} series is not a lowest-vector series")
-        if i not in checked and state.divisors[i - 1]:
+        if state.divisors[i - 1] != divisor:
             raise CrosscheckError(f"node {i} divisor is not a lowest-vector divisor")
     return WalkReport(
         cartan=cartan,

@@ -297,7 +297,7 @@ def test_dimension_bound_at_the_exact_digit_limit_exits_two(
 def test_library_input_checks_raise_input_error(g2, g2_s_sets):
     assert issubclass(InvalidCartanError, InputError)
     state = init_walk(g2, 2, 8)
-    sums = extract_step_poly(state, 2, 1)
+    roots = extract_step_poly(state, 2, 1)
     checks = {
         "fundamental index": lambda: g2.fundamental(3),
         "word not reduced": lambda: path_exponents(g2, (1, 1), 1),
@@ -314,8 +314,8 @@ def test_library_input_checks_raise_input_error(g2, g2_s_sets):
         "unknown builtin algebra": lambda: builtin_cartan("e8"),
         "step extraction node 0": lambda: extract_step_poly(state, 0, 1),
         "step extraction node 3": lambda: extract_step_poly(state, 3, 1),
-        "step transport node 0": lambda: apply_step(state, 0, 1, sums),
-        "step transport node 3": lambda: apply_step(state, 3, 1, sums),
+        "step transport node 0": lambda: apply_step(state, 0, 1, roots),
+        "step transport node 3": lambda: apply_step(state, 3, 1, roots),
         "eigenvalue node 0": lambda: state.coefficient(0, 1),
         "eigenvalue node 3": lambda: state.coefficient(3, 1),
     }

@@ -20,9 +20,8 @@ from ywalk.exact import (
     series_from_poly_ratio,
     series_log,
     series_rescale,
-    shift_log_series,
 )
-from ywalk.walk import StepRecord
+from ywalk.walk import StepRecord, _divisor_series
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 param_polys = st.lists(rationals, min_size=0, max_size=3).map(ParamPoly)
@@ -42,14 +41,6 @@ def convolve(x: list, y: list) -> list:
 def plus_scaled(acc: list, s: list, c: F) -> list:
     """acc + c*s, coefficient by coefficient."""
     return [x + y * c for x, y in zip(acc, s)]
-
-
-def power_sums(roots, top_index):
-    """[p_0, p_1, ..., p_top_index] of an explicit root multiset, p_0 the count."""
-    rs = [r if isinstance(r, ParamPoly) else ParamPoly.const(r) for r in roots]
-    return [ParamPoly.const(len(rs))] + [
-        sum((r**k for r in rs), ParamPoly()) for k in range(1, top_index + 1)
-    ]
 
 
 def log_by_powers(s: list) -> list:
@@ -259,47 +250,27 @@ def test_exp_recurrence_matches_power_expansion(tail):
     assert series_exp(s) == exp_by_powers(s)
 
 
-affine_roots = st.lists(
-    st.builds(
-        lambda slope, intercept: slope * A + intercept,
-        st.fractions(min_value=-3, max_value=3, max_denominator=3),
-        st.fractions(min_value=-3, max_value=3, max_denominator=3),
-    ),
-    min_size=0,
-    max_size=4,
-)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
-    affine_roots,
-    st.sampled_from([1, -1, 2, -2, 3, -3, F(1, 2), F(-1, 2), F(2, 3), F(-2, 3)]),
+    st.lists(st.integers(min_value=-9, max_value=9), max_size=4),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from([1, -1]),
     st.integers(min_value=1, max_value=12),
 )
-def test_shift_log_series_matches_ratio_log(roots, shift, order):
-    pi = UniPoly.from_roots(roots)
+def test_divisor_series_matches_ratio_log(doubled, d, sign, order):
+    # the divisor sum_r ([r - s] - [r]) of pi(u+s)/pi(u), s = +-d, against
+    # the log of the polynomial ratio, for half-integer roots r at a = 0
+    shift = sign * d
+    pi = UniPoly.from_roots([F(z, 2) for z in doubled])
     expected = series_log(series_from_poly_ratio(pi.shift(shift), pi, order))
-    sums = power_sums(roots, max(order, len(roots)))
-    assert len(expected) == order + 1
-    # the u^-k coefficient has degree < k <= order in a, so its values at
-    # a = 0..order determine it
-    for a0 in range(order + 1):
-        at_a0 = [c.evaluate(a0) for c in sums]
-        assert shift_log_series(at_a0, shift, order) == [0] + [
-            c.evaluate(a0) for c in expected[1:]
-        ]
-
-
-def test_shift_log_series_needs_enough_power_sums():
-    sums = [c.evaluate(0) for c in power_sums([A, A + 1], 3)]
-    assert len(shift_log_series(sums, 1, 4)) == 5  # p_1..p_3 suffice for u^-4
-    with pytest.raises(ValueError):
-        shift_log_series(sums, 1, 5)
-
-
-def test_shift_log_series_takes_rational_power_sums():
-    with pytest.raises(TypeError, match="exact rational"):
-        shift_log_series(power_sums([A], 3), 1, 3)
+    divisor = {}
+    for z in doubled:
+        for point, mult in ((z - 2 * shift, 1), (z, -1)):
+            divisor[point] = divisor.get(point, 0) + mult
+    divisor = {z: mult for z, mult in divisor.items() if mult}
+    assert _divisor_series(divisor, order) == [0] + [
+        c.evaluate(0) for c in expected[1:]
+    ]
 
 
 def test_shifted_ratio_log_coefficients_match_power_sum_oracle():
@@ -361,7 +332,6 @@ def roots_record(betas, d: int) -> StepRecord:
         exponent=len(betas),
         roots=tuple(betas),
         rescale=d,
-        power_sums=(),
         crosscheck_ok=True,
     )
 

@@ -46,17 +46,9 @@ STEPS_W2 = ((2, 1), (1, 1), (2, 2), (1, 1), (2, 1), (1, 0))
 def drive(g2, fundamental, steps):
     state = init_walk(g2, fundamental, 8)
     for node, m in steps:
-        sums = extract_step_poly(state, node, m)
-        apply_step(state, node, m, sums)
+        roots = extract_step_poly(state, node, m)
+        apply_step(state, node, m, roots)
     return state
-
-
-def poly_of(p, m, d) -> UniPoly:
-    """The table-row polynomial, in a, of the unscaled a = 0 power sums p,
-    rebuilt by the symbolic reference below."""
-    values = tuple(ParamPoly.const(p[k] / F(d) ** k) for k in range(1, m + 1))
-    rescaled = _RefSums(m, values)
-    return _ref_power_sums_to_monic(rescaled).shift(-A / d)
 
 
 def test_init_walk_series(g2):
@@ -74,19 +66,20 @@ def test_init_walk_series(g2):
 
 
 def test_first_extractions(g2):
+    # the row roots beta at a = 0: the step polynomials are u - a/3 (rescaled
+    # by d_1 = 3) and u - a
     state = init_walk(g2, 1, 8)
-    extract_at_1 = poly_of(extract_step_poly(state, 1, 1), 1, 3)
-    assert extract_at_1 == UniPoly.from_roots([A / 3])  # rescaled by d_1 = 3
+    assert extract_step_poly(state, 1, 1) == (F(0),)
     state = init_walk(g2, 2, 8)
-    assert poly_of(extract_step_poly(state, 2, 1), 1, 1) == UniPoly.from_roots([A])
+    assert extract_step_poly(state, 2, 1) == (F(0),)
 
 
 def test_second_walk_reaches_half_shifted_root(g2):
+    # the step polynomial u - (a/3 + 1/2)
     state = init_walk(g2, 2, 8)
-    sums = extract_step_poly(state, 2, 1)
-    apply_step(state, 2, 1, sums)
-    poly = poly_of(extract_step_poly(state, 1, 1), 1, 3)
-    assert poly == UniPoly.from_roots([A / 3 + F(1, 2)])
+    roots = extract_step_poly(state, 2, 1)
+    apply_step(state, 2, 1, roots)
+    assert extract_step_poly(state, 1, 1) == (F(1, 2),)
 
 
 def test_zero_exponent_step_needs_a_zero_series(g2):
@@ -126,10 +119,9 @@ def test_extraction_checks_the_divisor(g2, divisor, m, message):
 def test_zero_exponent_step_is_inert(g2):
     state = init_walk(g2, 1, 8)
     before = [list(s) for s in state.series]
-    sums = extract_step_poly(state, 2, 0)
-    assert poly_of(sums, 0, 1) == UniPoly.one()
-    assert sums[0] == 0  # the degree
-    apply_step(state, 2, 0, sums)
+    roots = extract_step_poly(state, 2, 0)
+    assert roots == ()
+    apply_step(state, 2, 0, roots)
     assert state.series == before
 
 
@@ -150,8 +142,8 @@ def test_transport_anchors(g2):
 def test_weight_bookkeeping_along_walk(g2):
     state = init_walk(g2, 1, 8)
     for node, m in STEPS_W1:
-        sums = extract_step_poly(state, node, m)
-        apply_step(state, node, m, sums)
+        roots = extract_step_poly(state, node, m)
+        apply_step(state, node, m, roots)
         for i in (1, 2):
             assert state.coefficient(i, 0) == ParamPoly.const(
                 g2.di(i) * state.weight[i - 1]
@@ -161,20 +153,20 @@ def test_weight_bookkeeping_along_walk(g2):
 
 def test_reextraction_after_step_sees_the_same_roots(g2):
     # post-step the node series is the lowest-vector image of the same
-    # polynomial: solving with the negated shift recovers the power sums,
-    # and the node divisor is sum_r ([r + d] - [r])
+    # polynomial: solving with the negated shift recovers the power sums of
+    # the unscaled roots r = d beta, and the node divisor is
+    # sum_r ([r + d] - [r])
     state = init_walk(g2, 1, 8)
     for node, m in STEPS_W1:
-        roots = walk._read_roots(state, node, m)
-        sums = extract_step_poly(state, node, m)
-        recorded = sums[: m + 1]
-        apply_step(state, node, m, sums)
+        roots = extract_step_poly(state, node, m)
+        apply_step(state, node, m, roots)
         if m:
             d = g2.di(node)
             again = _ref_solve_power_sums(state.series[node - 1], -d, m)
-            assert again == recorded
+            assert again == [sum((d * b) ** k for b in roots) for k in range(m + 1)]
+            doubled = [2 * d * b for b in roots]
             assert state.divisors[node - 1] == _divisor(
-                [(z + 2 * d, 1) for z in roots] + [(z, -1) for z in roots]
+                [(z + 2 * d, 1) for z in doubled] + [(z, -1) for z in doubled]
             )
 
 
@@ -225,8 +217,8 @@ def test_rank_one_series_agree_with_matrix_module(a1):
             return [c.evaluate(a_val) for c in lifted(state, 1)]
 
         assert walk_series() == module_series(1)
-        sums = extract_step_poly(state, 1, 1)
-        apply_step(state, 1, 1, sums)
+        roots = extract_step_poly(state, 1, 1)
+        apply_step(state, 1, 1, roots)
         assert walk_series() == module_series(0)
 
 
@@ -254,10 +246,14 @@ def test_extract_needs_enough_order(g2):
         extract_step_poly(state, 2, 3)
 
 
-def test_apply_step_requires_extended_sums(g2):
+def test_apply_step_requires_one_root_per_unit_of_exponent(g2):
     state = init_walk(g2, 1, 8)
-    with pytest.raises(ValueError):
-        apply_step(state, 1, 1, [F(1), F(0)])  # not extended to order
+    for roots in ((), (F(0), F(0))):
+        with pytest.raises(ValueError, match="root count"):
+            apply_step(state, 1, 1, roots)
+    # 2 d_1 beta = 1/2 is not an integer, so 3 beta is not a half-integer
+    with pytest.raises(ValueError, match="not a half-integer"):
+        apply_step(state, 1, 1, (F(1, 12),))
 
 
 class _Products(NamedTuple):
@@ -314,14 +310,14 @@ def test_apply_step_matches_its_docstring_formula(order, data):
         st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=3)
     )
     m = data.draw(st.integers(min_value=1, max_value=order - 1))
-    p = [F(m)] + data.draw(st.lists(small_rationals, min_size=order, max_size=order))
     # H_{i,0} = d_i times the weight coordinate, so the u^-1 entries are integers
     weight = data.draw(st.tuples(*(st.integers(-4, 4) for _ in products)))
     tails = st.lists(small_rationals, min_size=order - 1, max_size=order - 1)
     series = [[F(0), F(w)] + data.draw(tails) for w in weight]
     # node 1 holds the highest-weight divisor sum_r ([r - 1] - [r]) of m
-    # doubled roots r, the other nodes any divisor
+    # half-integer roots r, given doubled, the other nodes any divisor
     roots = data.draw(st.lists(st.integers(-9, 9), min_size=m, max_size=m))
+    p = [sum(F(z, 2) ** k for z in roots) for k in range(order + 1)]
     points = st.tuples(st.integers(-9, 9), st.integers(-2, 2))
     divisors = [_divisor([(z - 2, 1) for z in roots] + [(z, -1) for z in roots])] + [
         _divisor(data.draw(st.lists(points, max_size=4))) for _ in products[1:]
@@ -334,7 +330,7 @@ def test_apply_step_matches_its_docstring_formula(order, data):
         weight,
         [dict(x) for x in divisors],
     )
-    apply_step(state, 1, m, p)
+    apply_step(state, 1, m, [F(z, 2) for z in roots])
     for row, dai, got in zip(series, products, state.series):
         assert got == _docstring_transport(row, dai, p, order)
     assert state.weight == tuple(w - m * a for w, a in zip(weight, products))
@@ -355,8 +351,8 @@ def _off_by_one_transport(k):
     """apply_step whose delta at the acting node is off by one at u^{-k}."""
     original = walk.apply_step
 
-    def corrupted(state, node, m, p):
-        original(state, node, m, p)
+    def corrupted(state, node, m, roots):
+        original(state, node, m, roots)
         if m:
             _bump(state, node, k)
         return state
@@ -370,9 +366,9 @@ def _corrupt_after_last_step():
     original = walk.apply_step
     calls = 0
 
-    def corrupted(state, node, m, p):
+    def corrupted(state, node, m, roots):
         nonlocal calls
-        original(state, node, m, p)
+        original(state, node, m, roots)
         calls += 1
         if calls == len(G2_WORD):
             _bump(state, 2, 5)
@@ -387,11 +383,28 @@ def _wrong_half_shift():
     return "_move_divisor", lambda divisor, roots, x: original(divisor, roots, x + 1)
 
 
+def _wrong_last_acting_move():
+    """_move_divisor that moves the acting node's divisor by (x + 1)/2 on the
+    fifth positive step, the last of both G2 walks; the acting node is the
+    one with x = 2 d > 0.  Nothing reads that divisor after the step, and
+    the series does not depend on it."""
+    original = walk._move_divisor
+    calls = 0
+
+    def corrupted(divisor, roots, x):
+        nonlocal calls
+        calls += x > 0
+        original(divisor, roots, x + (calls == 5 and x > 0))
+
+    return "_move_divisor", corrupted
+
+
 MUTATIONS = {
     "transport u^-2": lambda: _off_by_one_transport(2),
     "transport u^-8": lambda: _off_by_one_transport(8),
     "divisor half-shift": _wrong_half_shift,
     "node 2 after the last step": _corrupt_after_last_step,
+    "last acting divisor": _wrong_last_acting_move,
 }
 
 
@@ -601,14 +614,16 @@ def _assert_matches_reference(cartan, word, fundamental, order):
             f"step {want.step}: row at a = 0"
         )
         sums = want.power_sums
-        assert got.power_sums == (F(sums.degree),) + tuple(
-            v.evaluate(0) for v in sums.values
-        ), f"step {want.step}: power sums at a = 0"
+        unscaled = [got.rescale * beta for beta in got.roots]
+        assert [sum(r**k for r in unscaled) for k in range(order + 1)] == [
+            sums.degree,
+            *(v.evaluate(0) for v in sums.values),
+        ], f"step {want.step}: power sums at a = 0"
         assert got.crosscheck_ok == want.crosscheck_ok, f"step {want.step}: flag"
     state = init_walk(cartan, fundamental, order)
     for rec, ref_series in zip(report.records, ref_states):
-        p = extract_step_poly(state, rec.node, rec.exponent)
-        apply_step(state, rec.node, rec.exponent, p)
+        roots = extract_step_poly(state, rec.node, rec.exponent)
+        apply_step(state, rec.node, rec.exponent, roots)
         for i in range(1, cartan.rank + 1):
             for k in range(order):
                 assert state.coefficient(i, k) == ref_series[i - 1][k + 1], (
@@ -642,6 +657,23 @@ def _resolve(request, case):
 @pytest.mark.parametrize("case", WALK_CASES, ids=_case_id)
 def test_walk_matches_symbolic_reference(request, case):
     _assert_matches_reference(*_resolve(request, case))
+
+
+def test_roots_are_read_once_per_positive_step(g2, f4, monkeypatch):
+    real = walk._read_roots
+    reads = []
+
+    def counted(state, node, m):
+        reads.append((node, m))
+        return real(state, node, m)
+
+    monkeypatch.setattr(walk, "_read_roots", counted)
+    walks = [(g2, w, b) for w in G2_WORDS for b in (1, 2)]
+    walks += [(f4, weyl_longest(f4), b) for b in (1, 2, 3, 4)]
+    for cartan, word, fundamental in walks:
+        reads.clear()
+        report = run_walk(cartan, word, fundamental, 8)
+        assert reads == [(rec.node, rec.exponent) for rec in report.rows()]
 
 
 def test_a0_split_matches_split_reference(request):
