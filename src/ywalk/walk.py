@@ -30,16 +30,24 @@ highest (resp. lowest) vector for that copy carries the divisor
 sum_r ([r - d_c] - [r]) (resp. sum_r ([r + d_c] - [r])), and every series
 the walk expects is the series of such a divisor (``_divisor_series``).
 After every step the lowest-vector series of the step's roots is compared
-against the transported series; any mismatch aborts the walk.
+against the transported series; any mismatch aborts the walk, naming the
+first coefficient that differs and its exact residual.
+
+Every series is kept over its fixed denominators, as integers: the walk
+stores N_k = k 2^k times the u^{-k} coefficient.  Both the transport and
+every expected series are integer sums at that scale (k 2^k times the
+coefficient is -sum mult z^k over the doubled points z of a divisor), so
+each check compares ints, and no Fraction is built per coefficient.
 
 The parameter a enters only as a translation: the shift automorphism
 x(u) -> x(u-b) of the Yangian sends V(a) to V(a+b) (Chari-Pressley, A Guide
 to Quantum Groups, 1994, ch. 12), so the walk at a is the walk at a = 0
-with every root moved by a.  The walk therefore runs on Fraction values at
-a = 0 and keeps its StepRecords there.  A record holds the step's roots
+with every root moved by a.  The walk therefore runs at a = 0 and keeps
+its StepRecords there.  A record holds the step's roots
 beta = r/d_c in u/d_c; its ``row`` is their product prod (u - beta), and
 its ``poly`` moves that row by a/d when it is read.  ``WalkState.coefficient``
-lifts the series coefficients through ``_lift``.
+is the one reader of series values: it unscales the stored integers and
+lifts them through ``_lift``.
 """
 
 from __future__ import annotations
@@ -47,7 +55,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from operator import mul
 from typing import Sequence
 
 from .exact import A, ParamPoly, UniPoly, _horner
@@ -85,9 +94,10 @@ class WalkState:
     """Mutable per-walk state at a = 0: one H_i(u) log-series and one
     divisor of exp H_i(u) per node.
 
-    series[i-1][k] is the u^{-k} coefficient of H_i(u), so series[i-1][k+1]
-    is the eigenvalue of H_{i,k} on the current extremal vector at a = 0;
-    the constant term is always zero.  divisors[i-1] maps 2z to the
+    series[i-1][k] is the int N_k = k 2^k times the u^{-k} coefficient of
+    H_i(u), so N_{k+1} / ((k+1) 2^{k+1}) is the eigenvalue of H_{i,k} on
+    the current extremal vector at a = 0; N_0 is always zero.  Read values
+    through ``coefficient``, not off the list.  divisors[i-1] maps 2z to the
     multiplicity of z (zeros positive, poles negative) and holds no zero
     multiplicity.
     """
@@ -95,7 +105,7 @@ class WalkState:
     cartan: CartanData
     fundamental: int
     order: int
-    series: list[list[Fraction]]
+    series: list[list[int]]
     weight: tuple[int, ...]
     divisors: list[dict[int, int]]
 
@@ -103,8 +113,11 @@ class WalkState:
         """Eigenvalue of H_{node,k} on the current extremal vector, in a."""
         _check_node(self.cartan, node)
         # n times the u^{-n} coefficient of a log-ratio of monic polynomials
-        # of equal degree is a signed power sum of their roots with count 0
-        q = [n * c for n, c in enumerate(self.series[node - 1][: k + 2])]
+        # of equal degree is a signed power sum of their roots with count 0;
+        # it is the stored N_n / 2^n
+        q = [
+            Fraction(c, 1 << n) for n, c in enumerate(self.series[node - 1][: k + 2])
+        ]
         return _lift(q)[k + 1] / (k + 1)
 
 
@@ -173,7 +186,7 @@ def init_walk(cartan: CartanData, fundamental: int, order: int = DEFAULT_ORDER) 
     if order < 2:
         raise InputError("series order must be at least 2")
     d = cartan.di(fundamental)
-    series = [[Fraction(0)] * (order + 1) for _ in range(cartan.rank)]
+    series = [[0] * (order + 1) for _ in range(cartan.rank)]
     divisors: list[dict[int, int]] = [{} for _ in range(cartan.rank)]
     # the single root a sits at 0
     divisors[fundamental - 1] = {-2 * d: 1, 0: -1}
@@ -195,13 +208,13 @@ def _check_node(cartan: CartanData, node: int):
 
 
 def _check_weight_bookkeeping(state: WalkState):
-    # H_{i,0} must equal d_i times the i-th coordinate of the current weight
+    # H_{i,0} = N_1 / 2 must equal d_i times the i-th weight coordinate
     for i in range(1, state.cartan.rank + 1):
-        h0 = state.series[i - 1][1]
-        if h0 != state.cartan.di(i) * state.weight[i - 1]:
+        n1 = state.series[i - 1][1]
+        if n1 != 2 * state.cartan.di(i) * state.weight[i - 1]:
             raise CrosscheckError(
                 f"weight bookkeeping broken at node {i}: "
-                f"H_0 = {h0}, weight {state.weight}"
+                f"H_0 = {Fraction(n1, 2)}, weight {state.weight}"
             )
 
 
@@ -241,17 +254,25 @@ def _read_roots(state: WalkState, node: int, m: int) -> list[int]:
     return sorted(roots)
 
 
-def _divisor_series(divisor: dict[int, int], order: int) -> list[Fraction]:
+def _divisor_series(divisor: dict[int, int], order: int) -> list[int]:
     """u^0..u^-order coefficients of log prod (u - z/2)^mult over a divisor
-    of degree 0, given by doubled points z: the u^{-k} coefficient is
-    -sum mult z^k / (k 2^k), summed over the integers."""
+    of degree 0, given by doubled points z, at the walk's scale: k 2^k
+    times the u^{-k} coefficient is -sum mult z^k."""
     points = list(divisor)
     terms = list(divisor.values())
-    out = [Fraction(0)]
+    out = [0]
     for k in range(1, order + 1):
         terms = [t * z for t, z in zip(terms, points)]
-        out.append(Fraction(-sum(terms), k << k))
+        out.append(-sum(terms))
     return out
+
+
+def _residual(got: Sequence[int], want: Sequence[int]) -> str:
+    """Where two unequal scaled series first differ: the index k >= 1 (N_0
+    is zero on both) and the exact residual (got - want) / (k 2^k) of the
+    u^{-k} coefficient.  Built only for a failure message."""
+    k = next(k for k, (x, y) in enumerate(zip(got, want)) if x != y)
+    return f"; u^-{k} coefficient off by {Fraction(got[k] - want[k], k << k)}"
 
 
 def _root_divisor(roots: Sequence[int], shift: int) -> dict[int, int]:
@@ -316,8 +337,30 @@ def extract_step_poly(state: WalkState, node: int, m: int) -> tuple[Fraction, ..
     if state.series[node - 1] != highest:
         raise CrosscheckError(
             f"node {node} series is not a degree-{m} highest-weight series"
+            + _residual(state.series[node - 1], highest)
         )
     return tuple(Fraction(z, 2 * d) for z in roots)
+
+
+# Orders up to the command line's ceiling keep their transport weights: at
+# order 64 one table holds 1,056 ints (about 50 kB at x = 6), and a walk
+# meets only a few values of x.  Deeper library walks build them per step.
+_CACHED_ORDER = 64
+
+
+def _weight_rows(x: int, n: int):
+    """Per k < n, the transport's integer weights x^{k+1-s} C(k+1, s) of
+    Z_s over s = k mod 2, k mod 2 + 2, .., k, for x = d_i a_{i,c} (see
+    ``apply_step``)."""
+    for k in range(n):
+        yield tuple(
+            x ** (k + 1 - s) * math.comb(k + 1, s) for s in range(k % 2, k + 1, 2)
+        )
+
+
+@lru_cache(maxsize=16)
+def _weight_table(x: int, n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(_weight_rows(x, n))
 
 
 def apply_step(
@@ -336,7 +379,8 @@ def apply_step(
 
     The p_k term is the s = k term of the sum.  With Z_s = 2^s p_s the
     power sums of the doubled roots 2 d beta, (k+1) 2^k times the update
-    is the integer sum_{s<=k, k+s even} (d_i a_{i,node})^{k+1-s} C(k+1,s) Z_s.
+    is the integer acc = sum_{s<=k, k+s even} (d_i a_{i,node})^{k+1-s}
+    C(k+1,s) Z_s, so the stored N_{k+1} (see ``WalkState``) drops by 2 acc.
 
     The divisor at node i moves by D_i -= sum_r ([r - x/2] - [r + x/2]),
     x = d_i a_{i,node}, over the same roots r = d beta.
@@ -349,23 +393,22 @@ def apply_step(
     c = node
     n = state.order
     doubled = _doubled(roots, state.cartan.di(c))
-    # Z_0..Z_{n-1}
+    # Z_0..Z_{n-1}, split by the parity of s
     sums = [m]
     powers = [1] * m
     for _ in range(1, n):
         powers = [x * z for x, z in zip(powers, doubled)]
         sums.append(sum(powers))
+    by_parity = (sums[0::2], sums[1::2])
     for i in range(1, state.cartan.rank + 1):
         dai = state.cartan.di(i) * state.cartan.aij(i, c)
         if dai == 0:
             continue
-        dai_powers = [dai**e for e in range(n + 1)]
         row = state.series[i - 1]
-        for k in range(n):
-            acc = 0
-            for s in range(k % 2, k + 1, 2):
-                acc += dai_powers[k + 1 - s] * math.comb(k + 1, s) * sums[s]
-            row[k + 1] -= Fraction(acc, (k + 1) << k)
+        table = _weight_table(dai, n) if n <= _CACHED_ORDER else _weight_rows(dai, n)
+        for k, weights in enumerate(table):
+            # acc pairs the weights with Z_s, s = k mod 2, k mod 2 + 2, .., k
+            row[k + 1] -= 2 * sum(map(mul, weights, by_parity[k % 2]))
         _move_divisor(state.divisors[i - 1], doubled, dai)
     # weight drops by m * alpha_c; alpha_c has weight coordinates A[:, c]
     state.weight = tuple(
@@ -413,11 +456,13 @@ def run_walk(
         crosscheck: bool | None = None
         if m > 0:
             last_node, lowest = node, _root_divisor(_doubled(roots, d), 2 * d)
-            crosscheck = state.series[node - 1] == _divisor_series(lowest, order)
+            want = _divisor_series(lowest, order)
+            crosscheck = state.series[node - 1] == want
             if not crosscheck:
                 raise CrosscheckError(
                     f"lowest-vector crosscheck failed at step {j} "
                     f"(node {node}, exponent {m})"
+                    + _residual(state.series[node - 1], want)
                 )
         records.append(StepRecord(j, node, m, roots, d, crosscheck))
     if state.weight != lowest_weight(cartan, cartan.fundamental(fundamental)):
@@ -429,8 +474,12 @@ def run_walk(
     # divisor of that step's roots; every other divisor is empty
     for i in range(1, cartan.rank + 1):
         divisor = lowest if i == last_node else {}
-        if state.series[i - 1] != _divisor_series(divisor, order):
-            raise CrosscheckError(f"node {i} series is not a lowest-vector series")
+        want = _divisor_series(divisor, order)
+        if state.series[i - 1] != want:
+            raise CrosscheckError(
+                f"node {i} series is not a lowest-vector series"
+                + _residual(state.series[i - 1], want)
+            )
         if state.divisors[i - 1] != divisor:
             raise CrosscheckError(f"node {i} divisor is not a lowest-vector divisor")
     return WalkReport(

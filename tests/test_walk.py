@@ -36,7 +36,7 @@ from ywalk.walk import (
 from ywalk.verify import G2_WORD, SAMPLE_A
 from ywalk.verify import _lifted_series as lifted  # H_i(u) in a, via coefficient
 
-from test_exact import _split_reference
+from test_exact import _split_reference, unscaled
 
 # application order of (node, exponent) for the two flagship walks
 STEPS_W1 = ((2, 0), (1, 1), (2, 3), (1, 2), (2, 3), (1, 1))
@@ -57,7 +57,7 @@ def test_init_walk_series(g2):
         series_from_poly_ratio(UniPoly.from_roots([A - 3]), UniPoly.from_roots([A]), 8)
     )
     assert lifted(state, 1) == expected
-    assert state.series[0] == [0] + [c.evaluate(0) for c in expected[1:]]
+    assert unscaled(state.series[0]) == [0] + [c.evaluate(0) for c in expected[1:]]
     assert state.series[1] == [0] * 9
     assert state.coefficient(1, 0) == ParamPoly.const(3)  # d_1 * weight coord
     state2 = init_walk(g2, 2, 8)
@@ -162,7 +162,7 @@ def test_reextraction_after_step_sees_the_same_roots(g2):
         apply_step(state, node, m, roots)
         if m:
             d = g2.di(node)
-            again = _ref_solve_power_sums(state.series[node - 1], -d, m)
+            again = _ref_solve_power_sums(unscaled(state.series[node - 1]), -d, m)
             assert again == [sum((d * b) ** k for b in roots) for k in range(m + 1)]
             doubled = [2 * d * b for b in roots]
             assert state.divisors[node - 1] == _divisor(
@@ -241,7 +241,7 @@ def test_run_walk_rejects_bad_word(g2):
 
 def test_extract_needs_enough_order(g2):
     state = init_walk(g2, 1, 3)
-    state.series[1] = [F(0), F(3), F(0), F(0)]
+    state.series[1] = [0, 6, 0, 0]  # H_0 = 3
     with pytest.raises(ValueError):
         extract_step_poly(state, 2, 3)
 
@@ -291,9 +291,6 @@ def _docstring_transport(row, dai, p, order):
     return out
 
 
-small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
-
-
 def _divisor(points):
     """The divisor of (doubled point, multiplicity) pairs, zeros dropped."""
     out = {}
@@ -310,10 +307,11 @@ def test_apply_step_matches_its_docstring_formula(order, data):
         st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=3)
     )
     m = data.draw(st.integers(min_value=1, max_value=order - 1))
-    # H_{i,0} = d_i times the weight coordinate, so the u^-1 entries are integers
+    # H_{i,0} = d_i times the weight coordinate, so the u^-1 entries are
+    # integers; the state holds each series at its scale, k 2^k times u^{-k}
     weight = data.draw(st.tuples(*(st.integers(-4, 4) for _ in products)))
-    tails = st.lists(small_rationals, min_size=order - 1, max_size=order - 1)
-    series = [[F(0), F(w)] + data.draw(tails) for w in weight]
+    tails = st.lists(st.integers(-99, 99), min_size=order - 1, max_size=order - 1)
+    series = [[0, 2 * w] + data.draw(tails) for w in weight]
     # node 1 holds the highest-weight divisor sum_r ([r - 1] - [r]) of m
     # half-integer roots r, given doubled, the other nodes any divisor
     roots = data.draw(st.lists(st.integers(-9, 9), min_size=m, max_size=m))
@@ -332,7 +330,8 @@ def test_apply_step_matches_its_docstring_formula(order, data):
     )
     apply_step(state, 1, m, [F(z, 2) for z in roots])
     for row, dai, got in zip(series, products, state.series):
-        assert got == _docstring_transport(row, dai, p, order)
+        assert all(type(n) is int for n in got)
+        assert unscaled(got) == _docstring_transport(unscaled(row), dai, p, order)
     assert state.weight == tuple(w - m * a for w, a in zip(weight, products))
     # D_i -= sum_r ([r - x/2] - [r + x/2]), x = d_i a_{i,1}, where d_i a_{i,1} != 0
     for before, x, got in zip(divisors, products, state.divisors):
@@ -340,21 +339,34 @@ def test_apply_step_matches_its_docstring_formula(order, data):
         assert got == (_divisor(list(before.items()) + moved) if x else before)
 
 
+def test_walks_past_the_cached_order_keep_no_weight_table(g2):
+    # past the command line's order ceiling apply_step builds its weights
+    # per step, and the walk reads the same records as at order 8
+    walk._weight_table.cache_clear()
+    deep = run_walk(g2, G2_WORD, 1, walk._CACHED_ORDER + 2)
+    assert walk._weight_table.cache_info().currsize == 0
+    assert deep.records == run_walk(g2, G2_WORD, 1, 8).records
+
+
 # ------------------------------------------------------- crosscheck mutations
 
 
 def _bump(state, node, k):
+    """Add 1 to the stored u^{-k} entry: a fault of 1/(k 2^k) in H_node."""
     state.series[node - 1][k] += 1
 
 
-def _off_by_one_transport(k):
-    """apply_step whose delta at the acting node is off by one at u^{-k}."""
+def _off_by_one_transport(k=None):
+    """apply_step whose delta at the acting node is off by one in the stored
+    u^{-k} entry, or in the u^{-order} entry when k is None: there the fault
+    is 1/(N 2^N), the smallest the walk's integers can hold, in the deepest
+    coefficient any check reads."""
     original = walk.apply_step
 
     def corrupted(state, node, m, roots):
         original(state, node, m, roots)
         if m:
-            _bump(state, node, k)
+            _bump(state, node, state.order if k is None else k)
         return state
 
     return "apply_step", corrupted
@@ -402,6 +414,7 @@ def _wrong_last_acting_move():
 MUTATIONS = {
     "transport u^-2": lambda: _off_by_one_transport(2),
     "transport u^-8": lambda: _off_by_one_transport(8),
+    "transport u^-order": _off_by_one_transport,
     "divisor half-shift": _wrong_half_shift,
     "node 2 after the last step": _corrupt_after_last_step,
     "last acting divisor": _wrong_last_acting_move,
@@ -423,6 +436,47 @@ def test_cli_reports_crosscheck_failure_as_exit_three(monkeypatch, capsys, mutat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "internal invariant violation" in captured.err
+
+
+@pytest.mark.parametrize("order", (8, 20, 64))
+def test_smallest_fault_names_its_coefficient_and_residual(
+    g2, monkeypatch, capsys, order
+):
+    # the first positive step of the first G2 walk is step 5, x-_1 once
+    monkeypatch.setattr(walk, *MUTATIONS["transport u^-order"]())
+    message = (
+        "lowest-vector crosscheck failed at step 5 (node 1, exponent 1); "
+        f"u^-{order} coefficient off by {F(1, order << order)}"
+    )
+    with pytest.raises(CrosscheckError) as caught:
+        run_walk(g2, G2_WORD, 1, order)
+    assert str(caught.value) == message
+    assert main(["walk", "--weight", "1", "--order", str(order)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal invariant violation: {message}\n"
+
+
+def test_series_faults_name_their_first_coefficient(g2, monkeypatch):
+    # the highest-weight check in extract_step_poly, whose first difference
+    # is at u^-2 (a fault of -2/(2 2^2)) and not at the later u^-4
+    state = init_walk(g2, 1, 8)
+    state.series[0][2] -= 2
+    state.series[0][4] += 5
+    with pytest.raises(CrosscheckError) as caught:
+        extract_step_poly(state, 1, 1)
+    assert str(caught.value) == (
+        "node 1 series is not a degree-1 highest-weight series; "
+        "u^-2 coefficient off by -1/4"
+    )
+    # the end-of-walk check: the first G2 walk ends on node 1, so node 2
+    # must carry the zero series, and the mutation adds 1/(5 2^5) at u^-5
+    monkeypatch.setattr(walk, *MUTATIONS["node 2 after the last step"]())
+    with pytest.raises(CrosscheckError) as caught:
+        run_walk(g2, G2_WORD, 1, 8)
+    assert str(caught.value) == (
+        "node 2 series is not a lowest-vector series; u^-5 coefficient off by 1/160"
+    )
 
 
 # ------------------------------------------- the symbolic walk as reference
@@ -657,6 +711,27 @@ def _resolve(request, case):
 @pytest.mark.parametrize("case", WALK_CASES, ids=_case_id)
 def test_walk_matches_symbolic_reference(request, case):
     _assert_matches_reference(*_resolve(request, case))
+
+
+SCALE_CASES = [("g2", w, b, 20) for w in G2_WORDS for b in (1, 2)] + [
+    ("f4", None, b, 8) for b in (1, 2, 3, 4)
+]
+
+
+@pytest.mark.parametrize("case", SCALE_CASES, ids=_case_id)
+def test_series_are_ints_at_scale_k_2_to_the_k(request, case):
+    # after every step, entry k of each node series is the int k 2^k times
+    # the u^{-k} coefficient of the symbolic walk's series at a = 0
+    cartan, word, fundamental, order = _resolve(request, case)
+    _, ref_states = _symbolic_walk_reference(cartan, word, fundamental, order)
+    exps = path_exponents(cartan, word, fundamental)
+    steps = reversed(list(zip(exps.word, exps.exponents)))
+    state = init_walk(cartan, fundamental, order)
+    for (node, m), ref_series in zip(steps, ref_states, strict=True):
+        apply_step(state, node, m, extract_step_poly(state, node, m))
+        for got, want in zip(state.series, ref_series, strict=True):
+            assert all(type(n) is int for n in got)
+            assert got == [k * 2**k * c.evaluate(0) for k, c in enumerate(want)]
 
 
 def test_roots_are_read_once_per_positive_step(g2, f4, monkeypatch):
