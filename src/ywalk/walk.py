@@ -342,25 +342,16 @@ def extract_step_poly(state: WalkState, node: int, m: int) -> tuple[Fraction, ..
     return tuple(Fraction(z, 2 * d) for z in roots)
 
 
-# Orders up to the command line's ceiling keep their transport weights: at
-# order 64 one table holds 1,056 ints (about 50 kB at x = 6), and a walk
-# meets only a few values of x.  Deeper library walks build them per step.
-_CACHED_ORDER = 64
-
-
-def _weight_rows(x: int, n: int):
-    """Per k < n, the transport's integer weights x^{k+1-s} C(k+1, s) of
-    Z_s over s = k mod 2, k mod 2 + 2, .., k, for x = d_i a_{i,c} (see
-    ``apply_step``)."""
-    for k in range(n):
-        yield tuple(
-            x ** (k + 1 - s) * math.comb(k + 1, s) for s in range(k % 2, k + 1, 2)
-        )
-
-
 @lru_cache(maxsize=16)
 def _weight_table(x: int, n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(_weight_rows(x, n))
+    """Per k < n, the transport's integer weights x^{k+1-s} C(k+1, s) of
+    Z_s over s = k mod 2, k mod 2 + 2, .., k, for x = d_i a_{i,c} (see
+    ``apply_step``).  A walk meets only a few values of x, so nearly every
+    step reuses a table; one holds about n^2/4 ints."""
+    return tuple(
+        tuple(x ** (k + 1 - s) * math.comb(k + 1, s) for s in range(k % 2, k + 1, 2))
+        for k in range(n)
+    )
 
 
 def apply_step(
@@ -405,8 +396,7 @@ def apply_step(
         if dai == 0:
             continue
         row = state.series[i - 1]
-        table = _weight_table(dai, n) if n <= _CACHED_ORDER else _weight_rows(dai, n)
-        for k, weights in enumerate(table):
+        for k, weights in enumerate(_weight_table(dai, n)):
             # acc pairs the weights with Z_s, s = k mod 2, k mod 2 + 2, .., k
             row[k + 1] -= 2 * sum(map(mul, weights, by_parity[k % 2]))
         _move_divisor(state.divisors[i - 1], doubled, dai)
