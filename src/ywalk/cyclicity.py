@@ -27,6 +27,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .exact import GaussianRational, ParamPoly
@@ -96,7 +97,12 @@ class TensorFactor:
 
 @dataclass(frozen=True)
 class Violation:
-    """One ordered pair whose difference hits a forbidden value."""
+    """One ordered pair whose difference hits a forbidden value.
+
+    ``difference`` is the S value as a GaussianRational: one object per
+    value of each S set, shared by every violation that hits it (it is
+    frozen).
+    """
 
     i: int  # 1-based factor positions
     j: int
@@ -168,43 +174,65 @@ def check_cyclicity(
     all ordered pairs i != j.  A difference with nonzero imaginary part
     never matches (the sets are rational).
 
-    The factors are indexed by (node, parameter): for each factor i, each
-    node c present and each s in S(b_i, c), one lookup of a_i + s at node c
-    finds every j with a_j - a_i = s.  The cost is n * rank * |S| lookups
-    plus the violations reported, and the violations come out ordered by
-    (i, j).  A checked pair whose node pair has no S set raises ValueError,
-    naming the first such pair in (i, j) order.
+    The check runs on integers.  With L the lcm of the denominators of all
+    S values, each s becomes the int p = s*L, and each factor's
+    t = re*L = q + r/den (0 <= r < den, lowest terms) is split once.
+    a_j - a_i = s holds exactly when factors i and j share the lattice
+    class (r, den, im) and q_j = q_i + p.  The factors are indexed by
+    class, then node, then q, so for each factor i, each node c present
+    and each s in S(b_i, c), one int add and one int-keyed lookup in i's
+    class at node c finds every j with a_j - a_i = s.  The cost is
+    n * rank * |S| such lookups plus the violations reported, and the
+    violations come out ordered by (i, j).  A checked pair whose node pair
+    has no S set raises ValueError, naming the first such pair in (i, j)
+    order.
     """
     canonical = _MODE_ALIASES.get(mode)
     if canonical is None:
         raise ValueError(f"unknown mode {mode!r}")
     highest_weight = canonical == MODE_HIGHEST_WEIGHT
-    smap = {(s.b, s.c): s for s in s_sets}
-    at_param: dict[tuple[int, Fraction, Fraction], list[int]] = {}
+    smap = {(s.b, s.c): s.values for s in s_sets}
+    scale = lcm(*(v.denominator for values in smap.values() for v in values))
+    steps = {
+        key: [(int(v * scale), GaussianRational(v)) for v in values]
+        for key, values in smap.items()
+    }
+    # per factor: its lattice class (node -> q -> positions) and its q
+    slots: list[tuple[dict[int, dict[int, list[int]]], int]] = []
+    at_class: dict[tuple[int, int, int, int], dict[int, dict[int, list[int]]]] = {}
     at_node: dict[int, list[int]] = {}
     for j, f in enumerate(factors, start=1):
-        at_param.setdefault((f.node, f.param.re, f.param.im), []).append(j)
+        re, im = f.param.re, f.param.im
+        g = gcd(re.denominator, scale)  # t = re*scale is num/den in lowest terms
+        num, den = re.numerator * (scale // g), re.denominator // g
+        q, r = divmod(num, den)
+        nodes = at_class.setdefault((r, den, im.numerator, im.denominator), {})
+        nodes.setdefault(f.node, {}).setdefault(q, []).append(j)
+        slots.append((nodes, q))
         at_node.setdefault(f.node, []).append(j)
     violations: list[Violation] = []
     for i, fi in enumerate(factors, start=1):
-        re_i, im_i = fi.param.re, fi.param.im
-        hits: dict[int, Fraction] = {}
+        nodes, q = slots[i - 1]
+        hits: dict[int, GaussianRational] = {}
         unset: list[tuple[int, int]] = []  # (first checked j, node c)
         for c, positions in at_node.items():
-            sset = smap.get((fi.node, c))
-            if sset is None:
+            step = steps.get((fi.node, c))
+            if step is None:
                 j = _first_checked(positions, i, highest_weight)
                 if j is not None:
                     unset.append((j, c))
                 continue
-            for s in sset.values:
-                for j in at_param.get((c, re_i + s, im_i), ()):
+            at_floor = nodes.get(c)
+            if at_floor is None:
+                continue
+            for p, diff in step:
+                for j in at_floor.get(q + p, ()):
                     if j > i or (j != i and not highest_weight):
-                        hits[j] = s
+                        hits[j] = diff
         if unset:
             raise ValueError(f"no S set for node pair {(fi.node, min(unset)[1])}")
         for j in sorted(hits):
-            diff = GaussianRational(hits[j])
+            diff = hits[j]
             violations.append(Violation(i=i, j=j, difference=diff, s_value=diff.re))
     return CyclicityReport(
         mode=canonical, certified=not violations, violations=tuple(violations)
@@ -235,7 +263,9 @@ def build_ordered_product(
     factors = [TensorFactor(1, r) for r in roots1] + [
         TensorFactor(2, r) for r in roots2
     ]
-    factors.sort(key=lambda f: (-f.param.re, -f.param.im, f.node))
+    # the list is already in node order, and a stable sort (reverse=True
+    # included) keeps equal keys in that order
+    factors.sort(key=lambda f: (f.param.re, f.param.im), reverse=True)
     report = check_cyclicity(factors, s_sets, MODE_HIGHEST_WEIGHT)
     return WeylModuleSpec(
         factors=tuple(factors),

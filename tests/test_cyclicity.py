@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import math
 import random
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from ywalk import cyclicity, rootsystem, walk
 from ywalk.cyclicity import (
     MODE_HIGHEST_WEIGHT,
     MODE_IRREDUCIBLE,
+    SSet,
     TensorFactor,
     build_ordered_product,
     check_cyclicity,
@@ -204,6 +208,22 @@ def _outcome(check, factors, s_sets, mode):
         return "raised", str(exc)
 
 
+def _assert_matches_reference(s_sets, factors):
+    """Both modes agree with the pair loop; returns how many raised."""
+    raised = 0
+    for mode in ("hw", "irr"):
+        got = _outcome(check_cyclicity, factors, s_sets, mode)
+        want = _outcome(_pairwise_reference, factors, s_sets, mode)
+        if got[0] == "ok":
+            report = got[1]
+            assert report.certified == (not report.violations)
+            assert all(isinstance(v.s_value, F) for v in report.violations)
+            got = ("ok", _violation_tuples(report))
+        assert got == want, (factors, mode)
+        raised += got[0] == "raised"
+    return raised
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(
@@ -241,13 +261,7 @@ def test_partial_s_sets_raise_like_the_reference(g2_s_sets):
             for _ in range(n)
         ]
         for s_sets in (g2_s_sets, partial):
-            for mode in ("hw", "irr"):
-                got = _outcome(check_cyclicity, factors, s_sets, mode)
-                want = _outcome(_pairwise_reference, factors, s_sets, mode)
-                if got[0] == "ok":
-                    got = ("ok", _violation_tuples(got[1]))
-                assert got == want, (factors, mode)
-                raised += got[0] == "raised"
+            raised += _assert_matches_reference(s_sets, factors)
     assert raised > 100
     with pytest.raises(ValueError, match=r"no S set for node pair \(2, 3\)"):
         check_cyclicity(
@@ -255,6 +269,71 @@ def test_partial_s_sets_raise_like_the_reference(g2_s_sets):
             g2_s_sets,
             "hw",
         )
+
+
+# check_cyclicity turns every s into s*L, L the lcm of the S denominators,
+# and finds a factor by its lattice class (r, den, im), its node and its
+# floor q, where re*L = q + r/den; these cases sit on and just off that
+# lattice
+
+_S_VALUES = st.builds(F, st.integers(-24, 24), st.sampled_from((1, 2, 3, 4, 6)))
+_RANDOM_S_TABLES = st.fixed_dictionaries(
+    {(b, c): st.lists(_S_VALUES, max_size=3) for b in (1, 2) for c in (1, 2)}
+)
+_ATLAS = json.loads(Path(__file__).with_name("tables_atlas.json").read_text())
+_F4_S_TABLE = {
+    tuple(int(x) for x in key.split(",")): [F(v) for v in values]
+    for key, values in _ATLAS["types"]["f4"]["s"].items()
+}
+
+
+@st.composite
+def _lattice_cases(draw, s_tables):
+    """S sets and factors with real parts of denominator 1..12 (negative
+    ones too) and non-integer imaginary parts.  Some factors sit one value
+    of their pair's S set away from an earlier factor (either way round),
+    exactly or as a near miss: the same floor q of re*L, another r."""
+    table = draw(s_tables)
+    nodes = st.sampled_from(sorted({b for b, _ in table}))
+    param = st.tuples(
+        st.builds(F, st.integers(-36, 36), st.integers(1, 12)),
+        st.sampled_from((F(0), F(1, 2), F(-1, 3), F(5, 4), F(-7, 6))),
+    )
+    factors = [
+        TensorFactor(node, gauss(re, im))
+        for node, (re, im) in draw(st.lists(st.tuples(nodes, param), max_size=8))
+    ]
+    scale = math.lcm(*(v.denominator for vs in table.values() for v in vs))
+    for _ in range(draw(st.integers(0, 6)) if factors else 0):
+        base = factors[draw(st.integers(0, len(factors) - 1))]
+        node, below = draw(nodes), draw(st.booleans())
+        values = table.get((base.node, node) if below else (node, base.node), ())
+        if not values:
+            continue
+        re = base.param.re + draw(st.sampled_from(values)) * (1 if below else -1)
+        t = re * scale
+        den = t.denominator
+        q, r = divmod(t.numerator, den)
+        others = [x for x in range(1, den) if x != r and math.gcd(x, den) == 1]
+        if others and draw(st.booleans()):
+            # keep the floor of t, move its remainder
+            re = (q + F(draw(st.sampled_from(others)), den)) / scale
+        moved = TensorFactor(node, gauss(re, base.param.im))
+        factors.insert(draw(st.integers(0, len(factors))), moved)
+    s_sets = [SSet(b, c, tuple(sorted(set(vs)))) for (b, c), vs in table.items()]
+    return s_sets, factors
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lattice_cases(_RANDOM_S_TABLES))
+def test_lattice_classes_match_pairwise_reference(case):
+    _assert_matches_reference(*case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lattice_cases(st.just(_F4_S_TABLE)))
+def test_lattice_classes_match_pairwise_reference_on_f4_atlas_sets(case):
+    _assert_matches_reference(*case)
 
 
 def test_long_structured_list(g2_s_sets):
@@ -303,6 +382,35 @@ def test_ordered_product_input_permutation_invariance(g2_s_sets):
         rng.shuffle(shuffled2)
         again = build_ordered_product(shuffled1, shuffled2, g2_s_sets)
         assert again.factors == spec.factors
+
+
+def test_ordered_product_order_matches_negated_key(g2_s_sets):
+    # the stable sort by (re, im) descending gives the order of the key
+    # (-re, -im, node), input position breaking ties; every root is its
+    # own object, so its id tracks its input position
+    rng = random.Random(314)
+    seen = {"re tie, im differs": 0, "full tie across nodes": 0, "repeated root": 0}
+    for _ in range(300):
+        total = rng.randint(0, 12)
+        m1 = rng.randint(0, total)
+        roots = [
+            gauss(F(rng.choice((-2, -1, 0, 1, 3)), 2), F(rng.choice((-1, 0, 1)), 3))
+            for _ in range(total)
+        ]
+        spec = build_ordered_product(roots[:m1], roots[m1:], g2_s_sets)
+        tagged = [TensorFactor(1 + (k >= m1), r) for k, r in enumerate(roots)]
+        want = sorted(tagged, key=lambda f: (-f.param.re, -f.param.im, f.node))
+        assert [(f.node, id(f.param)) for f in spec.factors] == [
+            (f.node, id(f.param)) for f in want
+        ]
+        for a, b in zip(want, want[1:]):
+            if a.param.re == b.param.re and a.param.im != b.param.im:
+                seen["re tie, im differs"] += 1
+            elif a.param == b.param and a.node != b.node:
+                seen["full tie across nodes"] += 1
+            elif a.param == b.param:
+                seen["repeated root"] += 1
+    assert all(count > 50 for count in seen.values()), seen
 
 
 def test_random_multisets_always_certify(g2_s_sets):
