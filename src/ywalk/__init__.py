@@ -37,7 +37,6 @@ from .walk import (
     WalkReport,
     WalkState,
     apply_step,
-    extract_step_poly,
     init_walk,
     run_walk,
 )

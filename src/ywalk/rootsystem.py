@@ -141,7 +141,8 @@ def weyl_order(cartan: CartanData) -> int:
     total = Fraction(1)
     for root in positive_roots(cartan):
         total *= Fraction(sum(root) + 1, sum(root))
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise ArithmeticError(f"Weyl group order {total} is not an integer")
     return int(total)
 
 
@@ -268,6 +269,7 @@ def _weyl_dims(
             for root, h in zip(roots, heights)
         )
         dim, rest = divmod(num, den)
-        assert rest == 0
+        if rest:
+            raise ArithmeticError(f"Weyl dimension {num}/{den} is not an integer")
         dims.append(dim)
     return dims

@@ -28,7 +28,7 @@ from .sl2 import (
     extremal_series_check,
     symmetrized_insertion_check,
 )
-from .walk import CrosscheckError, apply_step, extract_step_poly, init_walk, run_walk
+from .walk import CrosscheckError, apply_step, init_walk, run_walk
 
 __all__ = [
     "CheckResult",
@@ -152,8 +152,7 @@ def _rank1_against_matrices():
             walk_series_at(state, a_val) == module_log_series(a_val, 1),
             "top-vector series disagrees with the matrix module",
         )
-        roots = extract_step_poly(state, 1, 1)
-        apply_step(state, 1, 1, roots)
+        apply_step(state, 1, 1)
         _require(
             walk_series_at(state, a_val) == module_log_series(a_val, 0),
             "bottom-vector series disagrees with the matrix module",
@@ -171,8 +170,7 @@ def _suite_walk() -> list[CheckResult]:
     def anchors():
         state = init_walk(g2, 1, 8)
         for node, m in ((2, 0), (1, 1), (2, 3)):
-            roots = extract_step_poly(state, node, m)
-            apply_step(state, node, m, roots)
+            apply_step(state, node, m)
         _require(state.coefficient(1, 1) == ParamPoly((0, 6)), "H_{1,1} != 6a")
         _require(state.coefficient(1, 2) == ParamPoly((6, 0, 6)), "H_{1,2} != 6a^2+6")
         rescaled = series_exp(series_rescale(_lifted_series(state, 1), 3))
@@ -180,8 +178,7 @@ def _suite_walk() -> list[CheckResult]:
             rescaled[2] == ParamPoly((2, Fraction(2, 3))),
             "rescaled h_1 coefficient != 2a/3 + 2",
         )
-        roots = extract_step_poly(state, 1, 2)
-        apply_step(state, 1, 2, roots)
+        apply_step(state, 1, 2)
         h2 = series_exp(_lifted_series(state, 2))
         _require(h2[2] == ParamPoly((Fraction(21, 2), 3)), "h_{2,1} != 3a + 21/2")
 

@@ -24,6 +24,9 @@ right end, each step (node c, exponent m):
   insertion contributes the s-th power sum of the same roots, and moves
   every divisor by D_i -= sum_r ([r - x/2] - [r + x/2]), x = d_i a_{i,c}.
 
+``apply_step`` is that step, the one step entry point: it returns the
+roots it read as the doubled ints 2r, the form the divisors hold.
+
 Roots here are "unscaled": on the d_c-rescaled copy of the rank-1 algebra
 at node c the associated polynomial has roots (unscaled roots)/d_c.  A
 highest (resp. lowest) vector for that copy carries the divisor
@@ -43,11 +46,11 @@ The parameter a enters only as a translation: the shift automorphism
 x(u) -> x(u-b) of the Yangian sends V(a) to V(a+b) (Chari-Pressley, A Guide
 to Quantum Groups, 1994, ch. 12), so the walk at a is the walk at a = 0
 with every root moved by a.  The walk therefore runs at a = 0 and keeps
-its StepRecords there.  A record holds the step's roots
-beta = r/d_c in u/d_c; its ``row`` is their product prod (u - beta), and
-its ``poly`` moves that row by a/d when it is read.  ``WalkState.coefficient``
-is the one reader of series values: it unscales the stored integers and
-lifts them through ``_lift``.
+its StepRecords there.  A record holds the step's roots beta = r/d_c in
+u/d_c, the only Fractions a step builds; its ``row`` is their product
+prod (u - beta), and its ``poly`` moves that row by a/d when it is read.
+``WalkState.coefficient`` is the one reader of series values: it unscales
+the stored integers and lifts them through ``_lift``.
 """
 
 from __future__ import annotations
@@ -68,7 +71,6 @@ __all__ = [
     "StepRecord",
     "WalkReport",
     "init_walk",
-    "extract_step_poly",
     "apply_step",
     "run_walk",
 ]
@@ -169,7 +171,6 @@ class WalkReport:
     fundamental: int
     word: tuple[int, ...]
     exponents: tuple[int, ...]
-    order: int
     records: tuple[StepRecord, ...]  # in application order (j = p down to 1)
 
     def rows(self) -> tuple[StepRecord, ...]:
@@ -202,7 +203,8 @@ def init_walk(cartan: CartanData, fundamental: int, order: int = DEFAULT_ORDER) 
 
 
 def _check_node(cartan: CartanData, node: int):
-    """The step-level entry points take a node label in 1..rank."""
+    """``apply_step`` and ``WalkState.coefficient`` take a node label in
+    1..rank."""
     if not 1 <= node <= cartan.rank:
         raise InputError(f"node {node} out of range 1..{cartan.rank}")
 
@@ -218,7 +220,7 @@ def _check_weight_bookkeeping(state: WalkState):
             )
 
 
-def _read_roots(state: WalkState, node: int, m: int) -> list[int]:
+def _read_roots(state: WalkState, node: int, m: int) -> tuple[int, ...]:
     """The step's unscaled roots r, doubled and ascending with multiplicity,
     read off the node's divisor D, which must be sum_r ([r - d] - [r]).
 
@@ -251,7 +253,7 @@ def _read_roots(state: WalkState, node: int, m: int) -> list[int]:
         raise CrosscheckError(
             f"node {node} divisor has {len(roots)} roots, not the exponent {m}"
         )
-    return sorted(roots)
+    return tuple(sorted(roots))
 
 
 def _divisor_series(divisor: dict[int, int], order: int) -> list[int]:
@@ -284,17 +286,6 @@ def _root_divisor(roots: Sequence[int], shift: int) -> dict[int, int]:
     return {z: mult for z, mult in divisor.items() if mult}
 
 
-def _doubled(roots: Sequence[Fraction], d: int) -> list[int]:
-    """The doubled unscaled roots 2 d beta of roots beta in u/d."""
-    out = []
-    for beta in roots:
-        z = 2 * d * beta
-        if z.denominator != 1:
-            raise ValueError(f"root {beta} times {d} is not a half-integer")
-        out.append(int(z))
-    return out
-
-
 def _move_divisor(divisor: dict[int, int], roots: Sequence[int], x: int):
     """D -= sum_r ([r - x/2] - [r + x/2]) for the doubled roots 2r."""
     for z in roots:
@@ -304,42 +295,6 @@ def _move_divisor(divisor: dict[int, int], roots: Sequence[int], x: int):
                 divisor[point] = mult
             else:
                 del divisor[point]
-
-
-def extract_step_poly(state: WalkState, node: int, m: int) -> tuple[Fraction, ...]:
-    """The roots beta, in u/d at a = 0 and ascending with multiplicity, of
-    the current node restriction's degree-m associated polynomial: the
-    form ``StepRecord.roots`` holds and ``apply_step`` takes.
-
-    The roots are read off the node's divisor (see ``_read_roots``).  The
-    node series must be the highest-weight series log(pi(u+d)/pi(u)) of
-    the roots read, through order N; a mismatch raises CrosscheckError.
-    """
-    _check_node(state.cartan, node)
-    if m < 0:
-        raise ValueError("step exponent must be non-negative")
-    if m + 1 > state.order:
-        raise ValueError(
-            f"step degree {m} needs series order >= {m + 1}, have {state.order}"
-        )
-    if m == 0:
-        # a zero weight coordinate at an extremal vector: the node
-        # restriction is trivial, so its series and divisor must vanish
-        if any(state.series[node - 1]):
-            raise CrosscheckError(f"node {node} series is nonzero at a zero exponent")
-        if state.divisors[node - 1]:
-            raise CrosscheckError(f"node {node} divisor is nonzero at a zero exponent")
-        return ()
-    d = state.cartan.di(node)
-    roots = _read_roots(state, node, m)
-    # highest-weight consistency: the node series must match the roots.
-    highest = _divisor_series(_root_divisor(roots, -2 * d), state.order)
-    if state.series[node - 1] != highest:
-        raise CrosscheckError(
-            f"node {node} series is not a degree-{m} highest-weight series"
-            + _residual(state.series[node - 1], highest)
-        )
-    return tuple(Fraction(z, 2 * d) for z in roots)
 
 
 @lru_cache(maxsize=16)
@@ -354,41 +309,62 @@ def _weight_table(x: int, n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def apply_step(
-    state: WalkState, node: int, m: int, roots: Sequence[Fraction]
-) -> WalkState:
-    """Transport every node's series and divisor across (x-_{node,0})^m.
+def apply_step(state: WalkState, node: int, m: int) -> tuple[int, ...]:
+    """One step, in place: read the step's roots off the node's divisor
+    (see ``_read_roots``), check that the node series is the
+    highest-weight series log(pi(u+d)/pi(u)) of the roots read through
+    order N, then transport every node's series and divisor across
+    (x-_{node,0})^m.  At m = 0 the node's series and divisor must vanish
+    instead, and nothing moves.  A failed check raises CrosscheckError
+    before the state changes.
 
-    roots are the step's m roots beta in u/d at a = 0, as
-    ``extract_step_poly`` returns them; p_s is the s-th power sum of the
-    unscaled roots d beta (p_0 = m).  The update at node i and coefficient
-    k subtracts
+    Returns the roots read as ``WalkState.divisors`` holds its points:
+    the doubled unscaled roots 2r, r = d beta, ascending with
+    multiplicity; () at m = 0.
+
+    With p_s the s-th power sum of the unscaled roots (p_0 = m), the
+    update at node i and coefficient k subtracts
 
         d_i a_{i,node} p_k
         + sum_{0<=s<=k-2, k+s even} 2^{s-k} (d_i a_{i,node})^{k+1-s}
               C(k+1,s)/(k+1) p_s
 
     The p_k term is the s = k term of the sum.  With Z_s = 2^s p_s the
-    power sums of the doubled roots 2 d beta, (k+1) 2^k times the update
-    is the integer acc = sum_{s<=k, k+s even} (d_i a_{i,node})^{k+1-s}
+    power sums of the doubled roots, (k+1) 2^k times the update is the
+    integer acc = sum_{s<=k, k+s even} (d_i a_{i,node})^{k+1-s}
     C(k+1,s) Z_s, so the stored N_{k+1} (see ``WalkState``) drops by 2 acc.
 
     The divisor at node i moves by D_i -= sum_r ([r - x/2] - [r + x/2]),
-    x = d_i a_{i,node}, over the same roots r = d beta.
+    x = d_i a_{i,node}, over the same roots r.
     """
     _check_node(state.cartan, node)
-    if len(roots) != m:
-        raise ValueError("root count does not match the step exponent")
-    if m == 0:
-        return state
-    c = node
+    if m < 0:
+        raise ValueError("step exponent must be non-negative")
     n = state.order
-    doubled = _doubled(roots, state.cartan.di(c))
+    if m + 1 > n:
+        raise ValueError(f"step degree {m} needs series order >= {m + 1}, have {n}")
+    c = node
+    if m == 0:
+        # a zero weight coordinate at an extremal vector: the node
+        # restriction is trivial, so its series and divisor must vanish
+        if any(state.series[c - 1]):
+            raise CrosscheckError(f"node {c} series is nonzero at a zero exponent")
+        if state.divisors[c - 1]:
+            raise CrosscheckError(f"node {c} divisor is nonzero at a zero exponent")
+        return ()
+    roots = _read_roots(state, c, m)
+    # highest-weight consistency: the node series must match the roots.
+    highest = _divisor_series(_root_divisor(roots, -2 * state.cartan.di(c)), n)
+    if state.series[c - 1] != highest:
+        raise CrosscheckError(
+            f"node {c} series is not a degree-{m} highest-weight series"
+            + _residual(state.series[c - 1], highest)
+        )
     # Z_0..Z_{n-1}, split by the parity of s
     sums = [m]
     powers = [1] * m
     for _ in range(1, n):
-        powers = [x * z for x, z in zip(powers, doubled)]
+        powers = [x * z for x, z in zip(powers, roots)]
         sums.append(sum(powers))
     by_parity = (sums[0::2], sums[1::2])
     for i in range(1, state.cartan.rank + 1):
@@ -399,14 +375,14 @@ def apply_step(
         for k, weights in enumerate(_weight_table(dai, n)):
             # acc pairs the weights with Z_s, s = k mod 2, k mod 2 + 2, .., k
             row[k + 1] -= 2 * sum(map(mul, weights, by_parity[k % 2]))
-        _move_divisor(state.divisors[i - 1], doubled, dai)
+        _move_divisor(state.divisors[i - 1], roots, dai)
     # weight drops by m * alpha_c; alpha_c has weight coordinates A[:, c]
     state.weight = tuple(
         w - m * state.cartan.aij(i, c)
         for i, w in enumerate(state.weight, start=1)
     )
     _check_weight_bookkeeping(state)
-    return state
+    return roots
 
 
 def run_walk(
@@ -441,11 +417,10 @@ def run_walk(
         node = exps.word[j - 1]
         m = exps.exponents[j - 1]
         d = cartan.di(node)
-        roots = extract_step_poly(state, node, m)
-        apply_step(state, node, m, roots)
+        roots = apply_step(state, node, m)
         crosscheck: bool | None = None
         if m > 0:
-            last_node, lowest = node, _root_divisor(_doubled(roots, d), 2 * d)
+            last_node, lowest = node, _root_divisor(roots, 2 * d)
             want = _divisor_series(lowest, order)
             crosscheck = state.series[node - 1] == want
             if not crosscheck:
@@ -454,7 +429,8 @@ def run_walk(
                     f"(node {node}, exponent {m})"
                     + _residual(state.series[node - 1], want)
                 )
-        records.append(StepRecord(j, node, m, roots, d, crosscheck))
+        beta = tuple(Fraction(z, 2 * d) for z in roots)
+        records.append(StepRecord(j, node, m, beta, d, crosscheck))
     if state.weight != lowest_weight(cartan, cartan.fundamental(fundamental)):
         raise CrosscheckError(
             f"walk did not land on the lowest weight: ended at {state.weight}"
@@ -477,6 +453,5 @@ def run_walk(
         fundamental=fundamental,
         word=exps.word,
         exponents=exps.exponents,
-        order=order,
         records=tuple(records),
     )

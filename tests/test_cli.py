@@ -28,7 +28,7 @@ from ywalk.cli import MAX_FACTORS, main, parse_factors, parse_gaussian
 from ywalk.cyclicity import TensorFactor, check_cyclicity, dimension_bound
 from ywalk.exact import GaussianRational
 from ywalk.verify import EXPECTED_S, EXPECTED_T, G2_WORD, run_suite
-from ywalk.walk import apply_step, extract_step_poly, init_walk, run_walk
+from ywalk.walk import apply_step, init_walk, run_walk
 
 
 def run_cli(capsys, *argv):
@@ -297,7 +297,6 @@ def test_dimension_bound_at_the_exact_digit_limit_exits_two(
 def test_library_input_checks_raise_input_error(g2, g2_s_sets):
     assert issubclass(InvalidCartanError, InputError)
     state = init_walk(g2, 2, 8)
-    roots = extract_step_poly(state, 2, 1)
     checks = {
         "fundamental index": lambda: g2.fundamental(3),
         "word not reduced": lambda: path_exponents(g2, (1, 1), 1),
@@ -312,10 +311,8 @@ def test_library_input_checks_raise_input_error(g2, g2_s_sets):
         "walk fundamental index": lambda: init_walk(g2, 3),
         "walk series order": lambda: init_walk(g2, 1, 1),
         "unknown builtin algebra": lambda: builtin_cartan("e8"),
-        "step extraction node 0": lambda: extract_step_poly(state, 0, 1),
-        "step extraction node 3": lambda: extract_step_poly(state, 3, 1),
-        "step transport node 0": lambda: apply_step(state, 0, 1, roots),
-        "step transport node 3": lambda: apply_step(state, 3, 1, roots),
+        "step node 0": lambda: apply_step(state, 0, 1),
+        "step node 3": lambda: apply_step(state, 3, 1),
         "eigenvalue node 0": lambda: state.coefficient(0, 1),
         "eigenvalue node 3": lambda: state.coefficient(3, 1),
     }

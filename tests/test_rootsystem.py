@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from ywalk import rootsystem
+from ywalk import cyclicity, rootsystem
+from ywalk.cli import main
 from ywalk.rootsystem import (
     CartanData,
     InvalidCartanError,
@@ -214,6 +217,29 @@ def test_weyl_dim_a2(a2):
 def test_weyl_dim_rejects_non_dominant(g2):
     with pytest.raises(ValueError):
         weyl_dim(g2, (-1, 0))
+
+
+def test_broken_weyl_invariants_raise_without_assert(g2, monkeypatch, capsys):
+    # (lam + rho, alpha) = 3 over (rho, alpha) = 2: not an integer dimension
+    with pytest.raises(ArithmeticError, match="Weyl dimension 3/2"):
+        rootsystem._weyl_dims([(1, 1)], (1, 1), [(1, 0)])
+    monkeypatch.setattr(rootsystem, "positive_roots", lambda cartan: [(1, 1)])
+    with pytest.raises(ArithmeticError, match="Weyl group order 3/2"):
+        weyl_order(g2)
+    # not an InputError: the command line reports an internal fault, exit 3
+    monkeypatch.setattr(cyclicity, "positive_roots", lambda cartan: [(1, 1)])
+    assert main(["dim", "--weights", "1,1", "--fund-dims", "14,7"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ArithmeticError(")
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert, so no invariant of the library may rest on one
+    for path in sorted(Path(rootsystem.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert asserts == [], f"{path.name}: assert at lines {asserts}"
 
 
 # ---------------------------------------------------- rho-descent, pinned data

@@ -29,7 +29,6 @@ from ywalk.walk import (
     CrosscheckError,
     WalkState,
     apply_step,
-    extract_step_poly,
     init_walk,
     run_walk,
 )
@@ -46,8 +45,7 @@ STEPS_W2 = ((2, 1), (1, 1), (2, 2), (1, 1), (2, 1), (1, 0))
 def drive(g2, fundamental, steps):
     state = init_walk(g2, fundamental, 8)
     for node, m in steps:
-        roots = extract_step_poly(state, node, m)
-        apply_step(state, node, m, roots)
+        apply_step(state, node, m)
     return state
 
 
@@ -65,35 +63,43 @@ def test_init_walk_series(g2):
     assert state2.coefficient(2, 0) == ParamPoly.const(1)
 
 
+def _snapshot(state):
+    """Copies of the state's series, divisors and weight."""
+    return [list(s) for s in state.series], [dict(x) for x in state.divisors], state.weight
+
+
 def test_first_extractions(g2):
-    # the row roots beta at a = 0: the step polynomials are u - a/3 (rescaled
-    # by d_1 = 3) and u - a
+    # the doubled unscaled roots 2 d beta at a = 0: the step polynomials are
+    # u - a/3 (rescaled by d_1 = 3) and u - a
     state = init_walk(g2, 1, 8)
-    assert extract_step_poly(state, 1, 1) == (F(0),)
+    assert apply_step(state, 1, 1) == (0,)
     state = init_walk(g2, 2, 8)
-    assert extract_step_poly(state, 2, 1) == (F(0),)
+    assert apply_step(state, 2, 1) == (0,)
 
 
 def test_second_walk_reaches_half_shifted_root(g2):
-    # the step polynomial u - (a/3 + 1/2)
+    # the step polynomial u - (a/3 + 1/2): beta = 1/2 at d_1 = 3, doubled 3
     state = init_walk(g2, 2, 8)
-    roots = extract_step_poly(state, 2, 1)
-    apply_step(state, 2, 1, roots)
-    assert extract_step_poly(state, 1, 1) == (F(1, 2),)
+    apply_step(state, 2, 1)
+    assert apply_step(state, 1, 1) == (3,)
 
 
 def test_zero_exponent_step_needs_a_zero_series(g2):
     state = init_walk(g2, 1, 8)
     _bump(state, 2, 3)
+    before = _snapshot(state)
     with pytest.raises(CrosscheckError):
-        extract_step_poly(state, 2, 0)
+        apply_step(state, 2, 0)
+    assert _snapshot(state) == before
 
 
 def test_zero_exponent_step_needs_an_empty_divisor(g2):
     state = init_walk(g2, 1, 8)
     state.divisors[1] = {-2: 1, 0: -1}
+    before = _snapshot(state)
     with pytest.raises(CrosscheckError, match="node 2 divisor is nonzero at a zero"):
-        extract_step_poly(state, 2, 0)
+        apply_step(state, 2, 0)
+    assert _snapshot(state) == before
 
 
 @pytest.mark.parametrize(
@@ -112,17 +118,18 @@ def test_zero_exponent_step_needs_an_empty_divisor(g2):
 def test_extraction_checks_the_divisor(g2, divisor, m, message):
     state = init_walk(g2, 1, 8)
     state.divisors[0] = divisor
+    before = _snapshot(state)
     with pytest.raises(CrosscheckError, match=f"node 1 .*{message}"):
-        extract_step_poly(state, 1, m)
+        apply_step(state, 1, m)
+    # every check runs before the transport, so a failed step moves nothing
+    assert _snapshot(state) == before
 
 
 def test_zero_exponent_step_is_inert(g2):
     state = init_walk(g2, 1, 8)
-    before = [list(s) for s in state.series]
-    roots = extract_step_poly(state, 2, 0)
-    assert roots == ()
-    apply_step(state, 2, 0, roots)
-    assert state.series == before
+    before = _snapshot(state)
+    assert apply_step(state, 2, 0) == ()
+    assert _snapshot(state) == before
 
 
 def test_transport_anchors(g2):
@@ -142,8 +149,7 @@ def test_transport_anchors(g2):
 def test_weight_bookkeeping_along_walk(g2):
     state = init_walk(g2, 1, 8)
     for node, m in STEPS_W1:
-        roots = extract_step_poly(state, node, m)
-        apply_step(state, node, m, roots)
+        apply_step(state, node, m)
         for i in (1, 2):
             assert state.coefficient(i, 0) == ParamPoly.const(
                 g2.di(i) * state.weight[i - 1]
@@ -154,19 +160,17 @@ def test_weight_bookkeeping_along_walk(g2):
 def test_reextraction_after_step_sees_the_same_roots(g2):
     # post-step the node series is the lowest-vector image of the same
     # polynomial: solving with the negated shift recovers the power sums of
-    # the unscaled roots r = d beta, and the node divisor is
+    # the unscaled roots r, returned doubled, and the node divisor is
     # sum_r ([r + d] - [r])
     state = init_walk(g2, 1, 8)
     for node, m in STEPS_W1:
-        roots = extract_step_poly(state, node, m)
-        apply_step(state, node, m, roots)
+        roots = apply_step(state, node, m)
         if m:
             d = g2.di(node)
             again = _ref_solve_power_sums(unscaled(state.series[node - 1]), -d, m)
-            assert again == [sum((d * b) ** k for b in roots) for k in range(m + 1)]
-            doubled = [2 * d * b for b in roots]
+            assert again == [sum(F(z, 2) ** k for z in roots) for k in range(m + 1)]
             assert state.divisors[node - 1] == _divisor(
-                [(z + 2 * d, 1) for z in doubled] + [(z, -1) for z in doubled]
+                [(z + 2 * d, 1) for z in roots] + [(z, -1) for z in roots]
             )
 
 
@@ -217,8 +221,7 @@ def test_rank_one_series_agree_with_matrix_module(a1):
             return [c.evaluate(a_val) for c in lifted(state, 1)]
 
         assert walk_series() == module_series(1)
-        roots = extract_step_poly(state, 1, 1)
-        apply_step(state, 1, 1, roots)
+        apply_step(state, 1, 1)
         assert walk_series() == module_series(0)
 
 
@@ -243,17 +246,7 @@ def test_extract_needs_enough_order(g2):
     state = init_walk(g2, 1, 3)
     state.series[1] = [0, 6, 0, 0]  # H_0 = 3
     with pytest.raises(ValueError):
-        extract_step_poly(state, 2, 3)
-
-
-def test_apply_step_requires_one_root_per_unit_of_exponent(g2):
-    state = init_walk(g2, 1, 8)
-    for roots in ((), (F(0), F(0))):
-        with pytest.raises(ValueError, match="root count"):
-            apply_step(state, 1, 1, roots)
-    # 2 d_1 beta = 1/2 is not an integer, so 3 beta is not a half-integer
-    with pytest.raises(ValueError, match="not a half-integer"):
-        apply_step(state, 1, 1, (F(1, 12),))
+        apply_step(state, 2, 3)
 
 
 class _Products(NamedTuple):
@@ -307,11 +300,6 @@ def test_apply_step_matches_its_docstring_formula(order, data):
         st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=3)
     )
     m = data.draw(st.integers(min_value=1, max_value=order - 1))
-    # H_{i,0} = d_i times the weight coordinate, so the u^-1 entries are
-    # integers; the state holds each series at its scale, k 2^k times u^{-k}
-    weight = data.draw(st.tuples(*(st.integers(-4, 4) for _ in products)))
-    tails = st.lists(st.integers(-99, 99), min_size=order - 1, max_size=order - 1)
-    series = [[0, 2 * w] + data.draw(tails) for w in weight]
     # node 1 holds the highest-weight divisor sum_r ([r - 1] - [r]) of m
     # half-integer roots r, given doubled, the other nodes any divisor
     roots = data.draw(st.lists(st.integers(-9, 9), min_size=m, max_size=m))
@@ -320,6 +308,15 @@ def test_apply_step_matches_its_docstring_formula(order, data):
     divisors = [_divisor([(z - 2, 1) for z in roots] + [(z, -1) for z in roots])] + [
         _divisor(data.draw(st.lists(points, max_size=4))) for _ in products[1:]
     ]
+    # H_{i,0} = d_i times the weight coordinate, so the u^-1 entries are
+    # integers; the state holds each series at its scale, k 2^k times u^{-k}.
+    # Node 1 passes the highest-weight check: its series is -sum mult z^k
+    # over its divisor, and its weight coordinate is m; the others are random
+    weight = (m,) + data.draw(st.tuples(*(st.integers(-4, 4) for _ in products[1:])))
+    tails = st.lists(st.integers(-99, 99), min_size=order - 1, max_size=order - 1)
+    series = [
+        [-sum(mult * z**k for z, mult in divisors[0].items()) for k in range(order + 1)]
+    ] + [[0, 2 * w] + data.draw(tails) for w in weight[1:]]
     state = WalkState(
         _Products(tuple(products)),
         1,
@@ -328,7 +325,7 @@ def test_apply_step_matches_its_docstring_formula(order, data):
         weight,
         [dict(x) for x in divisors],
     )
-    apply_step(state, 1, m, [F(z, 2) for z in roots])
+    assert apply_step(state, 1, m) == tuple(sorted(roots))
     for row, dai, got in zip(series, products, state.series):
         assert all(type(n) is int for n in got)
         assert unscaled(got) == _docstring_transport(unscaled(row), dai, p, order)
@@ -354,11 +351,11 @@ def _off_by_one_transport(k=None):
     coefficient any check reads."""
     original = walk.apply_step
 
-    def corrupted(state, node, m, roots):
-        original(state, node, m, roots)
+    def corrupted(state, node, m):
+        roots = original(state, node, m)
         if m:
             _bump(state, node, state.order if k is None else k)
-        return state
+        return roots
 
     return "apply_step", corrupted
 
@@ -369,13 +366,13 @@ def _corrupt_after_last_step():
     original = walk.apply_step
     calls = 0
 
-    def corrupted(state, node, m, roots):
+    def corrupted(state, node, m):
         nonlocal calls
-        original(state, node, m, roots)
+        roots = original(state, node, m)
         calls += 1
         if calls == len(G2_WORD):
             _bump(state, 2, 5)
-        return state
+        return roots
 
     return "apply_step", corrupted
 
@@ -449,13 +446,13 @@ def test_smallest_fault_names_its_coefficient_and_residual(
 
 
 def test_series_faults_name_their_first_coefficient(g2, monkeypatch):
-    # the highest-weight check in extract_step_poly, whose first difference
+    # the highest-weight check in apply_step, whose first difference
     # is at u^-2 (a fault of -2/(2 2^2)) and not at the later u^-4
     state = init_walk(g2, 1, 8)
     state.series[0][2] -= 2
     state.series[0][4] += 5
     with pytest.raises(CrosscheckError) as caught:
-        extract_step_poly(state, 1, 1)
+        apply_step(state, 1, 1)
     assert str(caught.value) == (
         "node 1 series is not a degree-1 highest-weight series; "
         "u^-2 coefficient off by -1/4"
@@ -668,8 +665,11 @@ def _assert_matches_reference(cartan, word, fundamental, order):
         assert got.crosscheck_ok == want.crosscheck_ok, f"step {want.step}: flag"
     state = init_walk(cartan, fundamental, order)
     for rec, ref_series in zip(report.records, ref_states):
-        roots = extract_step_poly(state, rec.node, rec.exponent)
-        apply_step(state, rec.node, rec.exponent, roots)
+        roots = apply_step(state, rec.node, rec.exponent)
+        assert all(type(z) is int for z in roots), f"step {rec.step}: roots"
+        assert tuple(F(z, 2 * rec.rescale) for z in roots) == rec.roots, (
+            f"step {rec.step}: roots read"
+        )
         for i in range(1, cartan.rank + 1):
             got, want = state.series[i - 1], ref_series[i - 1]
             assert all(type(n) is int for n in got), f"step {rec.step}: node {i}"
@@ -806,3 +806,29 @@ def test_walk_and_t_sets_do_no_param_poly_arithmetic(g2, f4, monkeypatch):
     # the counter sees the lift that reading a row in a does
     reports[0].rows()[-1].poly
     assert calls
+
+
+def test_walk_builds_only_the_record_roots_as_fractions(g2, f4, monkeypatch):
+    # a step's roots stay ints from the divisor read to the transport; the
+    # one Fraction per root is the record's beta
+    built, arithmetic = [], []
+
+    def counted(name):
+        real = getattr(F, name)
+
+        def wrapper(self, other):
+            arithmetic.append(name)
+            return real(self, other)
+
+        return wrapper
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(F, name, counted(name))
+    monkeypatch.setattr(walk, "Fraction", lambda *args: built.append(args) or F(*args))
+    walks = [(g2, w, b) for w in G2_WORDS for b in (1, 2)]
+    walks += [(f4, weyl_longest(f4), b) for b in (1, 2, 3, 4)]
+    for cartan, word, fundamental in walks:
+        built.clear()
+        report = run_walk(cartan, word, fundamental, 8)
+        assert len(built) == sum(rec.exponent for rec in report.rows())
+    assert arithmetic == []
