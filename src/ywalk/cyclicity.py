@@ -193,8 +193,9 @@ def check_cyclicity(
     highest_weight = canonical == MODE_HIGHEST_WEIGHT
     smap = {(s.b, s.c): s.values for s in s_sets}
     scale = lcm(*(v.denominator for values in smap.values() for v in values))
+    # distinct values only: a value listed twice would hit its js twice
     steps = {
-        key: [(int(v * scale), GaussianRational(v)) for v in values]
+        key: [(int(v * scale), GaussianRational(v)) for v in dict.fromkeys(values)]
         for key, values in smap.items()
     }
     # per factor: its lattice class (node -> q -> positions) and its q
@@ -213,14 +214,16 @@ def check_cyclicity(
     violations: list[Violation] = []
     for i, fi in enumerate(factors, start=1):
         nodes, q = slots[i - 1]
-        hits: dict[int, GaussianRational] = {}
-        unset: list[tuple[int, int]] = []  # (first checked j, node c)
+        # a_j - a_i is one value, so no j repeats and the sort compares
+        # only the js
+        hits: list[tuple[int, GaussianRational]] = []
+        unset: tuple[int, int] | None = None  # smallest (first checked j, node c)
         for c, positions in at_node.items():
             step = steps.get((fi.node, c))
             if step is None:
                 j = _first_checked(positions, i, highest_weight)
-                if j is not None:
-                    unset.append((j, c))
+                if j is not None and (unset is None or (j, c) < unset):
+                    unset = (j, c)
                 continue
             at_floor = nodes.get(c)
             if at_floor is None:
@@ -228,12 +231,11 @@ def check_cyclicity(
             for p, diff in step:
                 for j in at_floor.get(q + p, ()):
                     if j > i or (j != i and not highest_weight):
-                        hits[j] = diff
-        if unset:
-            raise ValueError(f"no S set for node pair {(fi.node, min(unset)[1])}")
-        for j in sorted(hits):
-            diff = hits[j]
-            violations.append(Violation(i=i, j=j, difference=diff, s_value=diff.re))
+                        hits.append((j, diff))
+        if unset is not None:
+            raise ValueError(f"no S set for node pair {(fi.node, unset[1])}")
+        hits.sort()
+        violations += [Violation(i, j, diff, diff.re) for j, diff in hits]
     return CyclicityReport(
         mode=canonical, certified=not violations, violations=tuple(violations)
     )
@@ -259,18 +261,37 @@ def build_ordered_product(
 
     Ties break by imaginary part (descending), then node (ascending), then
     input position; the result is independent of input permutation.
+
+    The sort key of a root re + im*i is (fl(re), re, fl(im), im) with
+    fl(x) = floor(x * 2^64), computed on ints from x's numerator and
+    denominator.  fl is monotone, so the key orders exactly as (re, im)
+    does: fl(x) < fl(y) implies x < y, and only where two floors are equal
+    does the comparison reach the Fractions.  Most pairs are thus settled
+    by one int comparison, and each key costs O(size of its own root),
+    whatever the other roots' denominators are.
     """
     factors = [TensorFactor(1, r) for r in roots1] + [
         TensorFactor(2, r) for r in roots2
     ]
     # the list is already in node order, and a stable sort (reverse=True
     # included) keeps equal keys in that order
-    factors.sort(key=lambda f: (f.param.re, f.param.im), reverse=True)
+    factors.sort(key=_order_key, reverse=True)
     report = check_cyclicity(factors, s_sets, MODE_HIGHEST_WEIGHT)
     return WeylModuleSpec(
         factors=tuple(factors),
         weight=(len(roots1), len(roots2)),
         report=report,
+    )
+
+
+def _order_key(f: TensorFactor) -> tuple[int, Fraction, int, Fraction]:
+    """Sort key of ``build_ordered_product``: (fl(re), re, fl(im), im)."""
+    re, im = f.param.re, f.param.im
+    return (
+        (re.numerator << 64) // re.denominator,
+        re,
+        (im.numerator << 64) // im.denominator,
+        im,
     )
 
 

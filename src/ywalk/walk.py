@@ -316,7 +316,8 @@ def apply_step(state: WalkState, node: int, m: int) -> tuple[int, ...]:
     order N, then transport every node's series and divisor across
     (x-_{node,0})^m.  At m = 0 the node's series and divisor must vanish
     instead, and nothing moves.  A failed check raises CrosscheckError
-    before the state changes.
+    before the state changes; a node outside 1..rank, a negative m or
+    m + 1 above the series order raises InputError.
 
     Returns the roots read as ``WalkState.divisors`` holds its points:
     the doubled unscaled roots 2r, r = d beta, ascending with
@@ -339,10 +340,10 @@ def apply_step(state: WalkState, node: int, m: int) -> tuple[int, ...]:
     """
     _check_node(state.cartan, node)
     if m < 0:
-        raise ValueError("step exponent must be non-negative")
+        raise InputError("step exponent must be non-negative")
     n = state.order
     if m + 1 > n:
-        raise ValueError(f"step degree {m} needs series order >= {m + 1}, have {n}")
+        raise InputError(f"step degree {m} needs series order >= {m + 1}, have {n}")
     c = node
     if m == 0:
         # a zero weight coordinate at an extremal vector: the node

@@ -313,6 +313,8 @@ def test_library_input_checks_raise_input_error(g2, g2_s_sets):
         "unknown builtin algebra": lambda: builtin_cartan("e8"),
         "step node 0": lambda: apply_step(state, 0, 1),
         "step node 3": lambda: apply_step(state, 3, 1),
+        "step exponent negative": lambda: apply_step(state, 1, -1),
+        "step degree past the order": lambda: apply_step(state, 1, 8),
         "eigenvalue node 0": lambda: state.coefficient(0, 1),
         "eigenvalue node 3": lambda: state.coefficient(3, 1),
     }

@@ -245,6 +245,16 @@ def test_indexed_check_matches_pairwise_reference(g2_s_sets, raw_factors, mode):
     assert all(isinstance(v.s_value, F) for v in report.violations)
 
 
+def test_repeated_s_values_report_each_pair_once():
+    # SSet values are documented as deduplicated; a caller's table that
+    # repeats one still gives one violation per pair
+    s_sets = [SSet(1, 1, (F(3), F(3), F(4)))]
+    factors = [TensorFactor(1, gauss(0)), TensorFactor(1, gauss(3))]
+    for mode in ("hw", "irr"):
+        report = check_cyclicity(factors, s_sets, mode)
+        assert _violation_tuples(report) == [(1, 2, gauss(3), F(3))]
+
+
 def test_partial_s_sets_raise_like_the_reference(g2_s_sets):
     # a node-3 factor has no S set on G2; a map without (2, 1) is partial
     # between nodes 1 and 2 as well
@@ -384,10 +394,20 @@ def test_ordered_product_input_permutation_invariance(g2_s_sets):
         assert again.factors == spec.factors
 
 
+def _assert_negated_key_order(roots, m1, s_sets):
+    """build_ordered_product on roots[:m1], roots[m1:] orders as the key
+    (-re, -im, node), input position breaking ties; every root is its own
+    object, so its id tracks its input position.  Returns that order."""
+    spec = build_ordered_product(roots[:m1], roots[m1:], s_sets)
+    tagged = [TensorFactor(1 + (k >= m1), r) for k, r in enumerate(roots)]
+    want = sorted(tagged, key=lambda f: (-f.param.re, -f.param.im, f.node))
+    assert [(f.node, id(f.param)) for f in spec.factors] == [
+        (f.node, id(f.param)) for f in want
+    ]
+    return want
+
+
 def test_ordered_product_order_matches_negated_key(g2_s_sets):
-    # the stable sort by (re, im) descending gives the order of the key
-    # (-re, -im, node), input position breaking ties; every root is its
-    # own object, so its id tracks its input position
     rng = random.Random(314)
     seen = {"re tie, im differs": 0, "full tie across nodes": 0, "repeated root": 0}
     for _ in range(300):
@@ -397,12 +417,7 @@ def test_ordered_product_order_matches_negated_key(g2_s_sets):
             gauss(F(rng.choice((-2, -1, 0, 1, 3)), 2), F(rng.choice((-1, 0, 1)), 3))
             for _ in range(total)
         ]
-        spec = build_ordered_product(roots[:m1], roots[m1:], g2_s_sets)
-        tagged = [TensorFactor(1 + (k >= m1), r) for k, r in enumerate(roots)]
-        want = sorted(tagged, key=lambda f: (-f.param.re, -f.param.im, f.node))
-        assert [(f.node, id(f.param)) for f in spec.factors] == [
-            (f.node, id(f.param)) for f in want
-        ]
+        want = _assert_negated_key_order(roots, m1, g2_s_sets)
         for a, b in zip(want, want[1:]):
             if a.param.re == b.param.re and a.param.im != b.param.im:
                 seen["re tie, im differs"] += 1
@@ -410,6 +425,41 @@ def test_ordered_product_order_matches_negated_key(g2_s_sets):
                 seen["full tie across nodes"] += 1
             elif a.param == b.param:
                 seen["repeated root"] += 1
+    assert all(count > 50 for count in seen.values()), seen
+
+
+def test_ordered_product_order_where_the_floors_collide(g2_s_sets):
+    # the sort key starts with floor(x * 2^64) of re and of im; these roots
+    # differ only past their first 64 fractional bits (1/3 and
+    # 1/3 + 2^-70), are negative, or have numerators far past float range
+    # (10^400 / 7), so equal floors must fall back to the exact parts
+    def floor64(x):
+        return math.floor(x * 2**64)
+
+    tiny = F(1, 2**70)
+    bases = (F(1, 3), F(-1, 3), F(0), F(10**400, 7), -F(10**400, 7))
+    rng = random.Random(2718)
+    seen = {"re floors tie": 0, "im floors tie": 0, "huge": 0, "negative re and im": 0}
+    for _ in range(300):
+        near = rng.sample(bases, 2)
+        total = rng.randint(0, 12)
+        m1 = rng.randint(0, total)
+        roots = [
+            gauss(
+                rng.choice(near) + rng.choice((0, tiny, -tiny, 3 * tiny)),
+                rng.choice(near) + rng.choice((0, tiny, -tiny)),
+            )
+            for _ in range(total)
+        ]
+        want = _assert_negated_key_order(roots, m1, g2_s_sets)
+        for a, b in zip(want, want[1:]):
+            (ra, ia), (rb, ib) = (a.param.re, a.param.im), (b.param.re, b.param.im)
+            if ra != rb and floor64(ra) == floor64(rb):
+                seen["re floors tie"] += 1
+            elif ra == rb and ia != ib and floor64(ia) == floor64(ib):
+                seen["im floors tie"] += 1
+        seen["huge"] += any(abs(r.re.numerator) >= 10**400 for r in roots)
+        seen["negative re and im"] += any(r.re < 0 and r.im < 0 for r in roots)
     assert all(count > 50 for count in seen.values()), seen
 
 
