@@ -3,7 +3,7 @@
 From completed walks this layer collects, per (source weight b, acting
 node c), the symbolic roots of every step polynomial: the T set.  A walk
 at a is the walk at a = 0 with every unscaled root moved by a, so each
-root is a/d_c + beta with beta one of the record's ``roots`` (the row's
+root is a/d_c + beta with beta one of the record's ``roots`` (the step's
 roots at a = 0, which the walk reads off its divisors), and the single
 condition "spectral difference never lands one past a root" reduces to a
 finite set of forbidden rational differences, the S set
@@ -137,21 +137,19 @@ class DimensionReport:
 def compute_t_sets(reports: Iterable[WalkReport]) -> list[TSet]:
     """Collect, for every (source fundamental, acting node) pair, the union
     of step-polynomial roots across the walk, deduplicated, as (1/d_c, beta)
-    pairs.
+    pairs sorted by beta.  Every node 1..rank gets its TSet, empty where it
+    never acts.
     """
-    reports = list(reports)
-    if not reports:
-        return []
-    cartan = reports[0].cartan
     out: list[TSet] = []
     for rep in reports:
+        cartan = rep.cartan
+        collected: dict[int, set[Fraction]] = {}
+        for rec in rep.records:
+            collected.setdefault(rec.node, set()).update(rec.roots)
         for c in range(1, cartan.rank + 1):
-            collected: set[tuple[Fraction, Fraction]] = set()
-            for rec in rep.rows():
-                if rec.node == c:
-                    slope = Fraction(1, rec.rescale)
-                    collected.update((slope, beta) for beta in rec.roots)
-            out.append(TSet(b=rep.fundamental, c=c, roots=tuple(sorted(collected))))
+            slope = Fraction(1, cartan.di(c))
+            roots = tuple((slope, beta) for beta in sorted(collected.get(c, ())))
+            out.append(TSet(b=rep.fundamental, c=c, roots=roots))
     return out
 
 

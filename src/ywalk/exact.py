@@ -29,14 +29,6 @@ __all__ = [
 ]
 
 
-def _horner(coeffs: Sequence, x) -> Fraction:
-    """Value at x of the polynomial with the given ascending coefficients."""
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _frac(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -91,7 +83,10 @@ class ParamPoly:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
 
     def evaluate(self, value) -> Fraction:
-        return _horner(self.coeffs, _frac(value))
+        x, acc = _frac(value), Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -230,9 +225,9 @@ class UniPoly:
         return UniPoly(out)
 
     def shift(self, delta) -> "UniPoly":
-        """Substitute ``u -> u + delta`` for an exact rational or a
-        :class:`ParamPoly` ``delta``."""
-        d = delta if isinstance(delta, ParamPoly) else _frac(delta)
+        """Substitute ``u -> u + delta`` for an exact rational ``delta``;
+        anything else raises TypeError."""
+        d = _frac(delta)
         n = self.degree
         out = [ParamPoly() for _ in range(n + 1)]
         for k, ck in enumerate(self.coeffs):

@@ -47,8 +47,8 @@ x(u) -> x(u-b) of the Yangian sends V(a) to V(a+b) (Chari-Pressley, A Guide
 to Quantum Groups, 1994, ch. 12), so the walk at a is the walk at a = 0
 with every root moved by a.  The walk therefore runs at a = 0 and keeps
 its StepRecords there.  A record holds the step's roots beta = r/d_c in
-u/d_c, the only Fractions a step builds; its ``row`` is their product
-prod (u - beta), and its ``poly`` moves that row by a/d when it is read.
+u/d_c, the only Fractions a step builds; its ``poly`` is the product
+prod (u - a/d_c - beta), built from them when it is read.
 ``WalkState.coefficient`` is the one reader of series values: it unscales
 the stored integers and lifts them through ``_lift``.
 """
@@ -62,7 +62,7 @@ from functools import cached_property, lru_cache
 from operator import mul
 from typing import Sequence
 
-from .exact import A, ParamPoly, UniPoly, _horner
+from .exact import A, ParamPoly, UniPoly
 from .rootsystem import CartanData, InputError, lowest_weight, path_exponents
 
 __all__ = [
@@ -130,37 +130,15 @@ class StepRecord:
     step: int  # position j in the reduced word (1-based)
     node: int
     exponent: int
-    roots: tuple[Fraction, ...]  # row roots beta in u/d_node at a = 0, ascending
+    roots: tuple[Fraction, ...]  # step roots beta in u/d_node at a = 0, ascending
     rescale: int  # d_node
     crosscheck_ok: bool | None  # None for zero-exponent steps
 
     @cached_property
-    def row(self) -> tuple[Fraction, ...]:
-        """The monic row prod (u - beta) over the roots, in u/d_node at
-        a = 0, ascending; the associated polynomial's roots are
-        a/d_node + beta."""
-        row = [Fraction(1)]
-        for beta in self.roots:
-            row = [x - beta * y for x, y in zip([0] + row, row + [0])]
-        return tuple(row)
-
-    @cached_property
     def poly(self) -> UniPoly:
-        """The associated polynomial in u/d_node, in a: the row with every
-        root moved by a/d_node, lifted on first read.
-
-        Checked over the rationals at a = 1, where the row must have moved
-        by exactly 1/d_node: pi_1(x + 1/d) = pi_0(x) at x = 0..m.
-        """
-        lifted = UniPoly(self.row).shift(-A / self.rescale)
-        at_one = [c.evaluate(1) for c in lifted.coeffs]
-        step = Fraction(1, self.rescale)
-        for x in range(len(self.row)):
-            if _horner(at_one, x + step) != _horner(self.row, x):
-                raise CrosscheckError(
-                    f"row at step {self.step} did not move by a/{self.rescale}"
-                )
-        return lifted
+        """The associated polynomial in u/d_node, in a: the monic product
+        prod (u - a/d_node - beta) over the roots, built on first read."""
+        return UniPoly.from_roots(A / self.rescale + beta for beta in self.roots)
 
 
 @dataclass(frozen=True)
@@ -372,10 +350,10 @@ def apply_step(state: WalkState, node: int, m: int) -> tuple[int, ...]:
         dai = state.cartan.di(i) * state.cartan.aij(i, c)
         if dai == 0:
             continue
-        row = state.series[i - 1]
+        series = state.series[i - 1]
         for k, weights in enumerate(_weight_table(dai, n)):
             # acc pairs the weights with Z_s, s = k mod 2, k mod 2 + 2, .., k
-            row[k + 1] -= 2 * sum(map(mul, weights, by_parity[k % 2]))
+            series[k + 1] -= 2 * sum(map(mul, weights, by_parity[k % 2]))
         _move_divisor(state.divisors[i - 1], roots, dai)
     # weight drops by m * alpha_c; alpha_c has weight coordinates A[:, c]
     state.weight = tuple(

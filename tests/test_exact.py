@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 import math
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -115,8 +115,9 @@ def test_uni_poly_from_roots_and_shift():
     assert quad.shift(1) == UniPoly.from_roots([1, 2])
     sym = UniPoly.from_roots([A, A + 2])
     assert sym.shift(-3) == UniPoly.from_roots([A + 3, A + 5])
-    # a parameter shift: u -> u - a/3 moves every root up by a/3
-    assert quad.shift(-A / 3) == UniPoly.from_roots([A / 3 + 2, A / 3 + 3])
+    # the shift is by an exact rational only, never by a parameter
+    with pytest.raises(TypeError):
+        quad.shift(-A / 3)
     assert sym.monic
     assert not UniPoly([1, ParamPoly((0, 2))]).monic
 
@@ -343,11 +344,27 @@ def roots_record(betas, d: int) -> StepRecord:
     )
 
 
+def _vieta_poly(betas, d: int) -> UniPoly:
+    """prod (u - a/d - beta) written out by Vieta, without multiplying
+    polynomials: its u^{m-k} coefficient is
+    (-1)^k sum_j C(m-k+j, j) e_{k-j}(beta) (a/d)^j."""
+    m = len(betas)
+    e = [sum(math.prod(c) for c in combinations(betas, i)) for i in range(m + 1)]
+    return UniPoly(
+        ParamPoly(
+            (-1) ** k * math.comb(m - k + j, j) * e[k - j] / F(d) ** j
+            for j in range(k + 1)
+        )
+        for k in range(m, -1, -1)
+    )
+
+
 def test_roots_affine_paper_pair():
-    poly = UniPoly.from_roots([(A + 1) / 3, (A + 2) / 3])
-    record = roots_record((F(1, 3), F(2, 3)), 3)
-    assert record.row == tuple(at(poly, 0))
-    assert record.poly == poly
+    # roots (a+1)/3 and (a+2)/3: u^2 - (2a/3 + 1) u + (a^2 + 3a + 2)/9
+    constant, linear = ParamPoly((F(2, 9), F(1, 3), F(1, 9))), ParamPoly((-1, F(-2, 3)))
+    poly = UniPoly([constant, linear, 1])
+    assert _vieta_poly((F(1, 3), F(2, 3)), 3) == poly
+    assert roots_record((F(1, 3), F(2, 3)), 3).poly == poly
 
 
 def test_roots_affine_by_inspection():
@@ -362,12 +379,10 @@ def test_roots_affine_by_inspection():
     st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3), max_size=4),
 )
 def test_roots_affine_reexpansion_matches_input(d, intercepts):
-    # walk rows have roots a/d + beta; the record's row and poly must be
-    # their products at a = 0 and in a
-    poly = UniPoly.from_roots(ParamPoly((beta, F(1, d))) for beta in intercepts)
-    record = roots_record(sorted(intercepts), d)
-    assert record.row == tuple(at(poly, 0))
-    assert record.poly == poly
+    # walk rows have roots a/d + beta; the record's poly must be their
+    # product in a, here expanded by Vieta
+    betas = sorted(intercepts)
+    assert roots_record(betas, d).poly == _vieta_poly(betas, d)
 
 
 def _divisors_reference(n):

@@ -10,12 +10,15 @@ to S(sigma(b), sigma(c)), and T(b, c) likewise.
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
 from conftest import finite_type_cartan
+from test_cli import _write_algebra
 from ywalk import walk
+from ywalk.cli import main
 from ywalk.cyclicity import compute_s_sets, compute_t_sets
 from ywalk.rootsystem import (
     PathExponents,
@@ -101,6 +104,68 @@ def test_tables_permute_with_the_node_labels(name):
     pairs = [(b, c) for b in nodes for c in nodes]
     assert got_s == {(b, c): want_s[sigma[b - 1], sigma[c - 1]] for b, c in pairs}
     assert got_t == {(b, c): want_t[sigma[b - 1], sigma[c - 1]] for b, c in pairs}
+
+
+# (blocks, sigma): new node k of the direct sum is node sigma(k) of the
+# block-diagonal sum, whose blocks hold nodes 1..r_1, r_1 + 1..r_1 + r_2
+REDUCIBLE_CASES = ((("a1", "a1"), (1, 2)), (("a2", "a1"), (3, 1, 2)))
+
+
+def direct_sum(names, sigma):
+    """(cartan, blocks, place): the relabelled direct sum of the named
+    types, and per new node k the pair (block index, node in that block)."""
+    blocks = [finite_type_cartan(name) for name in names]
+    old = [(k, i) for k, block in enumerate(blocks) for i in range(1, block.rank + 1)]
+    place = [old[p - 1] for p in sigma]
+
+    def entry(x, y):
+        return blocks[x[0]].aij(x[1], y[1]) if x[0] == y[0] else 0
+
+    cartan = validate_cartan(
+        [[entry(x, y) for y in place] for x in place],
+        [blocks[k].di(i) for k, i in place],
+    )
+    return cartan, blocks, place
+
+
+@pytest.mark.parametrize("names, sigma", REDUCIBLE_CASES)
+def test_reducible_tables_are_the_tables_of_their_blocks(
+    capsys, tmp_path, names, sigma
+):
+    cartan, blocks, place = direct_sum(names, sigma)
+    nodes = range(1, cartan.rank + 1)
+    word = weyl_longest(cartan)
+    t_sets = compute_t_sets(run_walk(cartan, word, b, ORDER) for b in nodes)
+    s_sets = compute_s_sets(t_sets, cartan)
+    # every pair once, in (b, c) order, also where node c never acts
+    pairs = [(b, c) for b in nodes for c in nodes]
+    assert [(t.b, t.c) for t in t_sets] == pairs
+    assert [(s.b, s.c) for s in s_sets] == pairs
+    alone = [tables(block, weyl_longest(block)) for block in blocks]
+    empty = 0
+    for t, s in zip(t_sets, s_sets):
+        (k, i), (l, j) = place[t.b - 1], place[t.c - 1]
+        if k == l:
+            assert alone[k][0][i, j] and alone[k][1][i, j]
+            assert (t.roots, s.values) == (alone[k][0][i, j], alone[k][1][i, j])
+        else:
+            assert (t.roots, s.values) == ((), ())
+            empty += 1
+    assert empty == cartan.rank**2 - sum(block.rank**2 for block in blocks)
+    # the command line prints the same sets, and a cross-component pair
+    # of factors has no forbidden difference
+    algebra = _write_algebra(tmp_path / "sum.alg", cartan)
+    assert main(["tables", "--algebra", algebra, "--format", "json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["s_sets"] == [
+        {"b": s.b, "c": s.c, "values": [str(v) for v in s.values]} for s in s_sets
+    ]
+    first, second = (next(k for k in nodes if place[k - 1][0] == x) for x in (0, 1))
+    # differences +-1, which lie in S(c, c) for every node c of A1 and A2
+    factors = f"{first}:0,{second}:1"
+    argv = ["cyclicity", "--algebra", algebra, "--factors", factors]
+    assert main([*argv, "--mode", "irr"]) == 0
+    capsys.readouterr()
 
 
 def _exponents_from_the_left_end(cartan, word, fundamental):
