@@ -31,7 +31,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .exact import GaussianRational, ParamPoly
-from .rootsystem import CartanData, InputError, _weyl_dims, positive_roots
+from .rootsystem import CartanData, InputError, _as_int, _weyl_dims, positive_roots
 from .walk import WalkReport
 
 __all__ = [
@@ -314,8 +314,8 @@ def dimension_bound(
     b - 1 reaches the bit length of 10^limit.  The rest are compared with
     10^limit once built.
     """
-    lam = tuple(int(x) for x in weight)
-    dims = tuple(int(x) for x in fund_dims)
+    lam = tuple(_as_int(x, "weight coordinate") for x in weight)
+    dims = tuple(_as_int(x, "fundamental dimension") for x in fund_dims)
     if len(lam) != cartan.rank or len(dims) != cartan.rank:
         raise InputError("weight and dimension tuples must match the rank")
     if any(x < 0 for x in lam):

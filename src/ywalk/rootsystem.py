@@ -9,6 +9,7 @@ Dynkin-diagram labelling.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
@@ -45,6 +46,15 @@ class InvalidCartanError(InputError):
     """The supplied matrix/symmetrizer pair is not finite-type Cartan data."""
 
 
+def _as_int(value, what: str, error: type[InputError] = InputError) -> int:
+    """``value`` as an int, through ``operator.index``: a float, a Fraction
+    or a string raises ``error`` instead of being truncated or parsed."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, not {value!r}") from None
+
+
 @dataclass(frozen=True)
 class CartanData:
     """Validated Cartan matrix with symmetrizers d_1..d_l."""
@@ -62,6 +72,7 @@ class CartanData:
         return self.d[i - 1]
 
     def fundamental(self, i: int) -> Weight:
+        i = _as_int(i, "fundamental index")
         if not 1 <= i <= self.rank:
             raise InputError(f"fundamental index {i} out of range 1..{self.rank}")
         return tuple(1 if k == i - 1 else 0 for k in range(self.rank))
@@ -74,11 +85,13 @@ def validate_cartan(a: Sequence[Sequence[int]], d: Sequence[int]) -> CartanData:
     zeros, positive coprime symmetrizers, D*A symmetric and positive
     definite.
     """
-    rows = tuple(tuple(int(x) for x in row) for row in a)
+    rows = tuple(
+        tuple(_as_int(x, "Cartan entry", InvalidCartanError) for x in row) for row in a
+    )
     l = len(rows)
     if l == 0 or any(len(row) != l for row in rows):
         raise InvalidCartanError("Cartan matrix must be square and non-empty")
-    ds = tuple(int(x) for x in d)
+    ds = tuple(_as_int(x, "symmetrizer", InvalidCartanError) for x in d)
     if len(ds) != l:
         raise InvalidCartanError("symmetrizer length must equal the rank")
     if any(x <= 0 for x in ds):
@@ -172,9 +185,14 @@ def is_reduced_word_of_longest(cartan: CartanData, word: Sequence[int]) -> bool:
     """A word is reduced exactly when every letter, applied from the right,
     raises the length: l(s_r w) > l(w) iff coordinate r of w(rho) is
     positive.  A reduced word is one of w0 exactly when it sends rho to
-    -rho, since rho has trivial stabilizer."""
+    -rho, since rho has trivial stabilizer.  A letter that is not an
+    integer gives False."""
+    try:
+        letters = [operator.index(r) for r in reversed(word)]
+    except TypeError:
+        return False
     v = (1,) * cartan.rank
-    for r in reversed(word):
+    for r in letters:
         if not 1 <= r <= cartan.rank or v[r - 1] <= 0:
             return False
         v = reflect(cartan, r, v)
@@ -243,7 +261,7 @@ def positive_roots(cartan: CartanData) -> list[tuple[int, ...]]:
 def weyl_dim(cartan: CartanData, weight: Sequence[int]) -> int:
     """Dimension of the irreducible highest-weight module, via the Weyl
     dimension formula evaluated exactly."""
-    lam = tuple(int(x) for x in weight)
+    lam = tuple(_as_int(x, "weight coordinate") for x in weight)
     if len(lam) != cartan.rank:
         raise InputError("weight length must equal the rank")
     if any(x < 0 for x in lam):

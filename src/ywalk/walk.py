@@ -19,10 +19,12 @@ right end, each step (node c, exponent m):
   the node-c series must be the series of that divisor of the roots read,
   so the series is the crosscheck of the divisor; then
 
-* pushes the series at every node across (x-_{c,0})^m using the closed
-  commutator form [H_{i,k}, x-_{c,l}], under which a symmetrized level-s
-  insertion contributes the s-th power sum of the same roots, and moves
-  every divisor by D_i -= sum_r ([r - x/2] - [r + x/2]), x = d_i a_{i,c}.
+* passes once over c and its neighbours, the nodes with a_{i,c} != 0 (no
+  other node changes): pushes each series across (x-_{c,0})^m by the
+  closed commutator form [H_{i,k}, x-_{c,l}], where a symmetrized level-s
+  insertion contributes the s-th power sum of the same roots; moves each
+  divisor by D_i -= sum_r ([r - x/2] - [r + x/2]), x = d_i a_{i,c}; and
+  lowers w_i by m a_{i,c}, re-checking H_{i,0} = d_i w_i.
 
 ``apply_step`` is that step, the one step entry point: it returns the
 roots it read as the doubled ints 2r, the form the divisors hold.
@@ -30,11 +32,11 @@ roots it read as the doubled ints 2r, the form the divisors hold.
 Roots here are "unscaled": on the d_c-rescaled copy of the rank-1 algebra
 at node c the associated polynomial has roots (unscaled roots)/d_c.  A
 highest (resp. lowest) vector for that copy carries the divisor
-sum_r ([r - d_c] - [r]) (resp. sum_r ([r + d_c] - [r])), and every series
-the walk expects is the series of such a divisor (``_divisor_series``).
-After every step the lowest-vector series of the step's roots is compared
-against the transported series; any mismatch aborts the walk, naming the
-first coefficient that differs and its exact residual.
+sum_r ([r - d_c] - [r]) (resp. sum_r ([r + d_c] - [r])).  Every series
+check is one ``_check_series`` call against such a divisor; after every
+step the lowest-vector divisor of the step's roots is checked against the
+transported series.  A mismatch aborts the walk, naming the first
+coefficient that differs and its exact residual.
 
 Every series is kept over its fixed denominators, as integers: the walk
 stores N_k = k 2^k times the u^{-k} coefficient.  Both the transport and
@@ -63,7 +65,7 @@ from operator import mul
 from typing import Sequence
 
 from .exact import A, ParamPoly, UniPoly
-from .rootsystem import CartanData, InputError, lowest_weight, path_exponents
+from .rootsystem import CartanData, InputError, _as_int, lowest_weight, path_exponents
 
 __all__ = [
     "CrosscheckError",
@@ -105,10 +107,9 @@ class WalkState:
     """
 
     cartan: CartanData
-    fundamental: int
     order: int
     series: list[list[int]]
-    weight: tuple[int, ...]
+    weight: list[int]
     divisors: list[dict[int, int]]
 
     def coefficient(self, node: int, k: int) -> ParamPoly:
@@ -159,9 +160,10 @@ class WalkReport:
 def init_walk(cartan: CartanData, fundamental: int, order: int = DEFAULT_ORDER) -> WalkState:
     """State at the top vector of the fundamental module with label
     ``fundamental``: H-series log((u-(a-d))/(u-a)) and divisor [-d] - [0]
-    at that node, zero elsewhere.  An out-of-range label or an order below
-    2 raises InputError."""
-    weight = cartan.fundamental(fundamental)
+    at that node, zero elsewhere.  A label outside 1..rank, or an order
+    that is not an integer of at least 2, raises InputError."""
+    weight = list(cartan.fundamental(fundamental))
+    order = _as_int(order, "series order")
     if order < 2:
         raise InputError("series order must be at least 2")
     d = cartan.di(fundamental)
@@ -172,7 +174,6 @@ def init_walk(cartan: CartanData, fundamental: int, order: int = DEFAULT_ORDER) 
     series[fundamental - 1] = _divisor_series(divisors[fundamental - 1], order)
     return WalkState(
         cartan=cartan,
-        fundamental=fundamental,
         order=order,
         series=series,
         weight=weight,
@@ -180,22 +181,37 @@ def init_walk(cartan: CartanData, fundamental: int, order: int = DEFAULT_ORDER) 
     )
 
 
-def _check_node(cartan: CartanData, node: int):
-    """``apply_step`` and ``WalkState.coefficient`` take a node label in
-    1..rank."""
+def _check_node(cartan: CartanData, node: int) -> int:
+    """``apply_step`` and ``WalkState.coefficient`` take an integer node
+    label in 1..rank."""
+    node = _as_int(node, "node label")
     if not 1 <= node <= cartan.rank:
         raise InputError(f"node {node} out of range 1..{cartan.rank}")
+    return node
 
 
-def _check_weight_bookkeeping(state: WalkState):
+def _check_weight(state: WalkState, i: int):
     # H_{i,0} = N_1 / 2 must equal d_i times the i-th weight coordinate
-    for i in range(1, state.cartan.rank + 1):
-        n1 = state.series[i - 1][1]
-        if n1 != 2 * state.cartan.di(i) * state.weight[i - 1]:
-            raise CrosscheckError(
-                f"weight bookkeeping broken at node {i}: "
-                f"H_0 = {Fraction(n1, 2)}, weight {state.weight}"
-            )
+    n1 = state.series[i - 1][1]
+    if n1 != 2 * state.cartan.di(i) * state.weight[i - 1]:
+        raise CrosscheckError(
+            f"weight bookkeeping broken at node {i}: "
+            f"H_0 = {Fraction(n1, 2)}, weight {tuple(state.weight)}"
+        )
+
+
+def _check_series(state: WalkState, i: int, divisor: dict[int, int], failure: str):
+    """Node i's series must be the series of ``divisor``; otherwise
+    CrosscheckError with ``failure``, the first index k >= 1 where they
+    differ (N_0 is zero on both) and the exact residual (got - want) /
+    (k 2^k) of the u^{-k} coefficient."""
+    got = state.series[i - 1]
+    want = _divisor_series(divisor, state.order)
+    if got != want:
+        k = next(k for k, (x, y) in enumerate(zip(got, want)) if x != y)
+        raise CrosscheckError(
+            f"{failure}; u^-{k} coefficient off by {Fraction(got[k] - want[k], k << k)}"
+        )
 
 
 def _read_roots(state: WalkState, node: int, m: int) -> tuple[int, ...]:
@@ -247,14 +263,6 @@ def _divisor_series(divisor: dict[int, int], order: int) -> list[int]:
     return out
 
 
-def _residual(got: Sequence[int], want: Sequence[int]) -> str:
-    """Where two unequal scaled series first differ: the index k >= 1 (N_0
-    is zero on both) and the exact residual (got - want) / (k 2^k) of the
-    u^{-k} coefficient.  Built only for a failure message."""
-    k = next(k for k, (x, y) in enumerate(zip(got, want)) if x != y)
-    return f"; u^-{k} coefficient off by {Fraction(got[k] - want[k], k << k)}"
-
-
 def _root_divisor(roots: Sequence[int], shift: int) -> dict[int, int]:
     """sum_r ([r + shift/2] - [r]) for the doubled roots 2r."""
     divisor: dict[int, int] = {}
@@ -291,10 +299,12 @@ def apply_step(state: WalkState, node: int, m: int) -> tuple[int, ...]:
     """One step, in place: read the step's roots off the node's divisor
     (see ``_read_roots``), check that the node series is the
     highest-weight series log(pi(u+d)/pi(u)) of the roots read through
-    order N, then transport every node's series and divisor across
-    (x-_{node,0})^m.  At m = 0 the node's series and divisor must vanish
-    instead, and nothing moves.  A failed check raises CrosscheckError
-    before the state changes; a node outside 1..rank, a negative m or
+    order N, then, at each node i with a_{i,node} != 0, transport the
+    series and divisor across (x-_{node,0})^m, lower w_i by m a_{i,node}
+    and check H_{i,0} = d_i w_i.  At m = 0 the node's series and divisor
+    must vanish instead, and nothing moves.  A failed root read or series
+    check raises CrosscheckError before the state changes; a node label
+    that is not an integer in 1..rank, a negative or non-integer m, or
     m + 1 above the series order raises InputError.
 
     Returns the roots read as ``WalkState.divisors`` holds its points:
@@ -316,13 +326,13 @@ def apply_step(state: WalkState, node: int, m: int) -> tuple[int, ...]:
     The divisor at node i moves by D_i -= sum_r ([r - x/2] - [r + x/2]),
     x = d_i a_{i,node}, over the same roots r.
     """
-    _check_node(state.cartan, node)
+    c = _check_node(state.cartan, node)
+    m = _as_int(m, "step exponent")
     if m < 0:
         raise InputError("step exponent must be non-negative")
     n = state.order
     if m + 1 > n:
         raise InputError(f"step degree {m} needs series order >= {m + 1}, have {n}")
-    c = node
     if m == 0:
         # a zero weight coordinate at an extremal vector: the node
         # restriction is trivial, so its series and divisor must vanish
@@ -333,12 +343,8 @@ def apply_step(state: WalkState, node: int, m: int) -> tuple[int, ...]:
         return ()
     roots = _read_roots(state, c, m)
     # highest-weight consistency: the node series must match the roots.
-    highest = _divisor_series(_root_divisor(roots, -2 * state.cartan.di(c)), n)
-    if state.series[c - 1] != highest:
-        raise CrosscheckError(
-            f"node {c} series is not a degree-{m} highest-weight series"
-            + _residual(state.series[c - 1], highest)
-        )
+    failure = f"node {c} series is not a degree-{m} highest-weight series"
+    _check_series(state, c, _root_divisor(roots, -2 * state.cartan.di(c)), failure)
     # Z_0..Z_{n-1}, split by the parity of s
     sums = [m]
     powers = [1] * m
@@ -347,20 +353,18 @@ def apply_step(state: WalkState, node: int, m: int) -> tuple[int, ...]:
         sums.append(sum(powers))
     by_parity = (sums[0::2], sums[1::2])
     for i in range(1, state.cartan.rank + 1):
-        dai = state.cartan.di(i) * state.cartan.aij(i, c)
-        if dai == 0:
+        a = state.cartan.aij(i, c)
+        if a == 0:
             continue
+        dai = state.cartan.di(i) * a
         series = state.series[i - 1]
         for k, weights in enumerate(_weight_table(dai, n)):
             # acc pairs the weights with Z_s, s = k mod 2, k mod 2 + 2, .., k
             series[k + 1] -= 2 * sum(map(mul, weights, by_parity[k % 2]))
         _move_divisor(state.divisors[i - 1], roots, dai)
-    # weight drops by m * alpha_c; alpha_c has weight coordinates A[:, c]
-    state.weight = tuple(
-        w - m * state.cartan.aij(i, c)
-        for i, w in enumerate(state.weight, start=1)
-    )
-    _check_weight_bookkeeping(state)
+        # weight drops by m * alpha_c; alpha_c has weight coordinates A[:, c]
+        state.weight[i - 1] -= m * a
+        _check_weight(state, i)
     return roots
 
 
@@ -382,6 +386,7 @@ def run_walk(
     mismatch raises CrosscheckError.  An order below the largest
     path exponent + 2 raises InputError.
     """
+    order = _as_int(order, "series order")
     exps = path_exponents(cartan, word, fundamental)
     max_m = max(exps.exponents) if exps.exponents else 0
     if order < max_m + 2:
@@ -389,7 +394,8 @@ def run_walk(
             f"series order {order} too small; need at least {max_m + 2}"
         )
     state = init_walk(cartan, fundamental, order)
-    _check_weight_bookkeeping(state)
+    for i in range(1, cartan.rank + 1):
+        _check_weight(state, i)
     records: list[StepRecord] = []
     last_node, lowest = 0, {}  # the last positive step's node and lowest divisor
     for j in range(len(exps.word), 0, -1):
@@ -397,34 +403,26 @@ def run_walk(
         m = exps.exponents[j - 1]
         d = cartan.di(node)
         roots = apply_step(state, node, m)
-        crosscheck: bool | None = None
         if m > 0:
             last_node, lowest = node, _root_divisor(roots, 2 * d)
-            want = _divisor_series(lowest, order)
-            crosscheck = state.series[node - 1] == want
-            if not crosscheck:
-                raise CrosscheckError(
-                    f"lowest-vector crosscheck failed at step {j} "
-                    f"(node {node}, exponent {m})"
-                    + _residual(state.series[node - 1], want)
-                )
+            failure = (
+                f"lowest-vector crosscheck failed at step {j} "
+                f"(node {node}, exponent {m})"
+            )
+            _check_series(state, node, lowest, failure)
         beta = tuple(Fraction(z, 2 * d) for z in roots)
-        records.append(StepRecord(j, node, m, beta, d, crosscheck))
-    if state.weight != lowest_weight(cartan, cartan.fundamental(fundamental)):
+        records.append(StepRecord(j, node, m, beta, d, True if m > 0 else None))
+    if tuple(state.weight) != lowest_weight(cartan, cartan.fundamental(fundamental)):
         raise CrosscheckError(
-            f"walk did not land on the lowest weight: ended at {state.weight}"
+            f"walk did not land on the lowest weight: ended at {tuple(state.weight)}"
         )
     # the lowest weight w0(omega_i) = -omega_i* is nonzero only at the node
     # of the last positive step, whose divisor must still be the lowest
     # divisor of that step's roots; every other divisor is empty
     for i in range(1, cartan.rank + 1):
         divisor = lowest if i == last_node else {}
-        want = _divisor_series(divisor, order)
-        if state.series[i - 1] != want:
-            raise CrosscheckError(
-                f"node {i} series is not a lowest-vector series"
-                + _residual(state.series[i - 1], want)
-            )
+        failure = f"node {i} series is not a lowest-vector series"
+        _check_series(state, i, divisor, failure)
         if state.divisors[i - 1] != divisor:
             raise CrosscheckError(f"node {i} divisor is not a lowest-vector divisor")
     return WalkReport(

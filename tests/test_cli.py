@@ -27,6 +27,7 @@ from ywalk import (
 from ywalk.cli import MAX_FACTORS, main, parse_factors, parse_gaussian
 from ywalk.cyclicity import TensorFactor, check_cyclicity, dimension_bound
 from ywalk.exact import GaussianRational
+from ywalk.rootsystem import is_reduced_word_of_longest
 from ywalk.verify import EXPECTED_S, EXPECTED_T, G2_WORD, run_suite
 from ywalk.walk import apply_step, init_walk, run_walk
 
@@ -317,6 +318,21 @@ def test_library_input_checks_raise_input_error(g2, g2_s_sets):
         "step degree past the order": lambda: apply_step(state, 1, 8),
         "eigenvalue node 0": lambda: state.coefficient(0, 1),
         "eigenvalue node 3": lambda: state.coefficient(3, 1),
+        # a non-integer is rejected, not truncated
+        "fundamental index 1.5": lambda: g2.fundamental(1.5),
+        "path fundamental 1.5": lambda: path_exponents(g2, G2_WORD, 1.5),
+        "word letter 1.0": lambda: path_exponents(g2, (1.0, 2, 1, 2, 1, 2), 1),
+        "Weyl weight 1.7": lambda: weyl_dim(g2, (1.7, 0)),
+        "weight coordinate 1.5": lambda: dimension_bound((1.5, 0), (14, 7), g2),
+        "dimension 7.0": lambda: dimension_bound((1, 0), (14, 7.0), g2),
+        "walk fundamental 1.5": lambda: run_walk(g2, G2_WORD, 1.5),
+        "walk word letter 1.0": lambda: run_walk(g2, (1.0, 2, 1, 2, 1, 2), 1),
+        "walk series order 8.5": lambda: run_walk(g2, G2_WORD, 1, 8.5),
+        "init series order 8.0": lambda: init_walk(g2, 1, 8.0),
+        "init fundamental 1.0": lambda: init_walk(g2, 1.0),
+        "step node 1.5": lambda: apply_step(state, 1.5, 1),
+        "step exponent 1.0": lambda: apply_step(state, 2, 1.0),
+        "eigenvalue node 1.0": lambda: state.coefficient(1.0, 1),
     }
     for name, check in checks.items():
         try:
@@ -324,6 +340,11 @@ def test_library_input_checks_raise_input_error(g2, g2_s_sets):
         except InputError:
             continue
         pytest.fail(f"{name}: no InputError")
+    # a non-integer Cartan entry or symmetrizer is not Cartan data
+    for a, d in (([[2, -1.5], [-1, 2]], [1, 1]), ([[2, -1], [-1, 2]], [1.0, 1])):
+        with pytest.raises(InvalidCartanError, match="must be an integer"):
+            validate_cartan(a, d)
+    assert not is_reduced_word_of_longest(g2, (1.0, 2, 1, 2, 1, 2))
     # an S-set table without a node pair is an internal fault (exit 3)
     factors = [TensorFactor(node, GaussianRational(F(0))) for node in (1, 3)]
     with pytest.raises(ValueError, match="no S set for node pair") as info:

@@ -14,12 +14,15 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import finite_type_cartan
+from make_tables_atlas import GOLDEN, TYPES
 from test_cli import _write_algebra
 from ywalk import walk
 from ywalk.cli import main
-from ywalk.cyclicity import compute_s_sets, compute_t_sets
+from ywalk.cyclicity import compute_s_sets, compute_t_sets, format_root
 from ywalk.rootsystem import (
     PathExponents,
     is_reduced_word_of_longest,
@@ -166,6 +169,47 @@ def test_reducible_tables_are_the_tables_of_their_blocks(
     argv = ["cyclicity", "--algebra", algebra, "--factors", factors]
     assert main([*argv, "--mode", "irr"]) == 0
     capsys.readouterr()
+
+
+ATLAS = json.loads(GOLDEN.read_text())["types"]
+MAX_SUM_RANK = 12
+
+
+@st.composite
+def relabelled_sums(draw):
+    """(names, sigma): 2 or 3 atlas types of total rank at most 12 and a
+    relabelling of the nodes of their direct sum."""
+    names = [draw(st.sampled_from(TYPES))]
+    for _ in range(draw(st.integers(2, 3)) - 1):
+        room = MAX_SUM_RANK - sum(int(name[1:]) for name in names)
+        fits = [name for name in TYPES if int(name[1:]) <= room]
+        if fits:
+            names.append(draw(st.sampled_from(fits)))
+    rank = sum(int(name[1:]) for name in names)
+    return names, tuple(draw(st.permutations(range(1, rank + 1))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(relabelled_sums())
+def test_direct_sums_print_the_atlas_tables_of_their_blocks(case):
+    names, sigma = case
+    cartan, _, place = direct_sum(names, sigma)
+    nodes = range(1, cartan.rank + 1)
+    word = weyl_longest(cartan)
+    t_sets = compute_t_sets(run_walk(cartan, word, b, ORDER) for b in nodes)
+    s_sets = compute_s_sets(t_sets, cartan)
+    pairs = [(b, c) for b in nodes for c in nodes]
+    assert [(t.b, t.c) for t in t_sets] == pairs
+    assert [(s.b, s.c) for s in s_sets] == pairs
+    for t, s in zip(t_sets, s_sets):
+        (k, i), (l, j) = place[t.b - 1], place[t.c - 1]
+        printed = [format_root(*r) for r in t.roots], [str(v) for v in s.values]
+        if k == l:
+            atlas = ATLAS[names[k]]
+            want = atlas["t"][f"{i},{j}"], atlas["s"][f"{i},{j}"]
+        else:
+            want = [], []
+        assert printed == want, f"{names} under {sigma}: (b, c) = {(t.b, t.c)}"
 
 
 def _exponents_from_the_left_end(cartan, word, fundamental):

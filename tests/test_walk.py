@@ -35,6 +35,8 @@ from ywalk.walk import (
 from ywalk.verify import G2_WORD, SAMPLE_A
 from ywalk.verify import _lifted_series as lifted  # H_i(u) in a, via coefficient
 
+from conftest import finite_type_cartan
+from make_tables_atlas import TYPES
 from test_exact import _split_reference, unscaled
 
 # application order of (node, exponent) for the two flagship walks
@@ -65,7 +67,8 @@ def test_init_walk_series(g2):
 
 def _snapshot(state):
     """Copies of the state's series, divisors and weight."""
-    return [list(s) for s in state.series], [dict(x) for x in state.divisors], state.weight
+    series = [list(s) for s in state.series]
+    return series, [dict(x) for x in state.divisors], list(state.weight)
 
 
 def test_first_extractions(g2):
@@ -154,7 +157,7 @@ def test_weight_bookkeeping_along_walk(g2):
             assert state.coefficient(i, 0) == ParamPoly.const(
                 g2.di(i) * state.weight[i - 1]
             )
-    assert state.weight == (-1, 0)  # lowest weight of the first fundamental
+    assert state.weight == [-1, 0]  # lowest weight of the first fundamental
 
 
 def test_reextraction_after_step_sees_the_same_roots(g2):
@@ -319,17 +322,16 @@ def test_apply_step_matches_its_docstring_formula(order, data):
     ] + [[0, 2 * w] + data.draw(tails) for w in weight[1:]]
     state = WalkState(
         _Products(tuple(products)),
-        1,
         order,
         [list(r) for r in series],
-        weight,
+        list(weight),
         [dict(x) for x in divisors],
     )
     assert apply_step(state, 1, m) == tuple(sorted(roots))
     for row, dai, got in zip(series, products, state.series):
         assert all(type(n) is int for n in got)
         assert unscaled(got) == _docstring_transport(unscaled(row), dai, p, order)
-    assert state.weight == tuple(w - m * a for w, a in zip(weight, products))
+    assert state.weight == [w - m * a for w, a in zip(weight, products)]
     # D_i -= sum_r ([r - x/2] - [r + x/2]), x = d_i a_{i,1}, where d_i a_{i,1} != 0
     for before, x, got in zip(divisors, products, state.divisors):
         moved = [(z - x, -1) for z in roots] + [(z + x, 1) for z in roots]
@@ -826,3 +828,55 @@ def test_walk_builds_only_the_record_roots_as_fractions(g2, f4, monkeypatch):
         report = run_walk(cartan, word, fundamental, 8)
         assert len(built) == sum(rec.exponent for rec in report.rows())
     assert arithmetic == []
+
+
+# ------------------------------------- the series and divisor walks agree
+
+
+def _first_disagreement(cartan, word, fundamental, order):
+    """Drive init_walk and apply_step along the path exponents of ``word``;
+    the first (j, i) such that after step j node i's series is not the
+    series of node i's divisor, or None when the two agree throughout."""
+    exps = path_exponents(cartan, word, fundamental)
+    state = init_walk(cartan, fundamental, order)
+    for j in range(len(exps.word), 0, -1):
+        apply_step(state, exps.word[j - 1], exps.exponents[j - 1])
+        for i in range(1, cartan.rank + 1):
+            if state.series[i - 1] != walk._divisor_series(state.divisors[i - 1], order):
+                return j, i
+    return None
+
+
+@pytest.mark.parametrize(
+    "name, order", [(name, 8) for name in TYPES] + [("g2", 64)], ids=str
+)
+def test_series_and_divisor_walks_agree_at_every_step(name, order):
+    # every fundamental, on the lex-least word and its reversal (for G2 the
+    # two reduced words); the series walk is the divisor walk's oracle
+    cartan = finite_type_cartan(name)
+    lex = weyl_longest(cartan)
+    for word in (lex, lex[::-1]):
+        for b in range(1, cartan.rank + 1):
+            where = _first_disagreement(cartan, word, b, order)
+            assert where is None, (
+                f"word {word}: series and divisor differ at "
+                f"(type, b, j, i) = {(name, b, *where)}"
+            )
+
+
+def test_a_neighbour_transport_fault_fails_at_its_step(g2, monkeypatch):
+    # the weight x^3 C(3, 0) of Z_0 = m in N_3, off by one only where
+    # x = d_i a_{i,c} < 0, i.e. at a neighbour of the acting node.  In the
+    # first G2 walk the first positive step is step 5 (node 1), whose
+    # neighbour node 2 has x = -3; the walk's own checks read node 2 only
+    # when it acts, at step 4
+    original = walk._weight_table
+
+    def corrupted(x, n):
+        table = original(x, n)
+        if x < 0:
+            table = table[:2] + ((table[2][0] + 1, *table[2][1:]),) + table[3:]
+        return table
+
+    monkeypatch.setattr(walk, "_weight_table", corrupted)
+    assert _first_disagreement(g2, G2_WORD, 1, 8) == (5, 2)
