@@ -28,7 +28,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .exact import GaussianRational, ParamPoly
 from .rootsystem import CartanData, InputError, _as_int, _weyl_dims, positive_roots
@@ -95,13 +95,12 @@ class TensorFactor:
     param: GaussianRational
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One ordered pair whose difference hits a forbidden value.
 
-    ``difference`` is the S value as a GaussianRational: one object per
-    value of each S set, shared by every violation that hits it (it is
-    frozen).
+    A NamedTuple, built once per hit.  ``difference`` is the S value as a
+    GaussianRational: one object per value of each S set, shared by every
+    violation that hits it (it is frozen).
     """
 
     i: int  # 1-based factor positions
@@ -176,14 +175,16 @@ def check_cyclicity(
     S values, each s becomes the int p = s*L, and each factor's
     t = re*L = q + r/den (0 <= r < den, lowest terms) is split once.
     a_j - a_i = s holds exactly when factors i and j share the lattice
-    class (r, den, im) and q_j = q_i + p.  The factors are indexed by
-    class, then node, then q, so for each factor i, each node c present
-    and each s in S(b_i, c), one int add and one int-keyed lookup in i's
-    class at node c finds every j with a_j - a_i = s.  The cost is
-    n * rank * |S| such lookups plus the violations reported, and the
-    violations come out ordered by (i, j).  A checked pair whose node pair
-    has no S set raises ValueError, naming the first such pair in (i, j)
-    order.
+    class (r, den, im) and q_j = q_i + p.  The indexing pass counts each
+    class's members and files the classes with two or more by node, then
+    q.  A factor alone in its class has no partner and costs no lookup;
+    for any other factor i, each node c of its class and each s in
+    S(b_i, c), one int add and one int-keyed lookup finds every j with
+    a_j - a_i = s.  The cost is the indexing pass, plus |S| lookups per
+    factor that has a partner in its class, plus the violations reported,
+    which come out ordered by (i, j).  A checked pair whose node pair has
+    no S set raises ValueError, naming the first such pair in (i, j)
+    order, whether or not its factors have partners.
     """
     canonical = _MODE_ALIASES.get(mode)
     if canonical is None:
@@ -196,44 +197,54 @@ def check_cyclicity(
         key: [(int(v * scale), GaussianRational(v)) for v in dict.fromkeys(values)]
         for key, values in smap.items()
     }
-    # per factor: its lattice class (node -> q -> positions) and its q
-    slots: list[tuple[dict[int, dict[int, list[int]]], int]] = []
-    at_class: dict[tuple[int, int, int, int], dict[int, dict[int, list[int]]]] = {}
-    at_node: dict[int, list[int]] = {}
-    for j, f in enumerate(factors, start=1):
+    # per factor: its lattice class and its q; then the classes with more
+    # than one member, indexed by node, then q
+    placed: list[tuple[tuple[int, int, int, int], int]] = []
+    members: dict[tuple[int, int, int, int], int] = {}
+    for f in factors:
         re, im = f.param.re, f.param.im
         g = gcd(re.denominator, scale)  # t = re*scale is num/den in lowest terms
         num, den = re.numerator * (scale // g), re.denominator // g
         q, r = divmod(num, den)
-        nodes = at_class.setdefault((r, den, im.numerator, im.denominator), {})
-        nodes.setdefault(f.node, {}).setdefault(q, []).append(j)
-        slots.append((nodes, q))
-        at_node.setdefault(f.node, []).append(j)
+        key = (r, den, im.numerator, im.denominator)
+        members[key] = members.get(key, 0) + 1
+        placed.append((key, q))
+    at_class: dict[tuple[int, int, int, int], dict[int, dict[int, list[int]]]] = {}
+    for j, (f, (key, q)) in enumerate(zip(factors, placed), start=1):
+        if members[key] > 1:
+            nodes = at_class.setdefault(key, {})
+            nodes.setdefault(f.node, {}).setdefault(q, []).append(j)
+    present = {f.node for f in factors}
+    if any((b, c) not in steps for b in present for c in present):
+        # some node pair has no S set: the first factor with a checked pair
+        # on one raises, whether or not it has a partner
+        at_node: dict[int, list[int]] = {}
+        for j, f in enumerate(factors, start=1):
+            at_node.setdefault(f.node, []).append(j)
+        for i, fi in enumerate(factors, start=1):
+            unset: tuple[int, int] | None = None  # smallest (first checked j, node c)
+            for c, positions in at_node.items():
+                if (fi.node, c) not in steps:
+                    j = _first_checked(positions, i, highest_weight)
+                    if j is not None and (unset is None or (j, c) < unset):
+                        unset = (j, c)
+            if unset is not None:
+                raise ValueError(f"no S set for node pair {(fi.node, unset[1])}")
     violations: list[Violation] = []
-    for i, fi in enumerate(factors, start=1):
-        nodes, q = slots[i - 1]
-        # a_j - a_i is one value, so no j repeats and the sort compares
-        # only the js
-        hits: list[tuple[int, GaussianRational]] = []
-        unset: tuple[int, int] | None = None  # smallest (first checked j, node c)
-        for c, positions in at_node.items():
-            step = steps.get((fi.node, c))
-            if step is None:
-                j = _first_checked(positions, i, highest_weight)
-                if j is not None and (unset is None or (j, c) < unset):
-                    unset = (j, c)
-                continue
-            at_floor = nodes.get(c)
-            if at_floor is None:
-                continue
-            for p, diff in step:
+    for i, (fi, (key, q)) in enumerate(zip(factors, placed), start=1):
+        nodes = at_class.get(key)
+        if nodes is None:  # alone in its class: no difference lands in S
+            continue
+        hits: list[Violation] = []
+        for c, at_floor in nodes.items():
+            for p, diff in steps.get((fi.node, c), ()):
                 for j in at_floor.get(q + p, ()):
                     if j > i or (j != i and not highest_weight):
-                        hits.append((j, diff))
-        if unset is not None:
-            raise ValueError(f"no S set for node pair {(fi.node, unset[1])}")
+                        hits.append(Violation(i, j, diff, diff.re))
+        # a_j - a_i is one value, so no j repeats and the sort compares
+        # only (i, j), never the differences
         hits.sort()
-        violations += [Violation(i, j, diff, diff.re) for j, diff in hits]
+        violations += hits
     return CyclicityReport(
         mode=canonical, certified=not violations, violations=tuple(violations)
     )

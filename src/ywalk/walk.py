@@ -113,8 +113,12 @@ class WalkState:
     divisors: list[dict[int, int]]
 
     def coefficient(self, node: int, k: int) -> ParamPoly:
-        """Eigenvalue of H_{node,k} on the current extremal vector, in a."""
-        _check_node(self.cartan, node)
+        """Eigenvalue of H_{node,k} on the current extremal vector, in a;
+        k is an integer in 0..order-1."""
+        node = _check_node(self.cartan, node)
+        k = _as_int(k, "coefficient index")
+        if not 0 <= k < self.order:
+            raise InputError(f"coefficient index {k} out of range 0..{self.order - 1}")
         # n times the u^{-n} coefficient of a log-ratio of monic polynomials
         # of equal degree is a signed power sum of their roots with count 0;
         # it is the stored N_n / 2^n

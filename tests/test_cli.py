@@ -333,6 +333,9 @@ def test_library_input_checks_raise_input_error(g2, g2_s_sets):
         "step node 1.5": lambda: apply_step(state, 1.5, 1),
         "step exponent 1.0": lambda: apply_step(state, 2, 1.0),
         "eigenvalue node 1.0": lambda: state.coefficient(1.0, 1),
+        "eigenvalue index past the order": lambda: state.coefficient(1, 8),
+        "eigenvalue index 1.5": lambda: state.coefficient(1, 1.5),
+        "eigenvalue index negative": lambda: state.coefficient(1, -3),
     }
     for name, check in checks.items():
         try:

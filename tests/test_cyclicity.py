@@ -19,6 +19,7 @@ from ywalk.cyclicity import (
     MODE_IRREDUCIBLE,
     SSet,
     TensorFactor,
+    Violation,
     build_ordered_product,
     check_cyclicity,
     compute_s_sets,
@@ -278,6 +279,54 @@ def test_partial_s_sets_raise_like_the_reference(g2_s_sets):
             [TensorFactor(2, gauss(0)), TensorFactor(3, gauss(0)), TensorFactor(1, gauss(0))],
             g2_s_sets,
             "hw",
+        )
+
+
+def test_partnerless_factor_without_s_set_raises_like_the_reference(g2_s_sets):
+    # with L = 2 the node-3 factor at 1/3 has t = 2/3, alone in its lattice
+    # class, so no lookup runs for it; its node pairs have no S set all
+    # the same, and a checked pair on one raises before any hit is found
+    lone = TensorFactor(3, gauss(F(1, 3)))
+    cases = {
+        "first": ([lone, TensorFactor(1, gauss(0)), TensorFactor(1, gauss(3))], (3, 1)),
+        "middle": ([TensorFactor(1, gauss(0)), lone, TensorFactor(1, gauss(3))], (1, 3)),
+        "last": ([TensorFactor(2, gauss(0)), TensorFactor(2, gauss(1)), lone], (2, 3)),
+    }
+    for name, (factors, pair) in cases.items():
+        for mode in ("hw", "irr"):
+            got = _outcome(check_cyclicity, factors, g2_s_sets, mode)
+            assert got == ("raised", f"no S set for node pair {pair}"), (name, mode)
+            assert got == _outcome(_pairwise_reference, factors, g2_s_sets, mode)
+    # alone, the node-3 factor is in no checked pair: nothing to raise
+    for mode in ("hw", "irr"):
+        assert check_cyclicity([lone], g2_s_sets, mode).certified
+
+
+def test_violation_is_an_immutable_named_tuple():
+    v = Violation(1, 2, gauss(3), F(3))
+    assert Violation._fields == ("i", "j", "difference", "s_value")
+    with pytest.raises(AttributeError):
+        v.j = 3
+    same = Violation(1, 2, gauss(3), F(3))
+    assert v == same and hash(v) == hash(same)
+    assert v != Violation(2, 1, gauss(3), F(3))
+    assert repr(v) == (
+        "Violation(i=1, j=2, difference=GaussianRational(re=Fraction(3, 1), "
+        "im=Fraction(0, 1)), s_value=Fraction(3, 1))"
+    )
+
+
+def test_each_factors_hits_come_out_by_j(g2_s_sets):
+    # factor 1 at 0 hits every later factor: node 1 at 3..6 (S(1,1)) and
+    # node 2 at 1/2, 3/2, 9/2 (in S(1,2)), listed here in no order
+    later = [(1, 6), (2, F(9, 2)), (1, 3), (2, F(1, 2)), (1, 5), (2, F(3, 2)), (1, 4)]
+    factors = [TensorFactor(1, gauss(0))] + [TensorFactor(n, gauss(re)) for n, re in later]
+    for mode in ("hw", "irr"):
+        report = check_cyclicity(factors, g2_s_sets, mode)
+        first = [v for v in report.violations if v.i == 1]
+        assert [v.j for v in first] == list(range(2, 9))
+        assert [(v.i, v.j) for v in report.violations] == sorted(
+            (v.i, v.j) for v in report.violations
         )
 
 
