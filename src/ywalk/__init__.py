@@ -1,16 +1,7 @@
 """Exact symbolic engine for associated polynomials along extremal-weight
 paths, tensor-product cyclicity sets, and ordered Weyl-module products."""
 
-from .exact import (
-    A,
-    GaussianRational,
-    ParamPoly,
-    UniPoly,
-    series_exp,
-    series_from_poly_ratio,
-    series_log,
-    series_rescale,
-)
+from .exact import A, GaussianRational, ParamPoly, UniPoly
 from .rootsystem import (
     BUILTIN_ALGEBRAS,
     CartanData,
@@ -29,6 +20,10 @@ from .rootsystem import (
 from .sl2 import (
     check_relations,
     extremal_series_check,
+    series_exp,
+    series_from_poly_ratio,
+    series_log,
+    series_rescale,
     symmetrized_insertion_check,
 )
 from .walk import (

@@ -1,13 +1,9 @@
 """Exact symbolic arithmetic over the rationals with one formal parameter.
 
-Scalars are :class:`fractions.Fraction`.  Polynomials in the formal
-parameter ``a`` (:class:`ParamPoly`) serve as coefficients for polynomials
-(:class:`UniPoly`) in a second variable ``u``.  A truncated series in
-``u^{-1}`` is a plain coefficient list whose entry k multiplies ``u^{-k}``,
-so its truncation order is its length minus one; every operation is exact
-through that order.  The series helpers take lists of either scalar type.
-Nothing here converts power sums to a polynomial or finds the roots of
-one: the walk reads each step's roots off its divisors (see ``walk``).
+Scalars are :class:`fractions.Fraction`, and :class:`GaussianRational`
+pairs two of them as an exact complex number.  Polynomials in the formal
+parameter ``a`` (:class:`ParamPoly`; :data:`A` is ``a`` itself) serve as
+coefficients for polynomials (:class:`UniPoly`) in a second variable ``u``.
 """
 
 from __future__ import annotations
@@ -15,17 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "GaussianRational",
     "ParamPoly",
     "UniPoly",
     "A",
-    "series_from_poly_ratio",
-    "series_log",
-    "series_exp",
-    "series_rescale",
 ]
 
 
@@ -256,74 +248,3 @@ class UniPoly:
 
     def __repr__(self) -> str:
         return f"UniPoly({self})"
-
-
-def series_from_poly_ratio(num: UniPoly, den: UniPoly, order: int) -> list:
-    """Coefficients of num/den at u^0..u^-order, exact.
-
-    Both polynomials must be monic of equal degree g in ``u``, so the
-    series has constant term 1.  With p(u)/u^g = sum_j p_{g-j} u^{-j} for
-    both, the quotient q solves q_k = num_{g-k} - sum_{1<=j<=k} den_{g-j} q_{k-j}.
-    """
-    if num.degree != den.degree:
-        raise ValueError(
-            f"degree mismatch: numerator {num.degree}, denominator {den.degree}"
-        )
-    if not (num.monic and den.monic):
-        raise ValueError("both numerator and denominator must be monic in u")
-    g = num.degree
-    out: list = []
-    for k in range(order + 1):
-        acc = num.coeff(g - k)
-        for j in range(1, min(k, g) + 1):
-            acc = acc - den.coeff(g - j) * out[k - j]
-        out.append(acc)
-    return out
-
-
-def series_log(s: Sequence) -> list:
-    """Formal logarithm of the series with coefficients s (s[k] at u^-k),
-    whose constant term must be 1; the result has the same length.
-
-    Uses L' = S'/S, i.e. k l_k = k s_k - sum_{1<=j<k} j l_j s_{k-j}, which
-    is quadratic in the order.
-    """
-    if s[0] != 1:
-        raise ValueError("series_log requires constant term 1")
-    kl = [0]  # kl[k] = k * l_k
-    for k in range(1, len(s)):
-        acc = k * s[k]
-        for j in range(1, k):
-            if kl[j] and s[k - j]:
-                acc = acc - kl[j] * s[k - j]
-        kl.append(acc)
-    return [0] + [kl[k] * Fraction(1, k) for k in range(1, len(s))]
-
-
-def series_exp(s: Sequence) -> list:
-    """Formal exponential of the series with coefficients s, whose
-    constant term must be 0; the result has the same length.
-
-    Uses E' = L'E, i.e. k e_k = sum_{1<=j<=k} j l_j e_{k-j}, which is
-    quadratic in the order.
-    """
-    if s[0] != 0:
-        raise ValueError("series_exp requires constant term 0")
-    jl = [j * c for j, c in enumerate(s)]
-    out: list = [1]
-    for k in range(1, len(s)):
-        acc = 0
-        for j in range(1, k + 1):
-            if jl[j] and out[k - j]:
-                acc = acc + jl[j] * out[k - j]
-        out.append(acc * Fraction(1, k))
-    return out
-
-
-def series_rescale(s: Sequence, d) -> list:
-    """Substitute ``u -> d*u``: the ``u^{-k}`` coefficient picks up ``d^{-k}``."""
-    d = _frac(d)
-    if d == 0:
-        raise ValueError("rescale factor must be nonzero")
-    return [c * d**-k for k, c in enumerate(s)]
-

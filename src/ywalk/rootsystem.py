@@ -202,8 +202,11 @@ def is_reduced_word_of_longest(cartan: CartanData, word: Sequence[int]) -> bool:
 def lowest_weight(cartan: CartanData, weight: Sequence[int]) -> Weight:
     """The antidominant weight of the Weyl orbit of ``weight``, i.e.
     w0(weight) for dominant input, found by reflecting away positive
-    coordinates (no reduced word involved)."""
-    v = tuple(weight)
+    coordinates (no reduced word involved).  Any integer weight of length
+    rank is accepted; anything else raises InputError."""
+    v = tuple(_as_int(x, "weight coordinate") for x in weight)
+    if len(v) != cartan.rank:
+        raise InputError("weight length must equal the rank")
     while any(x > 0 for x in v):
         i = next(k for k, x in enumerate(v, start=1) if x > 0)
         v = reflect(cartan, i, v)

@@ -1,4 +1,5 @@
-"""Explicit rank-1 evaluation modules used as an independent oracle.
+"""The independent oracle: rank-1 modules, truncated-series arithmetic, and
+the lift of a walk state to polynomials in a.
 
 The (m+1)-dimensional module V_m(a) carries generator actions
 
@@ -12,16 +13,27 @@ compositions of generators are weighted shifts too, so every operator
 identity is checked exactly on their weights.  The reports returned by the
 check functions either confirm an identity or carry the first violation
 found.
+
+A truncated series in ``u^{-1}`` is a plain coefficient list whose entry k
+multiplies ``u^{-k}``, so its truncation order is its length minus one;
+every series helper here is exact through that order and takes lists of
+Fractions or of ``ParamPoly`` values.  :func:`coefficient` reads a walk
+state's integer series back as eigenvalues in a.  The engine modules
+(``exact``, ``rootsystem``, ``walk``, ``cyclicity``) import nothing from
+here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import NamedTuple
+from operator import index
+from typing import NamedTuple, Sequence
 
-from .exact import UniPoly, series_from_poly_ratio
+from .exact import ParamPoly, UniPoly
+from .rootsystem import InputError
 
 __all__ = [
     "Operator",
@@ -30,6 +42,11 @@ __all__ = [
     "check_relations",
     "symmetrized_insertion_check",
     "extremal_series_check",
+    "series_from_poly_ratio",
+    "series_log",
+    "series_exp",
+    "series_rescale",
+    "coefficient",
 ]
 
 
@@ -217,3 +234,110 @@ def extremal_series_check(m: int, a, order: int = 8) -> CheckReport:
                 f"{[str(c) for c in got]} vs {[str(c) for c in expected]}"
             )
     return report
+
+
+def series_from_poly_ratio(num: UniPoly, den: UniPoly, order: int) -> list:
+    """Coefficients of num/den at u^0..u^-order, exact.
+
+    Both polynomials must be monic of equal degree g in ``u``, so the
+    series has constant term 1.  With p(u)/u^g = sum_j p_{g-j} u^{-j} for
+    both, the quotient q solves q_k = num_{g-k} - sum_{1<=j<=k} den_{g-j} q_{k-j}.
+    """
+    if num.degree != den.degree:
+        raise ValueError(
+            f"degree mismatch: numerator {num.degree}, denominator {den.degree}"
+        )
+    if not (num.monic and den.monic):
+        raise ValueError("both numerator and denominator must be monic in u")
+    g = num.degree
+    out: list = []
+    for k in range(order + 1):
+        acc = num.coeff(g - k)
+        for j in range(1, min(k, g) + 1):
+            acc = acc - den.coeff(g - j) * out[k - j]
+        out.append(acc)
+    return out
+
+
+def series_log(s: Sequence) -> list:
+    """Formal logarithm of the series with coefficients s (s[k] at u^-k),
+    whose constant term must be 1; the result has the same length.
+
+    Uses L' = S'/S, i.e. k l_k = k s_k - sum_{1<=j<k} j l_j s_{k-j}, which
+    is quadratic in the order.
+    """
+    if s[0] != 1:
+        raise ValueError("series_log requires constant term 1")
+    kl = [0]  # kl[k] = k * l_k
+    for k in range(1, len(s)):
+        acc = k * s[k]
+        for j in range(1, k):
+            if kl[j] and s[k - j]:
+                acc = acc - kl[j] * s[k - j]
+        kl.append(acc)
+    return [0] + [kl[k] * Fraction(1, k) for k in range(1, len(s))]
+
+
+def series_exp(s: Sequence) -> list:
+    """Formal exponential of the series with coefficients s, whose
+    constant term must be 0; the result has the same length.
+
+    Uses E' = L'E, i.e. k e_k = sum_{1<=j<=k} j l_j e_{k-j}, which is
+    quadratic in the order.
+    """
+    if s[0] != 0:
+        raise ValueError("series_exp requires constant term 0")
+    jl = [j * c for j, c in enumerate(s)]
+    out: list = [1]
+    for k in range(1, len(s)):
+        acc = 0
+        for j in range(1, k + 1):
+            if jl[j] and out[k - j]:
+                acc = acc + jl[j] * out[k - j]
+        out.append(acc * Fraction(1, k))
+    return out
+
+
+def series_rescale(s: Sequence, d) -> list:
+    """Substitute ``u -> d*u``: the ``u^{-k}`` coefficient picks up ``d^{-k}``."""
+    if not isinstance(d, (int, Fraction)):
+        raise TypeError(f"expected an exact rational, got {d!r}")
+    d = Fraction(d)
+    if d == 0:
+        raise ValueError("rescale factor must be nonzero")
+    return [c * d**-k for k, c in enumerate(s)]
+
+
+def _lift(p: Sequence[Fraction]) -> list[ParamPoly]:
+    """p_0..p_N of a root multiset at a = 0 as polynomials in a, once every
+    root is moved by a: p_k(a) = sum_j C(k, j) a^{k-j} p_j."""
+    return [
+        ParamPoly(math.comb(k, i) * p[k - i] for i in range(k + 1))
+        for k in range(len(p))
+    ]
+
+
+def _as_index(value, what: str) -> int:
+    try:
+        return index(value)
+    except TypeError:
+        raise InputError(f"{what} must be an integer, not {value!r}") from None
+
+
+def coefficient(state, node: int, k: int) -> ParamPoly:
+    """Eigenvalue of H_{node,k} on the current extremal vector of a
+    ``walk.WalkState``, in a; node is an integer in 1..rank and k an
+    integer in 0..order-1, otherwise InputError."""
+    node = _as_index(node, "node label")
+    if not 1 <= node <= state.cartan.rank:
+        raise InputError(f"node {node} out of range 1..{state.cartan.rank}")
+    k = _as_index(k, "coefficient index")
+    if not 0 <= k < state.order:
+        raise InputError(f"coefficient index {k} out of range 0..{state.order - 1}")
+    # n times the u^{-n} coefficient of a log-ratio of monic polynomials
+    # of equal degree is a signed power sum of their roots with count 0;
+    # it is the stored N_n / 2^n
+    q = [
+        Fraction(c, 1 << n) for n, c in enumerate(state.series[node - 1][: k + 2])
+    ]
+    return _lift(q)[k + 1] / (k + 1)

@@ -51,8 +51,6 @@ with every root moved by a.  The walk therefore runs at a = 0 and keeps
 its StepRecords there.  A record holds the step's roots beta = r/d_c in
 u/d_c, the only Fractions a step builds; its ``poly`` is the product
 prod (u - a/d_c - beta), built from them when it is read.
-``WalkState.coefficient`` is the one reader of series values: it unscales
-the stored integers and lifts them through ``_lift``.
 """
 
 from __future__ import annotations
@@ -64,7 +62,7 @@ from functools import cached_property, lru_cache
 from operator import mul
 from typing import Sequence
 
-from .exact import A, ParamPoly, UniPoly
+from .exact import A, UniPoly
 from .rootsystem import CartanData, InputError, _as_int, lowest_weight, path_exponents
 
 __all__ = [
@@ -84,15 +82,6 @@ class CrosscheckError(RuntimeError):
     """An internal consistency check failed during a walk."""
 
 
-def _lift(p: Sequence[Fraction]) -> list[ParamPoly]:
-    """p_0..p_N of a root multiset at a = 0 as polynomials in a, once every
-    root is moved by a: p_k(a) = sum_j C(k, j) a^{k-j} p_j."""
-    return [
-        ParamPoly(math.comb(k, i) * p[k - i] for i in range(k + 1))
-        for k in range(len(p))
-    ]
-
-
 @dataclass
 class WalkState:
     """Mutable per-walk state at a = 0: one H_i(u) log-series and one
@@ -100,10 +89,10 @@ class WalkState:
 
     series[i-1][k] is the int N_k = k 2^k times the u^{-k} coefficient of
     H_i(u), so N_{k+1} / ((k+1) 2^{k+1}) is the eigenvalue of H_{i,k} on
-    the current extremal vector at a = 0; N_0 is always zero.  Read values
-    through ``coefficient``, not off the list.  divisors[i-1] maps 2z to the
-    multiplicity of z (zeros positive, poles negative) and holds no zero
-    multiplicity.
+    the current extremal vector at a = 0; N_0 is always zero.
+    ``sl2.coefficient`` reads these values as polynomials in a.
+    divisors[i-1] maps 2z to the multiplicity of z (zeros positive, poles
+    negative) and holds no zero multiplicity.
     """
 
     cartan: CartanData
@@ -111,21 +100,6 @@ class WalkState:
     series: list[list[int]]
     weight: list[int]
     divisors: list[dict[int, int]]
-
-    def coefficient(self, node: int, k: int) -> ParamPoly:
-        """Eigenvalue of H_{node,k} on the current extremal vector, in a;
-        k is an integer in 0..order-1."""
-        node = _check_node(self.cartan, node)
-        k = _as_int(k, "coefficient index")
-        if not 0 <= k < self.order:
-            raise InputError(f"coefficient index {k} out of range 0..{self.order - 1}")
-        # n times the u^{-n} coefficient of a log-ratio of monic polynomials
-        # of equal degree is a signed power sum of their roots with count 0;
-        # it is the stored N_n / 2^n
-        q = [
-            Fraction(c, 1 << n) for n, c in enumerate(self.series[node - 1][: k + 2])
-        ]
-        return _lift(q)[k + 1] / (k + 1)
 
 
 @dataclass(frozen=True)
@@ -186,8 +160,7 @@ def init_walk(cartan: CartanData, fundamental: int, order: int = DEFAULT_ORDER) 
 
 
 def _check_node(cartan: CartanData, node: int) -> int:
-    """``apply_step`` and ``WalkState.coefficient`` take an integer node
-    label in 1..rank."""
+    """``apply_step`` takes an integer node label in 1..rank."""
     node = _as_int(node, "node label")
     if not 1 <= node <= cartan.rank:
         raise InputError(f"node {node} out of range 1..{cartan.rank}")

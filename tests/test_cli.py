@@ -18,6 +18,7 @@ from ywalk import (
     InvalidCartanError,
     builtin_cartan,
     cli,
+    lowest_weight,
     path_exponents,
     validate_cartan,
     verify,
@@ -28,6 +29,7 @@ from ywalk.cli import MAX_FACTORS, main, parse_factors, parse_gaussian
 from ywalk.cyclicity import TensorFactor, check_cyclicity, dimension_bound
 from ywalk.exact import GaussianRational
 from ywalk.rootsystem import is_reduced_word_of_longest
+from ywalk.sl2 import coefficient
 from ywalk.verify import EXPECTED_S, EXPECTED_T, G2_WORD, run_suite
 from ywalk.walk import apply_step, init_walk, run_walk
 
@@ -309,6 +311,8 @@ def test_library_input_checks_raise_input_error(g2, g2_s_sets):
         "unknown suite": lambda: run_suite("nosuch"),
         "Weyl weight length": lambda: weyl_dim(g2, (1,)),
         "Weyl weight not dominant": lambda: weyl_dim(g2, (-1, 0)),
+        "lowest weight length 1": lambda: lowest_weight(g2, (1,)),
+        "lowest weight length 3": lambda: lowest_weight(g2, (1, 0, 0)),
         "walk fundamental index": lambda: init_walk(g2, 3),
         "walk series order": lambda: init_walk(g2, 1, 1),
         "unknown builtin algebra": lambda: builtin_cartan("e8"),
@@ -316,13 +320,14 @@ def test_library_input_checks_raise_input_error(g2, g2_s_sets):
         "step node 3": lambda: apply_step(state, 3, 1),
         "step exponent negative": lambda: apply_step(state, 1, -1),
         "step degree past the order": lambda: apply_step(state, 1, 8),
-        "eigenvalue node 0": lambda: state.coefficient(0, 1),
-        "eigenvalue node 3": lambda: state.coefficient(3, 1),
+        "eigenvalue node 0": lambda: coefficient(state, 0, 1),
+        "eigenvalue node 3": lambda: coefficient(state, 3, 1),
         # a non-integer is rejected, not truncated
         "fundamental index 1.5": lambda: g2.fundamental(1.5),
         "path fundamental 1.5": lambda: path_exponents(g2, G2_WORD, 1.5),
         "word letter 1.0": lambda: path_exponents(g2, (1.0, 2, 1, 2, 1, 2), 1),
         "Weyl weight 1.7": lambda: weyl_dim(g2, (1.7, 0)),
+        "lowest weight 1.5": lambda: lowest_weight(g2, (1.5, 0)),
         "weight coordinate 1.5": lambda: dimension_bound((1.5, 0), (14, 7), g2),
         "dimension 7.0": lambda: dimension_bound((1, 0), (14, 7.0), g2),
         "walk fundamental 1.5": lambda: run_walk(g2, G2_WORD, 1.5),
@@ -332,10 +337,10 @@ def test_library_input_checks_raise_input_error(g2, g2_s_sets):
         "init fundamental 1.0": lambda: init_walk(g2, 1.0),
         "step node 1.5": lambda: apply_step(state, 1.5, 1),
         "step exponent 1.0": lambda: apply_step(state, 2, 1.0),
-        "eigenvalue node 1.0": lambda: state.coefficient(1.0, 1),
-        "eigenvalue index past the order": lambda: state.coefficient(1, 8),
-        "eigenvalue index 1.5": lambda: state.coefficient(1, 1.5),
-        "eigenvalue index negative": lambda: state.coefficient(1, -3),
+        "eigenvalue node 1.0": lambda: coefficient(state, 1.0, 1),
+        "eigenvalue index past the order": lambda: coefficient(state, 1, 8),
+        "eigenvalue index 1.5": lambda: coefficient(state, 1, 1.5),
+        "eigenvalue index negative": lambda: coefficient(state, 1, -3),
     }
     for name, check in checks.items():
         try:
@@ -585,6 +590,51 @@ def test_exit_code_contract_holds_under_fuzzing(g2_tables, argv, fmt):
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert len(err.getvalue().splitlines()) <= 1
+    if code == 2:
+        assert out.getvalue() == ""
+
+
+@st.composite
+def _fuzzed_algebra_argv(draw):
+    """A random algebra file of 1-4 nodes (off-diagonal entries 0..-4,
+    symmetrizers 1..3; most are not Cartan data) and one subcommand on it."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    entry = st.sampled_from((0, -1, -2, -3, -4))
+    rows = [[2 if i == j else draw(entry) for j in range(n)] for i in range(n)]
+    d = draw(st.lists(st.sampled_from((1, 2, 3)), min_size=n, max_size=n))
+    text = "".join("row " + " ".join(map(str, row)) + "\n" for row in rows)
+    text += "diag " + " ".join(map(str, d)) + "\n"
+    node = st.integers(min_value=1, max_value=n)
+    command = draw(st.sampled_from(("tables", "path", "dim", "cyclicity")))
+    if command == "path":
+        args = ["--weight", str(draw(node))]
+    elif command == "dim":
+        small = st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n)
+        dims = st.lists(st.integers(min_value=1, max_value=30), min_size=n, max_size=n)
+        args = ["--weights", ",".join(map(str, draw(small)))]
+        args += ["--fund-dims", ",".join(map(str, draw(dims)))]
+    elif command == "cyclicity":
+        factor = st.tuples(node, st.integers(min_value=-8, max_value=8))
+        factors = draw(st.lists(factor, min_size=1, max_size=6))
+        args = ["--factors", ",".join(f"{c}:{k}/2" for c, k in factors)]
+        args += ["--mode", draw(st.sampled_from(("hw", "irr")))]
+    else:
+        args = []
+    return text, [command, *args]
+
+
+@settings(max_examples=300, deadline=2000)
+@given(_fuzzed_algebra_argv(), st.sampled_from(("text", "json")))
+def test_fuzzed_algebra_files_keep_the_exit_code_contract(tmp_path_factory, case, fmt):
+    # the real engine on each accepted file: no stubbed tables
+    text, argv = case
+    algebra = tmp_path_factory.getbasetemp() / "fuzzed.alg"
+    algebra.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([*argv, "--algebra", str(algebra), "--format", fmt])
+    assert code in ((0, 1, 2) if argv[0] == "cyclicity" else (0, 2)), err.getvalue()
+    assert "Traceback" not in err.getvalue()
     if code == 2:
         assert out.getvalue() == ""
 

@@ -28,7 +28,7 @@ from ywalk.cyclicity import (
     q_exponent_image,
 )
 from ywalk.exact import GaussianRational, ParamPoly
-from ywalk.rootsystem import InputError
+from ywalk.rootsystem import InputError, weyl_longest
 from ywalk.verify import EXPECTED_S, EXPECTED_T, G2_WORD
 from ywalk.walk import CrosscheckError, run_walk
 
@@ -58,6 +58,51 @@ def test_rank_one_sets(a1):
     assert t_sets[0].roots == ((F(1), F(0)),)
     s_sets = compute_s_sets(t_sets, a1)
     assert s_sets[0].values == (F(1),)
+
+
+# ----------------------------------------- closed forms in types A and D
+
+
+def _closed_form_s_set(kind, n, k, l):
+    """S(k, l) of A_n or D_n (Bourbaki labels, spin nodes n - 1 and n),
+    without a walk.  Under s -> q^{2s} these are the zeros of the
+    normalized R-matrix denominators of the quantum affine algebra: type A
+    is Akasaka-Kashiwara (Publ. RIMS 33, 1997), and the type D sets with at
+    most one spin node are recalled from the same line of work.  The sets
+    for two spin nodes are not cited: they are a fit to the walk's own S
+    sets, {2s - 1 : s <= n/2} for k = l and {2s : s <= (n - 1)/2} for
+    k != l, and this test only records that the fit keeps holding."""
+    if kind == "a":
+        top = min(k, l, n + 1 - k, n + 1 - l)
+        return {F(abs(k - l) + 2 * s, 2) for s in range(1, top + 1)}
+    spin = {n - 1, n}
+    if k in spin and l in spin:
+        if k == l:
+            return {F(2 * s - 1) for s in range(1, n // 2 + 1)}
+        return {F(2 * s) for s in range(1, (n - 1) // 2 + 1)}
+    if k in spin or l in spin:
+        m = l if k in spin else k
+        return {F(n - m - 1 + 2 * s, 2) for s in range(1, m + 1)}
+    return {
+        value
+        for s in range(1, min(k, l) + 1)
+        for value in (F(abs(k - l) + 2 * s, 2), F(2 * n - 2 - k - l + 2 * s, 2))
+    }
+
+
+@pytest.mark.parametrize(
+    "name", [f"a{n}" for n in range(2, 13)] + [f"d{n}" for n in range(4, 11)]
+)
+def test_type_a_and_d_s_sets_have_closed_forms(finite_type, name):
+    # every ordered node pair, on the lex-least word
+    cartan = finite_type(name)
+    word = weyl_longest(cartan)
+    reports = [run_walk(cartan, word, b, 8) for b in range(1, cartan.rank + 1)]
+    s_sets = compute_s_sets(compute_t_sets(reports), cartan)
+    assert len(s_sets) == cartan.rank**2
+    for s in s_sets:
+        want = _closed_form_s_set(name[0], cartan.rank, s.b, s.c)
+        assert set(s.values) == want, f"{name} S({s.b},{s.c})"
 
 
 def test_divisor_fault_stops_the_walk_before_t_sets(g2, monkeypatch):

@@ -11,16 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ywalk.exact import (
-    A,
-    GaussianRational,
-    ParamPoly,
-    UniPoly,
-    series_exp,
-    series_from_poly_ratio,
-    series_log,
-    series_rescale,
-)
+from ywalk.exact import A, GaussianRational, ParamPoly, UniPoly
+from ywalk.sl2 import series_exp, series_from_poly_ratio, series_log, series_rescale
 from ywalk.walk import StepRecord, _divisor_series
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from itertools import product
 from pathlib import Path
 
@@ -240,6 +243,78 @@ def test_library_has_no_assert_statements():
         tree = ast.parse(path.read_text(), filename=str(path))
         asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert asserts == [], f"{path.name}: assert at lines {asserts}"
+
+
+# The engine computes every answer; the oracle side (sl2 and the verify
+# suites, and cli, which runs them) checks the engine from outside.
+ENGINE = {"exact", "rootsystem", "walk", "cyclicity"}
+ORACLE_SIDE = {"sl2", "verify", "cli"}
+
+
+def _package_imports(tree):
+    """(module, name, line) per name a ywalk module imports from a sibling;
+    name is None where the sibling module itself is imported."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                base = node.module
+            elif node.level == 0 and (node.module or "").startswith("ywalk"):
+                base = node.module.partition(".")[2] or None
+            else:
+                continue
+            for alias in node.names:
+                if base is None:
+                    yield alias.name, None, node.lineno
+                else:
+                    yield base, alias.name, node.lineno
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("ywalk."):
+                    yield alias.name.split(".")[1], None, node.lineno
+
+
+def test_engine_and_oracle_modules_keep_their_boundary():
+    package = Path(rootsystem.__file__).parent
+    assert ENGINE | ORACLE_SIDE <= {path.stem for path in package.glob("*.py")}
+    faults = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imports = list(_package_imports(tree))
+        if path.stem in ENGINE:
+            # (a) the engine reads nothing from the oracle side
+            faults += [
+                f"{path.name}:{line} imports from {module}"
+                for module, _, line in imports
+                if module in ORACLE_SIDE
+            ]
+        if path.stem in ORACLE_SIDE:
+            # (b) the oracle side reads only the engine's public names
+            faults += [
+                f"{path.name}:{line} imports {module}.{name}"
+                for module, name, line in imports
+                if module in ENGINE and name and name.startswith("_")
+            ]
+            whole = {module for module, name, _ in imports if name is None}
+            faults += [
+                f"{path.name}:{node.lineno} reads {node.value.id}.{node.attr}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in whole & ENGINE
+                and node.attr.startswith("_")
+            ]
+    assert faults == []
+    # (c) importing the library loads neither the verify suites nor the CLI
+    script = "import sys, ywalk; print(sorted(m for m in sys.modules if m.startswith('ywalk')))"
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(package.parent)),
+    )
+    assert result.returncode == 0, result.stderr
+    assert not {"ywalk.verify", "ywalk.cli"} & set(ast.literal_eval(result.stdout))
 
 
 # ---------------------------------------------------- rho-descent, pinned data

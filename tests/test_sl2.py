@@ -9,12 +9,13 @@ import pytest
 
 from ywalk import sl2
 from ywalk.cli import main
-from ywalk.exact import UniPoly, series_from_poly_ratio
+from ywalk.exact import UniPoly
 from ywalk.sl2 import (
     Operator,
     check_relations,
     extremal_series_check,
     operator,
+    series_from_poly_ratio,
     symmetrized_insertion_check,
 )
 from ywalk.verify import SAMPLE_A
