@@ -60,7 +60,9 @@ MAX_ORDER = 64
 # accepted --factors length: the violation list grows with the square of it
 MAX_FACTORS = 256
 
-_RATIONAL = r"-?\d+(?:/\d+)?"
+_INTEGER = r"-?\d+"
+_INTEGER_RE = re.compile(_INTEGER)
+_RATIONAL = rf"{_INTEGER}(?:/\d+)?"
 _GAUSSIAN_RE = re.compile(rf"^({_RATIONAL})(?:([+-]\d+(?:/\d+)?)i)?$")
 
 # the flagship table word; outputs for anything else are experimental
@@ -83,6 +85,15 @@ def parse_gaussian(text: str) -> GaussianRational:
         raise InputError(f"bad parameter: {exc}") from None
 
 
+def _parse_int(text: str) -> int:
+    """A decimal integer ``[-]digits``, whitespace around it ignored; any
+    other spelling ``int`` takes (``1_0``, ``+1``) raises ValueError."""
+    text = text.strip()
+    if not _INTEGER_RE.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_factors(spec: str, rank: int) -> list[TensorFactor]:
     """Parse comma-separated ``node:param`` tokens, at most MAX_FACTORS of
     them; whitespace is ignored."""
@@ -98,7 +109,7 @@ def parse_factors(spec: str, rank: int) -> list[TensorFactor]:
         if not param_text:
             raise InputError(f"factor {token!r} is not of the form node:param")
         try:
-            node = int(node_text)
+            node = _parse_int(node_text)
         except ValueError:
             raise InputError(f"bad node index {node_text!r}") from None
         if not 1 <= node <= rank:
@@ -116,7 +127,7 @@ def _parse_root_list(spec: str) -> list[GaussianRational]:
 
 def _parse_int_list(spec: str, what: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in spec.split(","))
+        return tuple(_parse_int(tok) for tok in spec.split(","))
     except ValueError:
         raise InputError(f"bad {what} list {spec!r}") from None
 
@@ -137,7 +148,7 @@ def _load_custom_algebra(path: Path) -> tuple[CartanData, tuple[int, ...] | None
             continue
         keyword, *fields = line.split()
         try:
-            values = [int(f) for f in fields]
+            values = [_parse_int(f) for f in fields]
         except ValueError:
             raise InputError(f"{path}:{lineno}: non-integer entry") from None
         if keyword == "row":
@@ -176,7 +187,7 @@ def _load_algebra(args) -> tuple[str, CartanData, tuple[int, ...]]:
             )
         cartan, file_word = _load_custom_algebra(path)
         label = f"custom:{path.name}"
-    if args.word:
+    if args.word is not None:
         word = _parse_int_list(args.word, "word")
     elif file_word is not None:
         word = file_word
@@ -188,7 +199,7 @@ def _load_algebra(args) -> tuple[str, CartanData, tuple[int, ...]]:
 
 
 def _fund_dims(args) -> tuple[int, ...] | None:
-    if not args.fund_dims:
+    if args.fund_dims is None:
         return None
     return _parse_int_list(args.fund_dims, "fundamental-dimension")
 

@@ -1,4 +1,4 @@
-"""Cartan data, Weyl-group data from rho-descent, and path exponents.
+"""Cartan data, Weyl-group data, and the inversion roots of a reduced word.
 
 Weights live in fundamental-weight coordinates throughout: the simple root
 ``alpha_j`` has coordinate vector equal to column j of the Cartan matrix,
@@ -12,6 +12,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, prod
 from typing import Iterable, Sequence
 
@@ -181,22 +182,38 @@ def weyl_longest(cartan: CartanData) -> ReducedWord:
     return tuple(word)
 
 
-def is_reduced_word_of_longest(cartan: CartanData, word: Sequence[int]) -> bool:
-    """A word is reduced exactly when every letter, applied from the right,
-    raises the length: l(s_r w) > l(w) iff coordinate r of w(rho) is
-    positive.  A reduced word is one of w0 exactly when it sends rho to
-    -rho, since rho has trivial stabilizer.  A letter that is not an
-    integer gives False."""
+def _letters(word: Sequence[int]) -> ReducedWord:
+    """``word`` as ints; () (never a word of w0) if it is not a sequence of ints."""
     try:
-        letters = [operator.index(r) for r in reversed(word)]
+        return tuple(map(operator.index, reversed(word)))[::-1]
     except TypeError:
-        return False
-    v = (1,) * cartan.rank
-    for r in letters:
-        if not 1 <= r <= cartan.rank or v[r - 1] <= 0:
-            return False
-        v = reflect(cartan, r, v)
-    return v == (-1,) * cartan.rank
+        return ()
+
+
+@lru_cache(maxsize=8)  # an A_60 entry, 1,830 roots of 60 coordinates, is ~1 MB
+def _inversions(cartan: CartanData, word: ReducedWord) -> tuple[Weight, ...] | None:
+    """The inversion roots beta_j = s_{r_p}..s_{r_{j+1}}(alpha_{r_j}) of a
+    reduced word r_1..r_p of w0, in simple-root coordinates, else None.
+    The suffix u = s_{r_p}..s_{r_{j+1}} is kept as its columns u(alpha_k);
+    u s_r subtracts a_{rk} times column r from column k.  A letter raises
+    the length iff beta_j = u(alpha_{r_j}) is positive (coordinate sum > 0),
+    and u = w0 at the end iff it sends every simple root negative."""
+    l = cartan.rank
+    cols = [tuple(int(j == k) for j in range(l)) for k in range(l)]
+    betas: list[Weight] = []
+    for r in reversed(word):
+        if not 1 <= r <= l or sum(cols[r - 1]) <= 0:
+            return None
+        betas.append(cols[r - 1])
+        for k, a_rk in enumerate(cartan.a[r - 1]):
+            if a_rk:
+                cols[k] = tuple(x - a_rk * y for x, y in zip(cols[k], betas[-1]))
+    return tuple(reversed(betas)) if all(sum(col) < 0 for col in cols) else None
+
+
+def is_reduced_word_of_longest(cartan: CartanData, word: Sequence[int]) -> bool:
+    """Whether ``word`` is a reduced word of w0; a non-integer letter gives False."""
+    return _inversions(cartan, _letters(word)) is not None
 
 
 def lowest_weight(cartan: CartanData, weight: Sequence[int]) -> Weight:
@@ -225,40 +242,23 @@ class PathExponents:
 def path_exponents(
     cartan: CartanData, word: Sequence[int], fundamental: int
 ) -> PathExponents:
-    """Exponent m_j = coordinate r_j of s_{r_{j+1}}..s_{r_p}(omega_i).
-
-    The word must be a reduced word of the longest element.
-    """
-    if not is_reduced_word_of_longest(cartan, word):
+    """Exponents m_j = <omega_b, beta_j^vee> = c_b(beta_j) * d_b / d_{r_j} on
+    the inversion roots beta_j of ``word``, a reduced word of w0 (Bourbaki
+    VI 1.6, Cor. 2): coordinate r_j of s_{r_{j+1}}..s_{r_p}(omega_b)."""
+    letters = _letters(word)
+    betas = _inversions(cartan, letters)
+    if betas is None:
         raise InputError("word is not a reduced word of the longest element")
-    current = cartan.fundamental(fundamental)
-    exps = [0] * len(word)
-    for j in range(len(word), 0, -1):
-        r = word[j - 1]
-        exps[j - 1] = current[r - 1]
-        current = reflect(cartan, r, current)
-    return PathExponents(fundamental, tuple(word), tuple(exps))
+    b = cartan.fundamental(fundamental).index(1)
+    exps = [divmod(v[b] * cartan.d[b], cartan.d[r - 1]) for r, v in zip(letters, betas)]
+    if any(rest for _, rest in exps):
+        raise ArithmeticError(f"path exponents (quotient, remainder): {exps}")
+    return PathExponents(fundamental, letters, tuple(m for m, _ in exps))
 
 
 def positive_roots(cartan: CartanData) -> list[tuple[int, ...]]:
-    """All positive roots, in simple-root coordinates.
-
-    Along a reduced word r_1..r_N of w0, the roots
-    s_{r_1}..s_{r_{j-1}}(alpha_{r_j}) are the N positive roots, each once
-    (Bourbaki VI 1.6, Cor. 2).  The prefix w is kept as its columns
-    w(alpha_k); right-multiplying by s_r subtracts a_{rk} times column r
-    from column k, and so negates column r itself (a_rr = 2).
-    """
-    l = cartan.rank
-    cols = [tuple(int(j == k) for j in range(l)) for k in range(l)]
-    roots = []
-    for r in weyl_longest(cartan):
-        col_r = cols[r - 1]
-        roots.append(col_r)
-        for k, a_rk in enumerate(cartan.a[r - 1]):
-            if a_rk:
-                cols[k] = tuple(x - a_rk * y for x, y in zip(cols[k], col_r))
-    return sorted(roots)
+    """The positive roots in simple-root coordinates: the longest word's inversions."""
+    return sorted(_inversions(cartan, weyl_longest(cartan)))
 
 
 def weyl_dim(cartan: CartanData, weight: Sequence[int]) -> int:

@@ -237,6 +237,12 @@ def test_input_errors_exit_two(capsys):
     assert main(["walk", "--weight", "1", "--word", "1,2,1"]) == 2
     assert main(["walk", "--weight", "1", "--order", "3"]) == 2
     assert main(["path", "--algebra", "nosuch"]) == 2
+    assert main(["path", "--word", ""]) == 2
+    assert main(["path", "--word", "1_2,1,2,1,2,1"]) == 2
+    assert main(["dim", "--weights", "1,0", "--fund-dims", ""]) == 2
+    assert main(["dim", "--weights", "1_0,0", "--fund-dims", "14,7"]) == 2
+    assert main(["dim", "--weights", "+1,0", "--fund-dims", "14,7"]) == 2
+    assert main(["cyclicity", "--factors", "1_0:0"]) == 2
     capsys.readouterr()
 
 
@@ -455,6 +461,38 @@ def _algebra_name_too_long(tmp_path):
     return ["path", "--algebra", "x" * 5000], "unknown algebra"
 
 
+# an explicitly empty list is malformed, not absent
+def _empty_word(tmp_path):
+    return ["path", "--word", ""], "bad word list ''"
+
+
+def _empty_fund_dims(tmp_path):
+    return ["weyl-module", "--pi1", "0", "--fund-dims", ""], "bad fundamental-dimension list"
+
+
+# integer fields take [-]digits only, not every spelling Python's int() reads
+def _underscore_in_weight(tmp_path):
+    return ["dim", "--weights", "1_0,0", "--fund-dims", "14,7"], "bad weight list"
+
+
+def _underscore_in_word(tmp_path):
+    return ["path", "--word", "1_2,1,2,1,2,1"], "bad word list"
+
+
+def _plus_sign_in_fund_dims(tmp_path):
+    return ["dim", "--weights", "1,0", "--fund-dims", "+14,7"], "bad fundamental-dimension"
+
+
+def _plus_sign_in_node_label(tmp_path):
+    return ["cyclicity", "--factors", "+1:0,2:0"], "bad node index '+1'"
+
+
+def _underscore_in_algebra_file(tmp_path):
+    algebra = tmp_path / "g2.alg"
+    algebra.write_text("row 2 -1\nrow -3 2\ndiag 3 1\nword 1_2 1 2 1 2 1\n")
+    return ["path", "--algebra", str(algebra)], "non-integer entry"
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -465,6 +503,13 @@ def _algebra_name_too_long(tmp_path):
         _bound_rejected_before_it_is_built,
         _weyl_module_bound_past_digit_limit,
         _algebra_name_too_long,
+        _empty_word,
+        _empty_fund_dims,
+        _underscore_in_weight,
+        _underscore_in_word,
+        _plus_sign_in_fund_dims,
+        _plus_sign_in_node_label,
+        _underscore_in_algebra_file,
     ],
 )
 def test_input_cases_exit_two_with_one_line(capsys, tmp_path, case):

@@ -1,9 +1,11 @@
-"""Cartan validation, rho-descent Weyl data, path exponents, dimension formula."""
+"""Cartan validation, rho-descent Weyl data, the inversion sweep, path
+exponents, dimension formula."""
 
 from __future__ import annotations
 
 import ast
 import os
+import random
 import subprocess
 import sys
 from itertools import product
@@ -11,10 +13,15 @@ from pathlib import Path
 
 import pytest
 
+from conftest import finite_type_cartan
+from make_tables_atlas import TYPES as ATLAS_TYPES
+from test_cli import _write_algebra
+from test_invariance import WORD_SEEDS, WORDS_PER_TYPE, random_longest_word
 from ywalk import cyclicity, rootsystem
 from ywalk.cli import main
 from ywalk.rootsystem import (
     CartanData,
+    InputError,
     InvalidCartanError,
     is_reduced_word_of_longest,
     lowest_weight,
@@ -407,6 +414,82 @@ def test_words_and_walks_enumerate_no_roots(monkeypatch, g2, f4):
             exps = path_exponents(cartan, word, i)
             report = run_walk(cartan, word, i, 8)
             assert report.exponents == exps.exponents
+
+
+# ------------------------------------------------------- the inversion sweep
+
+
+def _path_exponents_reference(cartan, word, fundamental):
+    """m_j = coordinate r_j of s_{r_{j+1}}..s_{r_p}(omega_b), by reflecting
+    omega_b letter by letter from the right end of the word."""
+    current = cartan.fundamental(fundamental)
+    exps = [0] * len(word)
+    for j in range(len(word), 0, -1):
+        r = word[j - 1]
+        exps[j - 1] = current[r - 1]
+        current = reflect(cartan, r, current)
+    return tuple(exps)
+
+
+def _sweep_words(name):
+    cartan = finite_type_cartan(name)
+    word = weyl_longest(cartan)
+    words = [word, word[::-1]]
+    if name in WORD_SEEDS:
+        rng = random.Random(WORD_SEEDS[name])
+        words += [random_longest_word(cartan, rng) for _ in range(WORDS_PER_TYPE)]
+    return cartan, words
+
+
+@pytest.mark.parametrize("name", ATLAS_TYPES)
+def test_path_exponents_match_the_reflection_reference(name):
+    cartan, words = _sweep_words(name)
+    for word in words:
+        for b in range(1, cartan.rank + 1):
+            want = _path_exponents_reference(cartan, word, b)
+            assert path_exponents(cartan, word, b).exponents == want, (word, b)
+
+
+def test_word_forms_read_the_same_sweep(g2):
+    word = list(G2_WORD)
+    first = path_exponents(g2, word, 1)
+    assert first == path_exponents(g2, G2_WORD, 1)
+    assert first.word == G2_WORD
+    # the sweep is cached on the letters as a tuple, not on the caller's list
+    word[:] = G2_REDUCED_WORDS[1]
+    fresh = path_exponents(g2, word, 1)
+    assert fresh.word == G2_REDUCED_WORDS[1]
+    assert fresh.exponents == _path_exponents_reference(g2, word, 1)
+    assert fresh.exponents != first.exponents
+    word[0] = 1
+    assert not is_reduced_word_of_longest(g2, word)
+    with pytest.raises(InputError, match="not a reduced word"):
+        path_exponents(g2, word, 1)
+    # a word that is not a sequence is rejected, as is a non-integer letter
+    with pytest.raises(InputError, match="not a reduced word"):
+        path_exponents(g2, (r for r in G2_WORD), 1)
+    assert not is_reduced_word_of_longest(g2, (r for r in G2_WORD))
+
+
+def test_a_broken_exponent_invariant_raises_without_assert(g2, monkeypatch, capsys):
+    # beta = alpha_2 read at a letter 1 gives m = 1 * d_2 / d_1 = 1/3
+    monkeypatch.setattr(rootsystem, "_inversions", lambda cartan, word: ((0, 1),) * 6)
+    with pytest.raises(ArithmeticError, match="path exponents"):
+        path_exponents(g2, G2_WORD, 2)
+    assert main(["path", "--weight", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("internal error: ArithmeticError(")
+
+
+def test_one_sweep_serves_a_whole_tables_query(capsys, tmp_path, e8):
+    algebra = _write_algebra(tmp_path / "e8.alg", e8)
+    rootsystem._inversions.cache_clear()
+    assert main(["tables", "--algebra", algebra, "--format", "json"]) == 0
+    capsys.readouterr()
+    info = rootsystem._inversions.cache_info()
+    # the word check misses; the walk of each of the 8 fundamentals hits
+    assert info.misses == 1
+    assert info.hits >= 8
 
 
 def test_weyl_longest_rejects_affine_data():
