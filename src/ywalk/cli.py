@@ -222,9 +222,10 @@ def _walk_rows(report) -> list[dict]:
     return rows
 
 
-def _sset_tables(cartan: CartanData, word, order: int):
-    """T and S sets from the walks of every fundamental."""
-    reports = [run_walk(cartan, word, i, order) for i in range(1, cartan.rank + 1)]
+def _sset_tables(cartan: CartanData, word, order: int, nodes):
+    """T and S sets from the walks of the fundamentals ``nodes``: S(b, c)
+    reads only the walk of omega_b, so they give every S(b, c), b in nodes."""
+    reports = [run_walk(cartan, word, i, order) for i in sorted(nodes)]
     t_sets = compute_t_sets(reports)
     return t_sets, compute_s_sets(t_sets, cartan)
 
@@ -258,7 +259,7 @@ def _cmd_walk(args, cartan: CartanData, word) -> tuple[int, dict, dict]:
 
 
 def _cmd_tables(args, cartan: CartanData, word) -> tuple[int, dict, dict]:
-    t_sets, s_sets = _sset_tables(cartan, word, args.order)
+    t_sets, s_sets = _sset_tables(cartan, word, args.order, range(1, cartan.rank + 1))
     results = {
         "word": list(word),
         "t_sets": [
@@ -275,7 +276,9 @@ def _cmd_tables(args, cartan: CartanData, word) -> tuple[int, dict, dict]:
 
 def _cmd_cyclicity(args, cartan: CartanData, word) -> tuple[int, dict, dict]:
     factors = parse_factors(args.factors, cartan.rank)
-    _, s_sets = _sset_tables(cartan, word, args.order)
+    # every pair of present nodes gets its S sets, so no pair is unset
+    nodes = {f.node for f in factors}
+    _, s_sets = _sset_tables(cartan, word, args.order, nodes)
     report = check_cyclicity(factors, s_sets, args.mode)
     results = {
         "mode": report.mode,
@@ -304,7 +307,7 @@ def _cmd_weyl_module(args, cartan: CartanData, word) -> tuple[int, dict, dict]:
         raise InputError("weyl-module expects a rank-2 algebra")
     roots1 = _parse_root_list(args.pi1)
     roots2 = _parse_root_list(args.pi2)
-    _, s_sets = _sset_tables(cartan, word, args.order)
+    _, s_sets = _sset_tables(cartan, word, args.order, (1, 2))
     spec = build_ordered_product(roots1, roots2, s_sets)
     dims = _fund_dims(args)
     dim_report = (

@@ -249,6 +249,7 @@ def path_exponents(
     betas = _inversions(cartan, letters)
     if betas is None:
         raise InputError("word is not a reduced word of the longest element")
+    fundamental = _as_int(fundamental, "fundamental index")
     b = cartan.fundamental(fundamental).index(1)
     exps = [divmod(v[b] * cartan.d[b], cartan.d[r - 1]) for r, v in zip(letters, betas)]
     if any(rest for _, rest in exps):

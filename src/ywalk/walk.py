@@ -140,6 +140,7 @@ def init_walk(cartan: CartanData, fundamental: int, order: int = DEFAULT_ORDER) 
     ``fundamental``: H-series log((u-(a-d))/(u-a)) and divisor [-d] - [0]
     at that node, zero elsewhere.  A label outside 1..rank, or an order
     that is not an integer of at least 2, raises InputError."""
+    fundamental = _as_int(fundamental, "fundamental index")
     weight = list(cartan.fundamental(fundamental))
     order = _as_int(order, "series order")
     if order < 2:
@@ -365,6 +366,7 @@ def run_walk(
     """
     order = _as_int(order, "series order")
     exps = path_exponents(cartan, word, fundamental)
+    fundamental = exps.fundamental  # an int, whatever the caller passed
     max_m = max(exps.exponents) if exps.exponents else 0
     if order < max_m + 2:
         raise InputError(

@@ -629,7 +629,7 @@ def g2_tables(g2_t_sets, g2_s_sets):
 def test_exit_code_contract_holds_under_fuzzing(g2_tables, argv, fmt):
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_sset_tables", lambda cartan, word, order: g2_tables)
+        mp.setattr(cli, "_sset_tables", lambda cartan, word, order, nodes: g2_tables)
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv + ["--format", fmt])
     assert code in (0, 1, 2)
@@ -784,6 +784,30 @@ def _write_algebra(path, cartan):
     rows = "".join("row " + " ".join(map(str, row)) + "\n" for row in cartan.a)
     path.write_text(rows + "diag " + " ".join(map(str, cartan.d)) + "\n")
     return str(path)
+
+
+def test_cyclicity_walks_only_the_factor_nodes(capsys, tmp_path, monkeypatch, e6):
+    algebra = _write_algebra(tmp_path / "e6.alg", e6)
+    real, walked = cli.run_walk, []
+
+    def counted(cartan, word, fundamental, order):
+        walked.append(fundamental)
+        return real(cartan, word, fundamental, order)
+
+    monkeypatch.setattr(cli, "run_walk", counted)
+    factors = "5:1,2:0,5:3,2:7/2"
+    for mode in ("hw", "irr"):
+        argv = ["cyclicity", "--algebra", algebra, "--factors", factors, "--mode", mode]
+        code, env = run_json(capsys, *argv)
+        # certified or not, never the unset-pair ValueError's exit 3
+        assert code in (0, 1)
+        assert walked == [2, 5]
+        walked.clear()
+    # the order gate covers the walks that run: the G2 walk of omega_2
+    # needs order 4, the one of omega_1 order 5
+    assert main(["cyclicity", "--factors", "2:0,2:1/2", "--order", "4"]) == 0
+    assert main(["cyclicity", "--factors", "1:0,2:1/2", "--order", "4"]) == 2
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("name, length", [("e6", 36), ("e8", 120)])

@@ -245,6 +245,21 @@ def test_run_walk_rejects_bad_word(g2):
         run_walk(g2, (1, 2, 1), 1, 8)
 
 
+def test_walk_labels_are_ints_whatever_the_caller_passes(g2):
+    class Label:
+        def __index__(self):
+            return 1
+
+    want = run_walk(g2, G2_WORD, 1, 8)
+    for label in (Label(), True):
+        report = run_walk(g2, G2_WORD, label, 8)
+        assert report == want
+        assert type(report.fundamental) is int
+        assert type(path_exponents(g2, G2_WORD, label).fundamental) is int
+        assert all(type(t.b) is int for t in compute_t_sets([report]))
+        assert init_walk(g2, label, 8) == init_walk(g2, 1, 8)
+
+
 def test_extract_needs_enough_order(g2):
     state = init_walk(g2, 1, 3)
     state.series[1] = [0, 6, 0, 0]  # H_0 = 3
